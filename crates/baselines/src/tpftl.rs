@@ -1,8 +1,6 @@
 //! TPFTL: a two-level CMT with spatial-locality prefetching.
 
-use ftl_base::{
-    dirty_mappings, DynamicDataPool, Ftl, FtlCore, FtlStats, GcMode, Lpn, PageNodeCmt, ReadClass,
-};
+use ftl_base::{DynamicDataPool, Ftl, FtlCore, FtlStats, GcMode, Lpn, PageNodeCmt, ReadClass};
 use ssd_sim::{FlashDevice, SimTime, SsdConfig};
 
 use crate::config::BaselineConfig;
@@ -74,43 +72,6 @@ impl Tpftl {
         });
         self.core.finish_background_gc(now, done)
     }
-
-    /// Writes back the dirty mappings of evicted CMT nodes. Each node costs
-    /// one read-modify-write of its translation page.
-    fn persist_evicted(
-        &mut self,
-        evicted: Vec<(usize, ftl_base::TransNode)>,
-        now: SimTime,
-    ) -> SimTime {
-        let mut t = now;
-        for (tpn, node) in evicted {
-            if dirty_mappings(&node).is_empty() {
-                continue;
-            }
-            let read_done = self.core.read_translation(tpn, t);
-            t = self.core.write_translation(tpn, read_done);
-        }
-        t
-    }
-
-    /// Loads mappings for a CMT miss: the requested mapping plus up to
-    /// `prefetch_len − 1` following mappings from the same translation page.
-    fn load_with_prefetch(&mut self, lpn: Lpn, now: SimTime) -> SimTime {
-        let tpn = self.core.entry_of_lpn(lpn);
-        let offset = self.core.offset_of_lpn(lpn);
-        let t_trans = self.core.read_translation(tpn, now);
-        let (range_start, range_end) = self.core.gtd.lpn_range(tpn);
-        let end_lpn = (lpn + u64::from(self.prefetch_len)).min(range_end);
-        let mut batch = Vec::with_capacity((end_lpn - lpn) as usize);
-        for l in lpn..end_lpn {
-            if let Some(ppn) = self.core.mapping.get(l) {
-                batch.push((self.core.offset_of_lpn(l), ppn, false));
-            }
-        }
-        debug_assert!(range_start <= lpn && offset == self.core.offset_of_lpn(lpn));
-        let evicted = self.cmt.insert_batch(tpn, &batch);
-        self.persist_evicted(evicted, t_trans)
-    }
 }
 
 impl Ftl for Tpftl {
@@ -139,7 +100,11 @@ impl Ftl for Tpftl {
                 continue;
             }
             self.core.note_read_class(ReadClass::DoubleRead, now);
-            let ready = self.load_with_prefetch(l, now);
+            // The requested mapping plus up to `prefetch_len − 1` following
+            // ones from the same translation page.
+            let ready = self
+                .core
+                .load_with_prefetch(&mut self.cmt, l, self.prefetch_len, now);
             let t = self.core.read_data(ppn, ready);
             done = done.max(t);
         }
@@ -167,12 +132,9 @@ impl Ftl for Tpftl {
             self.core.stats.host_write_pages += writes.len() as u64;
             let t_write = self.core.program_data_multi(&writes, barrier);
             for &(wl, ppn) in &writes {
-                let tpn = self.core.entry_of_lpn(wl);
-                let offset = self.core.offset_of_lpn(wl);
-                if !self.cmt.update_if_cached(tpn, offset, ppn) {
-                    let evicted = self.cmt.insert_batch(tpn, &[(offset, ppn, true)]);
-                    barrier = self.persist_evicted(evicted, barrier);
-                }
+                barrier = self
+                    .core
+                    .cache_written_mapping(&mut self.cmt, wl, ppn, barrier);
             }
             done = done.max(t_write).max(barrier);
             l += writes.len() as u64;

@@ -2,9 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ftl_base::{
-    dirty_mappings, Ftl, FtlCore, FtlStats, GcMode, Lpn, PageNodeCmt, ReadClass, TransNode,
-};
+use ftl_base::{Ftl, FtlCore, FtlStats, GcMode, Lpn, PageNodeCmt, ReadClass};
 use learned_index::Point;
 use ssd_sim::wallclock::WallTimer;
 use ssd_sim::{vppn_to_ppn, Duration, FlashDevice, SimTime, SsdConfig};
@@ -119,33 +117,6 @@ impl LearnedFtl {
     /// The configuration this instance was built with.
     pub fn config(&self) -> &LearnedFtlConfig {
         &self.config
-    }
-
-    fn persist_evicted(&mut self, evicted: Vec<(usize, TransNode)>, now: SimTime) -> SimTime {
-        let mut t = now;
-        for (tpn, node) in evicted {
-            if dirty_mappings(&node).is_empty() {
-                continue;
-            }
-            let read_done = self.core.read_translation(tpn, t);
-            t = self.core.write_translation(tpn, read_done);
-        }
-        t
-    }
-
-    fn load_with_prefetch(&mut self, lpn: Lpn, now: SimTime) -> SimTime {
-        let tpn = self.core.entry_of_lpn(lpn);
-        let t_trans = self.core.read_translation(tpn, now);
-        let (_, range_end) = self.core.gtd.lpn_range(tpn);
-        let end_lpn = (lpn + u64::from(self.config.prefetch_len)).min(range_end);
-        let mut batch = Vec::with_capacity((end_lpn - lpn) as usize);
-        for l in lpn..end_lpn {
-            if let Some(ppn) = self.core.mapping.get(l) {
-                batch.push((self.core.offset_of_lpn(l), ppn, false));
-            }
-        }
-        let evicted = self.cmt.insert_batch(tpn, &batch);
-        self.persist_evicted(evicted, t_trans)
     }
 
     /// Allocates a slot for `lpn`, running group GC whenever the allocator
@@ -455,7 +426,9 @@ impl Ftl for LearnedFtl {
 
             // 3. Fall back to TPFTL's double read.
             self.core.note_read_class(ReadClass::DoubleRead, now);
-            let ready = self.load_with_prefetch(l, now);
+            let ready =
+                self.core
+                    .load_with_prefetch(&mut self.cmt, l, self.config.prefetch_len, now);
             let t = self.core.read_data(true_ppn, ready);
             done = done.max(t);
         }
@@ -474,7 +447,6 @@ impl Ftl for LearnedFtl {
             }
             self.core.stats.host_write_pages += 1;
             let tpn = self.core.entry_of_lpn(l);
-            let offset = self.core.offset_of_lpn(l);
             // Consistency first: the model may no longer answer for this LPN.
             self.models[tpn].invalidate(l);
 
@@ -490,11 +462,10 @@ impl Ftl for LearnedFtl {
             let t_write = self.core.program_data(l, slot.ppn, barrier);
             done = done.max(t_write);
 
-            if !self.cmt.update_if_cached(tpn, offset, slot.ppn) {
-                let evicted = self.cmt.insert_batch(tpn, &[(offset, slot.ppn, true)]);
-                barrier = self.persist_evicted(evicted, barrier);
-                done = done.max(barrier);
-            }
+            barrier = self
+                .core
+                .cache_written_mapping(&mut self.cmt, l, slot.ppn, barrier);
+            done = done.max(barrier);
 
             // Track contiguous placements for sequential initialisation.
             let extends_run = slot.donor.is_none()

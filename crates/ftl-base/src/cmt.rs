@@ -7,8 +7,6 @@
 //!   LRU order is maintained at node granularity, and evicting a node flushes
 //!   all of its dirty mappings with a single translation-page write.
 
-use std::collections::BTreeMap;
-
 use crate::lru::LruCache;
 use crate::request::Lpn;
 use ssd_sim::Ppn;
@@ -129,13 +127,33 @@ impl EntryCmt {
     }
 }
 
-/// A per-translation-page node of the two-level CMT.
+/// One cached mapping of a [`PageNodeCmt`] node (16 bytes).
+#[derive(Debug, Clone, Copy)]
+struct NodeEntry {
+    offset: u32,
+    dirty: bool,
+    ppn: Ppn,
+}
+
+/// A per-translation-page node of the two-level CMT: a slab slot carrying
+/// its links in the node-granular LRU list and its mappings as one run
+/// sorted by offset.
 ///
-/// A `BTreeMap` rather than a `HashMap`: node trimming and dirty-mapping
-/// collection iterate the node, and the simulator must be bit-for-bit
-/// reproducible across processes (`HashMap`'s per-instance hasher seed made
-/// eviction order — and therefore simulated timing — nondeterministic).
-pub type TransNode = BTreeMap<u32, CmtEntry>;
+/// Offset order rather than insertion or hash order: node trimming walks the
+/// node, and the simulator must be bit-for-bit reproducible across processes
+/// (a per-instance hasher seed once made eviction order — and therefore
+/// simulated timing — nondeterministic).
+#[derive(Debug, Clone)]
+struct Node {
+    tpn: usize,
+    /// Towards the most recently used node.
+    prev: u32,
+    /// Towards the least recently used node.
+    next: u32,
+    entries: Vec<NodeEntry>,
+}
+
+const NIL: u32 = u32::MAX;
 
 /// TPFTL's two-level cached mapping table.
 ///
@@ -144,22 +162,55 @@ pub type TransNode = BTreeMap<u32, CmtEntry>;
 /// node can free many mappings at once and its dirty mappings can be written
 /// back with a single translation-page update (the batching that gives TPFTL
 /// its low write overhead).
+///
+/// Nodes live in a slab indexed by a dense `tpn → slot` table, the LRU list
+/// is threaded through the slab, and an evicted node's slot and mapping
+/// buffer are recycled by the next node, so a CMT that has reached capacity
+/// serves misses without allocating, hashing or copying nodes.
+///
+/// ```
+/// use ftl_base::PageNodeCmt;
+/// let mut cmt = PageNodeCmt::new(3);
+/// cmt.insert_batch(0, &[(4, 400, true), (5, 500, false)]);
+/// assert_eq!(cmt.lookup(0, 5), Some(500));
+/// // Node 7 needs two of the three slots: node 0 goes, and because it held
+/// // a dirty mapping its translation page must be written back.
+/// assert_eq!(cmt.insert_batch(7, &[(0, 70, false), (1, 71, false)]), &[0]);
+/// assert_eq!(cmt.lookup(0, 5), None);
+/// ```
 #[derive(Debug, Clone)]
 pub struct PageNodeCmt {
-    nodes: LruCache<usize, TransNode>,
     capacity_entries: usize,
     total_entries: usize,
+    /// Slab slot of each cached translation page (`NIL` when not cached),
+    /// grown on demand to the highest tpn seen.
+    index: Vec<u32>,
+    nodes: Vec<Node>,
+    /// Slab slots of evicted nodes, reused (with their buffers) LIFO.
+    free: Vec<u32>,
+    /// Most recently used node.
+    head: u32,
+    /// Least recently used node.
+    tail: u32,
+    /// Scratch for [`merge_batch`].
+    displaced: Vec<NodeEntry>,
+    /// What the last [`PageNodeCmt::insert_batch`] returned.
+    evicted_dirty: Vec<usize>,
 }
 
 impl PageNodeCmt {
     /// Creates a CMT holding at most `capacity_entries` mappings.
     pub fn new(capacity_entries: usize) -> Self {
         PageNodeCmt {
-            // Node count can never exceed the entry count, so the inner LRU
-            // never evicts on its own; evictions are driven by entry budget.
-            nodes: LruCache::new(capacity_entries.max(1)),
             capacity_entries,
             total_entries: 0,
+            index: Vec::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            displaced: Vec::new(),
+            evicted_dirty: Vec::new(),
         }
     }
 
@@ -180,160 +231,242 @@ impl PageNodeCmt {
 
     /// Number of cached translation-page nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.free.len()
+    }
+
+    fn slot_of(&self, tpn: usize) -> Option<u32> {
+        self.index.get(tpn).copied().filter(|&slot| slot != NIL)
+    }
+
+    fn entry_mut(&mut self, tpn: usize, offset: u32) -> Option<&mut NodeEntry> {
+        let slot = self.slot_of(tpn)?;
+        let entries = &mut self.nodes[slot as usize].entries;
+        let at = position(entries, offset)?;
+        Some(&mut entries[at])
     }
 
     /// Looks up the mapping for (`tpn`, `offset`), refreshing the node's
-    /// recency.
+    /// recency (also when the node is cached but the offset is not).
     pub fn lookup(&mut self, tpn: usize, offset: u32) -> Option<Ppn> {
-        self.nodes
-            .get(&tpn)
-            .and_then(|n| n.get(&offset))
-            .map(|e| e.ppn)
+        let slot = self.slot_of(tpn)?;
+        self.touch(slot);
+        let entries = &self.nodes[slot as usize].entries;
+        position(entries, offset).map(|at| entries[at].ppn)
     }
 
     /// Whether the mapping for (`tpn`, `offset`) is cached.
     pub fn contains(&self, tpn: usize, offset: u32) -> bool {
-        self.nodes
-            .peek(&tpn)
-            .map(|n| n.contains_key(&offset))
-            .unwrap_or(false)
+        self.slot_of(tpn)
+            .is_some_and(|slot| position(&self.nodes[slot as usize].entries, offset).is_some())
     }
 
-    /// Inserts a batch of mappings into the node for `tpn`; mappings are
-    /// `(offset, ppn, dirty)` triples. Returns the evicted nodes (as
-    /// `(tpn, node)` pairs) that had to be dropped to respect capacity.
-    pub fn insert_batch(
-        &mut self,
-        tpn: usize,
-        mappings: &[(u32, Ppn, bool)],
-    ) -> Vec<(usize, TransNode)> {
-        if self.capacity_entries == 0 {
-            return Vec::new();
+    /// Inserts a batch of `(offset, ppn, dirty)` mappings into the node for
+    /// `tpn`, making it the most recently used; a mapping already cached is
+    /// overwritten, and within the batch a later duplicate wins. Ascending
+    /// batches (a prefetched run, a single write) are merged in one pass.
+    /// An empty batch is a no-op.
+    ///
+    /// Returns the translation pages that now need a write-back, in eviction
+    /// order: the tpns of the least-recently-used nodes dropped to respect
+    /// capacity that held at least one dirty mapping — or `tpn` itself when
+    /// it is the only node, alone exceeds capacity and had dirty mappings
+    /// trimmed. The slice is valid until the next call.
+    pub fn insert_batch(&mut self, tpn: usize, mappings: &[(u32, Ppn, bool)]) -> &[usize] {
+        self.evicted_dirty.clear();
+        if self.capacity_entries == 0 || mappings.is_empty() {
+            return &self.evicted_dirty;
         }
-        if !self.nodes.contains(&tpn) {
-            if let Some((etpn, enode)) = self.nodes.insert(tpn, TransNode::new()) {
-                // Should not happen (capacity in nodes >= capacity in entries)
-                // but handle it defensively as an eviction.
-                self.total_entries -= enode.len();
-                let mut evicted = vec![(etpn, enode)];
-                evicted.extend(self.insert_into_existing(tpn, mappings));
-                return evicted;
-            }
-        }
-        self.insert_into_existing(tpn, mappings)
-    }
-
-    fn insert_into_existing(
-        &mut self,
-        tpn: usize,
-        mappings: &[(u32, Ppn, bool)],
-    ) -> Vec<(usize, TransNode)> {
-        if let Some(node) = self.nodes.get_mut(&tpn) {
-            for &(offset, ppn, dirty) in mappings {
-                let previous = node.insert(offset, CmtEntry { ppn, dirty });
-                if previous.is_none() {
-                    self.total_entries += 1;
-                }
-            }
-        }
-        let mut evicted = Vec::new();
+        let slot = match self.slot_of(tpn) {
+            Some(slot) => slot,
+            None => self.attach_new_node(tpn),
+        };
+        self.touch(slot);
+        let entries = &mut self.nodes[slot as usize].entries;
+        self.total_entries += merge_batch(entries, mappings, &mut self.displaced);
         while self.total_entries > self.capacity_entries {
-            // Evict the least-recently-used node that is not the one we just
-            // touched, unless it is the only node.
-            let lru = match self.nodes.lru_key().copied() {
-                Some(k) => k,
-                None => break,
-            };
-            if lru == tpn && self.nodes.len() == 1 {
-                // The active node alone exceeds capacity: trim it by dropping
-                // clean entries before dirty ones, and stale entries before
-                // the just-inserted batch within each class. Trimmed dirty
-                // entries are returned as a partial eviction of this node so
-                // the caller still writes their mappings back.
-                if let Some(node) = self.nodes.peek_mut(&tpn) {
-                    let excess = self.total_entries - self.capacity_entries;
-                    let fresh: std::collections::BTreeSet<u32> =
-                        mappings.iter().map(|&(offset, _, _)| offset).collect();
-                    let mut victims: Vec<u32> = node.keys().copied().collect();
-                    victims.sort_by_key(|k| {
-                        let e = &node[k];
-                        (e.dirty, fresh.contains(k), *k)
-                    });
-                    let mut removed = 0;
-                    let mut trimmed = TransNode::new();
-                    for key in victims {
-                        if removed >= excess {
-                            break;
-                        }
-                        if let Some(entry) = node.remove(&key) {
-                            if entry.dirty {
-                                trimmed.insert(key, entry);
-                            }
-                        }
-                        removed += 1;
-                    }
-                    self.total_entries -= removed;
-                    if !trimmed.is_empty() {
-                        evicted.push((tpn, trimmed));
-                    }
-                }
+            if self.tail == slot {
+                self.trim_only_node(slot, mappings);
                 break;
             }
-            let victim_key = if lru == tpn {
-                // Skip the just-touched node: evict the next LRU instead by
-                // temporarily touching it to the front.
-                self.nodes.get(&tpn);
-                match self.nodes.lru_key().copied() {
-                    Some(k) => k,
-                    None => break,
-                }
-            } else {
-                lru
-            };
-            if let Some(node) = self.nodes.remove(&victim_key) {
-                self.total_entries -= node.len();
-                evicted.push((victim_key, node));
-            }
+            self.evict_lru();
         }
-        evicted
+        &self.evicted_dirty
     }
 
     /// Updates the mapping for (`tpn`, `offset`) if cached, marking it dirty.
     /// Returns whether it was cached.
     pub fn update_if_cached(&mut self, tpn: usize, offset: u32, ppn: Ppn) -> bool {
-        if let Some(node) = self.nodes.peek_mut(&tpn) {
-            if let Some(entry) = node.get_mut(&offset) {
+        match self.entry_mut(tpn, offset) {
+            Some(entry) => {
                 entry.ppn = ppn;
                 entry.dirty = true;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Overwrites the PPN for (`tpn`, `offset`) if cached without changing the
     /// dirty bit (GC relocation refresh).
     pub fn refresh_if_cached(&mut self, tpn: usize, offset: u32, ppn: Ppn) {
-        if let Some(node) = self.nodes.peek_mut(&tpn) {
-            if let Some(entry) = node.get_mut(&offset) {
-                entry.ppn = ppn;
+        if let Some(entry) = self.entry_mut(tpn, offset) {
+            entry.ppn = ppn;
+        }
+    }
+
+    /// Takes a slab slot for a node of `tpn` (recycling an evicted node's
+    /// slot and buffer when there is one) and links it in as most recent.
+    fn attach_new_node(&mut self, tpn: usize) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize].tpn = tpn;
+                slot
             }
+            None => {
+                let slot = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("node slab outgrew its u32 slot index");
+                self.nodes.push(Node {
+                    tpn,
+                    prev: NIL,
+                    next: NIL,
+                    entries: Vec::new(),
+                });
+                slot
+            }
+        };
+        if tpn >= self.index.len() {
+            self.index.resize(tpn + 1, NIL);
+        }
+        self.index[tpn] = slot;
+        self.link_front(slot);
+        slot
+    }
+
+    /// Drops the least-recently-used node, reporting it if it held a dirty
+    /// mapping.
+    fn evict_lru(&mut self) {
+        let slot = self.tail;
+        self.unlink(slot);
+        let node = &mut self.nodes[slot as usize];
+        if node.entries.iter().any(|e| e.dirty) {
+            self.evicted_dirty.push(node.tpn);
+        }
+        self.total_entries -= node.entries.len();
+        node.entries.clear();
+        self.index[node.tpn] = NIL;
+        self.free.push(slot);
+    }
+
+    /// The only node alone exceeds capacity: trims it by dropping clean
+    /// entries before dirty ones, entries that were already cached before the
+    /// ones `batch` just inserted within each class, and lower offsets first.
+    /// If a dirty entry had to go the node is reported like an eviction, so
+    /// the caller still writes its translation page back.
+    fn trim_only_node(&mut self, slot: u32, batch: &[(u32, Ppn, bool)]) {
+        let excess = self.total_entries - self.capacity_entries;
+        let node = &mut self.nodes[slot as usize];
+        let mut victims: Vec<(bool, bool, u32)> = node
+            .entries
+            .iter()
+            .map(|e| {
+                let fresh = batch.iter().any(|&(offset, _, _)| offset == e.offset);
+                (e.dirty, fresh, e.offset)
+            })
+            .collect();
+        victims.sort_unstable();
+        victims.truncate(excess);
+        if victims.iter().any(|&(dirty, _, _)| dirty) {
+            self.evicted_dirty.push(node.tpn);
+        }
+        victims.sort_unstable_by_key(|&(_, _, offset)| offset);
+        node.entries.retain(|e| {
+            victims
+                .binary_search_by_key(&e.offset, |&(_, _, offset)| offset)
+                .is_err()
+        });
+        self.total_entries -= excess;
+    }
+
+    fn touch(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+    }
+
+    fn link_front(&mut self, slot: u32) {
+        self.nodes[slot as usize].prev = NIL;
+        self.nodes[slot as usize].next = self.head;
+        match self.head {
+            NIL => self.tail = slot,
+            head => self.nodes[head as usize].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.nodes[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.nodes[next as usize].prev = prev,
         }
     }
 }
 
-/// Returns the dirty `(offset, ppn)` pairs of an evicted node.
-pub fn dirty_mappings(node: &TransNode) -> Vec<(u32, Ppn)> {
-    node.iter()
-        .filter(|(_, e)| e.dirty)
-        .map(|(&off, e)| (off, e.ppn))
-        .collect()
+/// Index of `offset` in the offset-sorted `entries`.
+fn position(entries: &[NodeEntry], offset: u32) -> Option<usize> {
+    entries.binary_search_by_key(&offset, |e| e.offset).ok()
+}
+
+/// Inserts `batch` into the offset-sorted `entries`, overwriting mappings
+/// already present, and returns how many mappings were added. `displaced` is
+/// scratch space (its contents are irrelevant before and after).
+fn merge_batch(
+    entries: &mut Vec<NodeEntry>,
+    batch: &[(u32, Ppn, bool)],
+    displaced: &mut Vec<NodeEntry>,
+) -> usize {
+    let before = entries.len();
+    if batch.windows(2).all(|w| w[0].0 < w[1].0) {
+        // One merge pass over the part of the node at or beyond the batch's
+        // first offset; a run beyond the node's last offset (the common
+        // prefetch and sequential-write case) degenerates to an append.
+        let from = entries.partition_point(|e| e.offset < batch[0].0);
+        displaced.clear();
+        displaced.extend_from_slice(&entries[from..]);
+        entries.truncate(from);
+        let mut old = displaced.iter().copied().peekable();
+        for &(offset, ppn, dirty) in batch {
+            while let Some(e) = old.next_if(|e| e.offset < offset) {
+                entries.push(e);
+            }
+            old.next_if(|e| e.offset == offset);
+            entries.push(NodeEntry { offset, dirty, ppn });
+        }
+        entries.extend(old);
+    } else {
+        for &(offset, ppn, dirty) in batch {
+            let entry = NodeEntry { offset, dirty, ppn };
+            match entries.binary_search_by_key(&offset, |e| e.offset) {
+                Ok(at) => entries[at] = entry,
+                Err(at) => entries.insert(at, entry),
+            }
+        }
+    }
+    entries.len() - before
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cmt_reference::ReferenceNodeCmt;
+    use proptest::prelude::*;
 
     #[test]
     fn entry_cmt_basic_flow() {
@@ -386,6 +519,7 @@ mod tests {
         assert_eq!(cmt.lookup(0, 1), Some(101));
         assert_eq!(cmt.lookup(3, 9), Some(900));
         assert_eq!(cmt.lookup(3, 10), None);
+        assert!(cmt.contains(3, 9) && !cmt.contains(3, 10) && !cmt.contains(4, 9));
         assert_eq!(cmt.node_count(), 2);
         assert_eq!(cmt.len(), 3);
     }
@@ -397,13 +531,14 @@ mod tests {
         // Touch node 0 so it is MRU, then overflow with node 1.
         cmt.lookup(0, 0);
         let evicted = cmt.insert_batch(1, &[(0, 10, true), (1, 11, false)]);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].0, 0, "the older node must be evicted");
+        assert!(evicted.is_empty(), "node 0 had no dirty mappings");
+        assert_eq!(cmt.node_count(), 1, "the older node must be evicted");
         assert!(cmt.len() <= 4);
         assert_eq!(cmt.lookup(1, 0), Some(10));
         assert_eq!(cmt.lookup(0, 0), None);
-        let dirty = dirty_mappings(&evicted[0].1);
-        assert!(dirty.is_empty(), "node 0 had no dirty mappings");
+        // Node 1 holds a dirty mapping, so its eviction asks for a write-back.
+        let evicted = cmt.insert_batch(2, &[(0, 20, false), (1, 21, false), (2, 22, false)]);
+        assert_eq!(evicted, &[1]);
     }
 
     #[test]
@@ -412,7 +547,71 @@ mod tests {
         let mappings: Vec<(u32, Ppn, bool)> = (0..10).map(|i| (i, u64::from(i), false)).collect();
         let evicted = cmt.insert_batch(0, &mappings);
         assert!(evicted.is_empty());
-        assert!(cmt.len() <= 4, "node must be trimmed to capacity");
+        assert_eq!(cmt.len(), 4, "node must be trimmed to capacity");
+        // Equal class throughout, so the lowest offsets went first.
+        assert_eq!(cmt.lookup(0, 5), None);
+        assert_eq!(cmt.lookup(0, 6), Some(6));
+    }
+
+    #[test]
+    fn page_node_cmt_trim_drops_clean_then_stale_and_reports_dirty() {
+        let mut cmt = PageNodeCmt::new(3);
+        cmt.insert_batch(0, &[(0, 1, true), (1, 2, false), (9, 3, false)]);
+        // Two over: stale clean 1 and 9 go before the fresh clean 2 and 3.
+        assert!(cmt
+            .insert_batch(0, &[(2, 4, false), (3, 5, false)])
+            .is_empty());
+        assert_eq!(cmt.lookup(0, 1), None);
+        assert_eq!(cmt.lookup(0, 9), None);
+        // One over with nothing clean and stale: the fresh clean entry goes.
+        // Then a dirty one has to, which asks for a write-back of the node.
+        assert!(cmt.insert_batch(0, &[(4, 6, false)]).is_empty());
+        assert!(cmt.contains(0, 0) && !cmt.contains(0, 2) && cmt.contains(0, 4));
+        assert_eq!(
+            cmt.insert_batch(0, &[(3, 7, true), (4, 8, true), (5, 9, true)]),
+            &[0]
+        );
+        assert_eq!(cmt.len(), 3);
+        assert!(
+            !cmt.contains(0, 0),
+            "the stale dirty entry is trimmed first"
+        );
+    }
+
+    #[test]
+    fn page_node_cmt_merges_overlapping_and_unsorted_batches() {
+        let mut cmt = PageNodeCmt::new(100);
+        cmt.insert_batch(0, &[(4, 40, false), (6, 60, true), (8, 80, false)]);
+        // Overlapping ascending run: overwrites 6 (now clean), adds 5 and 7.
+        cmt.insert_batch(0, &[(5, 51, false), (6, 61, false), (7, 71, false)]);
+        assert_eq!(cmt.len(), 5);
+        // Unsorted with a duplicate: the later duplicate wins.
+        cmt.insert_batch(0, &[(9, 90, false), (2, 20, false), (9, 91, true)]);
+        assert_eq!(cmt.len(), 7);
+        let got: Vec<Option<Ppn>> = (2..10).map(|o| cmt.lookup(0, o)).collect();
+        let want = [
+            Some(20),
+            None,
+            Some(40),
+            Some(51),
+            Some(61),
+            Some(71),
+            Some(80),
+            Some(91),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn page_node_cmt_recycles_slots_and_buffers() {
+        let mut cmt = PageNodeCmt::new(8);
+        let batch: Vec<(u32, Ppn, bool)> = (0..8).map(|i| (i, u64::from(i), false)).collect();
+        for tpn in 0..1000 {
+            cmt.insert_batch(tpn, &batch);
+            assert_eq!(cmt.node_count(), 1);
+            assert_eq!(cmt.lookup(tpn, 7), Some(7));
+        }
+        assert!(cmt.nodes.len() <= 2, "evicted slots must be reused");
     }
 
     #[test]
@@ -421,39 +620,125 @@ mod tests {
         cmt.insert_batch(2, &[(5, 55, false)]);
         assert!(cmt.update_if_cached(2, 5, 56));
         assert!(!cmt.update_if_cached(2, 6, 57));
+        assert!(!cmt.update_if_cached(3, 5, 57));
         assert_eq!(cmt.lookup(2, 5), Some(56));
         cmt.refresh_if_cached(2, 5, 60);
         assert_eq!(cmt.lookup(2, 5), Some(60));
+        // The update dirtied the mapping; the refresh left that alone.
+        let full: Vec<(u32, Ppn, bool)> = (0..10).map(|i| (i, 1, false)).collect();
+        assert_eq!(cmt.insert_batch(5, &full), &[2]);
     }
 
     #[test]
-    fn dirty_mappings_extracts_only_dirty() {
-        let mut node = TransNode::new();
-        node.insert(
-            1,
-            CmtEntry {
-                ppn: 10,
-                dirty: true,
-            },
-        );
-        node.insert(
-            2,
-            CmtEntry {
-                ppn: 20,
-                dirty: false,
-            },
-        );
-        let mut dirty = dirty_mappings(&node);
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![(1, 10)]);
-    }
-
-    #[test]
-    fn zero_capacity_page_node_cmt_caches_nothing() {
+    fn zero_capacity_and_empty_batches_cache_nothing() {
         let mut cmt = PageNodeCmt::new(0);
-        let evicted = cmt.insert_batch(0, &[(0, 1, false)]);
-        assert!(evicted.is_empty());
+        assert!(cmt.insert_batch(0, &[(0, 1, false)]).is_empty());
         assert_eq!(cmt.len(), 0);
         assert_eq!(cmt.lookup(0, 0), None);
+        let mut cmt = PageNodeCmt::new(4);
+        assert!(cmt.insert_batch(0, &[]).is_empty());
+        assert_eq!((cmt.len(), cmt.node_count()), (0, 0));
+    }
+
+    /// One step of the differential test below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Lookup(usize, u32),
+        Insert(usize, Vec<(u32, Ppn, bool)>),
+        Update(usize, u32, Ppn),
+        Refresh(usize, u32, Ppn),
+    }
+
+    /// Translation pages and offsets are drawn from small ranges so nodes
+    /// collide, overlap and get re-created after eviction.
+    fn op() -> impl Strategy<Value = Op> {
+        let tpn = || 0usize..12;
+        let offset = || 0u32..96;
+        // A prefetch-like clean run of consecutive offsets (ascending, so it
+        // overlaps whatever earlier runs left in the node).
+        let run = (tpn(), offset(), 1u32..70, 0u64..1_000_000).prop_map(|(t, from, len, ppn)| {
+            let batch = (from..from + len)
+                .map(|o| (o, ppn + u64::from(o), false))
+                .collect();
+            Op::Insert(t, batch)
+        });
+        // The host write path's single dirty mapping.
+        let write = (tpn(), offset(), 0u64..1_000_000)
+            .prop_map(|(t, o, p)| Op::Insert(t, vec![(o, p, true)]));
+        // Anything goes: unsorted, duplicate offsets, mixed dirty bits.
+        let scattered = (
+            tpn(),
+            collection::vec((offset(), 0u64..1_000_000, any::<bool>()), 1..12),
+        )
+            .prop_map(|(t, batch)| Op::Insert(t, batch));
+        prop_oneof![
+            (tpn(), offset()).prop_map(|(t, o)| Op::Lookup(t, o)),
+            (tpn(), offset()).prop_map(|(t, o)| Op::Lookup(t, o)),
+            run,
+            write,
+            scattered,
+            (tpn(), offset(), 0u64..1_000_000).prop_map(|(t, o, p)| Op::Update(t, o, p)),
+            (tpn(), offset(), 0u64..1_000_000).prop_map(|(t, o, p)| Op::Refresh(t, o, p)),
+        ]
+    }
+
+    proptest! {
+        /// The slab CMT must be indistinguishable from the original
+        /// `BTreeMap`-per-node implementation: same lookup results (hence
+        /// same recency updates), same sizes, and the same translation pages
+        /// written back in the same order — including the oversized-only-node
+        /// trim (capacities 1 and 4 against runs of up to 69) and slot reuse.
+        #[test]
+        fn page_node_cmt_matches_reference_model(
+            ops in collection::vec(op(), 1..300),
+            capacity in prop_oneof![Just(0usize), Just(1), Just(4), Just(64), Just(4096)],
+        ) {
+            let mut cmt = PageNodeCmt::new(capacity);
+            let mut model = ReferenceNodeCmt::new(capacity);
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Lookup(tpn, offset) => {
+                        prop_assert_eq!(
+                            cmt.contains(tpn, offset),
+                            model.contains(tpn, offset),
+                            "step {}", step
+                        );
+                        prop_assert_eq!(
+                            cmt.lookup(tpn, offset),
+                            model.lookup(tpn, offset),
+                            "step {}", step
+                        );
+                    }
+                    Op::Insert(tpn, batch) => {
+                        let evicted = cmt.insert_batch(tpn, &batch).to_vec();
+                        prop_assert_eq!(
+                            evicted,
+                            model.insert_batch(tpn, &batch),
+                            "step {}: insert {:?} into {}", step, batch, tpn
+                        );
+                    }
+                    Op::Update(tpn, offset, ppn) => {
+                        prop_assert_eq!(
+                            cmt.update_if_cached(tpn, offset, ppn),
+                            model.update_if_cached(tpn, offset, ppn),
+                            "step {}", step
+                        );
+                    }
+                    Op::Refresh(tpn, offset, ppn) => {
+                        cmt.refresh_if_cached(tpn, offset, ppn);
+                        model.refresh_if_cached(tpn, offset, ppn);
+                    }
+                }
+                prop_assert_eq!(cmt.len(), model.len(), "step {}", step);
+                prop_assert_eq!(cmt.node_count(), model.node_count(), "step {}", step);
+                prop_assert!(cmt.len() <= capacity);
+            }
+            // Whatever survived must agree mapping for mapping.
+            for tpn in 0..12 {
+                for offset in 0..170 {
+                    prop_assert_eq!(cmt.lookup(tpn, offset), model.lookup(tpn, offset));
+                }
+            }
+        }
     }
 }

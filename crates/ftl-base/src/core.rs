@@ -3,6 +3,7 @@
 use std::collections::BTreeSet;
 
 use crate::alloc::{DynamicDataPool, GcMove};
+use crate::cmt::PageNodeCmt;
 use crate::gc::{GcEngine, GcMode};
 use crate::gtd::Gtd;
 use crate::mapping::MappingTable;
@@ -51,6 +52,9 @@ pub struct FtlCore {
     /// the blocking path's barrier-issued fan-out) but awaited only at the
     /// end of the request.
     host_batch: Option<Vec<ssd_sched::CmdId>>,
+    /// The batch [`FtlCore::load_with_prefetch`] hands to the CMT, reused
+    /// across misses.
+    prefetch: Vec<(u32, Ppn, bool)>,
 }
 
 impl FtlCore {
@@ -91,6 +95,7 @@ impl FtlCore {
             engine,
             gc_unit_bounds: Vec::new(),
             host_batch: None,
+            prefetch: Vec::new(),
         }
     }
 
@@ -330,6 +335,62 @@ impl FtlCore {
     ) -> SimTime {
         let mut t = now;
         for &tpn in entries {
+            let read_done = self.read_translation(tpn, t);
+            t = self.write_translation(tpn, read_done);
+        }
+        t
+    }
+
+    /// Serves a miss in a two-level CMT (TPFTL's, which LearnedFTL keeps):
+    /// reads the translation page of `lpn`, caches its mapping plus those of
+    /// up to `prefetch_len − 1` following LPNs of the same translation page as
+    /// clean entries, and writes back the nodes this evicted. Returns the time
+    /// the mapping is available and the write-backs are done.
+    pub fn load_with_prefetch(
+        &mut self,
+        cmt: &mut PageNodeCmt,
+        lpn: Lpn,
+        prefetch_len: u32,
+        now: SimTime,
+    ) -> SimTime {
+        let tpn = self.entry_of_lpn(lpn);
+        let t_trans = self.read_translation(tpn, now);
+        let (_, range_end) = self.gtd.lpn_range(tpn);
+        let end_lpn = (lpn + u64::from(prefetch_len)).min(range_end);
+        self.prefetch.clear();
+        for l in lpn..end_lpn {
+            if let Some(ppn) = self.mapping.get(l) {
+                self.prefetch.push((self.gtd.offset_of_lpn(l), ppn, false));
+            }
+        }
+        let evicted = cmt.insert_batch(tpn, &self.prefetch);
+        self.write_back_nodes(evicted, t_trans)
+    }
+
+    /// Records that a host write placed `lpn` at `ppn` in a two-level CMT:
+    /// dirties the cached mapping, or inserts a dirty one and writes back the
+    /// nodes that evicted. Returns the time the write-backs are done (`now`
+    /// if there were none).
+    pub fn cache_written_mapping(
+        &mut self,
+        cmt: &mut PageNodeCmt,
+        lpn: Lpn,
+        ppn: Ppn,
+        now: SimTime,
+    ) -> SimTime {
+        let (tpn, offset) = (self.entry_of_lpn(lpn), self.offset_of_lpn(lpn));
+        if cmt.update_if_cached(tpn, offset, ppn) {
+            return now;
+        }
+        let evicted = cmt.insert_batch(tpn, &[(offset, ppn, true)]);
+        self.write_back_nodes(evicted, now)
+    }
+
+    /// Writes back evicted CMT nodes that held dirty mappings: one
+    /// read-modify-write of each node's translation page, one after another.
+    fn write_back_nodes(&mut self, tpns: &[usize], now: SimTime) -> SimTime {
+        let mut t = now;
+        for &tpn in tpns {
             let read_done = self.read_translation(tpn, t);
             t = self.write_translation(tpn, read_done);
         }

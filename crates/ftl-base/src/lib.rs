@@ -18,7 +18,8 @@
 //!   allocation and greedy victim collection,
 //! * [`FtlStats`] — hit ratios, single/double/triple read counts, write
 //!   amplification and GC accounting,
-//! * [`LruCache`] — the underlying recency structure.
+//! * [`LruCache`] — the recency structure under [`EntryCmt`] and LeaFTL's
+//!   model cache.
 //!
 //! ```
 //! use ftl_base::{Ftl, HostRequest};
@@ -33,6 +34,8 @@
 
 mod alloc;
 mod cmt;
+#[cfg(test)]
+mod cmt_reference;
 mod core;
 mod gc;
 mod gtd;
@@ -45,7 +48,7 @@ mod transpage;
 
 pub use crate::core::{run_greedy_gc, FtlCore, GcOutcome, MAPPING_ENTRY_BYTES};
 pub use alloc::{DynamicDataPool, GcMove};
-pub use cmt::{dirty_mappings, CmtEntry, EntryCmt, PageNodeCmt, TransNode};
+pub use cmt::{CmtEntry, EntryCmt, PageNodeCmt};
 pub use gc::{GcEngine, GcJob, GcMode};
 pub use gtd::Gtd;
 pub use lru::LruCache;

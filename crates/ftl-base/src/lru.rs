@@ -8,9 +8,11 @@ use std::hash::Hash;
 ///
 /// The cache is intentionally minimal: it tracks recency and capacity; the
 /// callers (CMT implementations) decide what eviction means (e.g. writing
-/// back dirty mappings). Values are required to be `Clone` because every CMT
-/// value in this workspace is a small `Copy` struct; this keeps the
-/// implementation free of `unsafe`.
+/// back dirty mappings). Values are required to be `Clone` — `remove` and
+/// `pop_lru` hand back a copy, which keeps the implementation free of
+/// `unsafe` — so keep them small: every value cached here is a `Copy`
+/// struct or an integer (the two-level CMT's nodes, which are not, live in
+/// `PageNodeCmt`'s own slab).
 ///
 /// ```
 /// use ftl_base::LruCache;
