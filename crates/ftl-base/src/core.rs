@@ -46,12 +46,13 @@ pub struct FtlCore {
     /// Collection-unit boundaries recorded while a GC staging window is open
     /// (indices into the staged-op list; see [`FtlCore::note_gc_unit_end`]).
     gc_unit_bounds: Vec<usize>,
-    /// The open per-request host batch, when one is active in scheduled
-    /// mode: command ids of the request's independent data-page charges,
-    /// submitted immediately (so they occupy their chips concurrently, like
-    /// the blocking path's barrier-issued fan-out) but awaited only at the
-    /// end of the request.
-    host_batch: Option<Vec<ssd_sched::CmdId>>,
+    /// Whether a per-request host batch is open (scheduled mode only).
+    host_batch_open: bool,
+    /// The open host batch: command ids of the request's independent
+    /// data-page charges, submitted immediately (so they occupy their chips
+    /// concurrently, like the blocking path's barrier-issued fan-out) but
+    /// awaited only at the end of the request.
+    host_batch: Vec<ssd_sched::CmdId>,
     /// The batch [`FtlCore::load_with_prefetch`] hands to the CMT, reused
     /// across misses.
     prefetch: Vec<(u32, Ppn, bool)>,
@@ -94,7 +95,8 @@ impl FtlCore {
             gc_mode,
             engine,
             gc_unit_bounds: Vec::new(),
-            host_batch: None,
+            host_batch_open: false,
+            host_batch: Vec::new(),
             prefetch: Vec::new(),
         }
     }
@@ -119,17 +121,14 @@ impl FtlCore {
     /// through the scheduler at host priority, returning the completion time
     /// of the batch.
     fn charge_host(&mut self, now: SimTime) -> SimTime {
-        let ops: Vec<(ssd_sim::StagedOp, SimTime)> = self
-            .dev
-            .end_staging()
-            .into_iter()
-            .map(|op| (op, now))
-            .collect();
+        let ops = self.dev.end_staging();
         let engine = self
             .engine
             .as_mut()
             .expect("host charging requires the scheduled-GC engine");
-        engine.run_host_charges(&mut self.dev, &ops, now, &mut self.stats)
+        let done = engine.run_host_charges(&mut self.dev, &ops, now, &mut self.stats);
+        self.dev.recycle_staged(ops);
+        done
     }
 
     /// Ends the open host staging window, submits the recorded operations as
@@ -142,21 +141,16 @@ impl FtlCore {
     /// same-chip host charges are what actually exercise the scheduler's GC
     /// starvation bound.
     fn charge_host_deferred(&mut self, now: SimTime) -> SimTime {
-        if self.host_batch.is_none() {
+        if !self.host_batch_open {
             return self.charge_host(now);
         }
-        let ops: Vec<(ssd_sim::StagedOp, SimTime)> = self
-            .dev
-            .end_staging()
-            .into_iter()
-            .map(|op| (op, now))
-            .collect();
+        let ops = self.dev.end_staging();
         let engine = self
             .engine
             .as_mut()
             .expect("a host batch only opens in scheduled mode");
-        let ids = engine.submit_host_async(&ops);
-        self.host_batch.as_mut().expect("checked above").extend(ids);
+        engine.submit_host_async(&ops, now, &mut self.host_batch);
+        self.dev.recycle_staged(ops);
         now
     }
 
@@ -166,8 +160,8 @@ impl FtlCore {
     /// request. Dependencies (translation-page reads/writes) still wait
     /// individually — the FTL chains on their completion times.
     pub fn begin_host_batch(&mut self) {
-        if self.engine.is_some() && self.host_batch.is_none() && !self.dev.is_staging() {
-            self.host_batch = Some(Vec::new());
+        if self.engine.is_some() && !self.dev.is_staging() {
+            self.host_batch_open = true;
         }
     }
 
@@ -175,17 +169,16 @@ impl FtlCore {
     /// returning the request's completion time (at least `done`, the latest
     /// time the request's waited operations reached).
     pub fn finish_host_batch(&mut self, done: SimTime) -> SimTime {
-        let Some(ids) = self.host_batch.take() else {
-            return done;
-        };
-        if ids.is_empty() {
+        if !std::mem::take(&mut self.host_batch_open) || self.host_batch.is_empty() {
             return done;
         }
         let engine = self
             .engine
             .as_mut()
             .expect("a host batch only opens in scheduled mode");
-        engine.await_host(&mut self.dev, &ids, done, &mut self.stats)
+        let done = engine.await_host(&mut self.dev, &self.host_batch, done, &mut self.stats);
+        self.host_batch.clear();
+        done
     }
 
     /// Opens the GC staging window in scheduled mode (no-op when blocking):
@@ -208,9 +201,9 @@ impl FtlCore {
             return blocking_done;
         }
         let ops = self.dev.end_staging();
-        let bounds = std::mem::take(&mut self.gc_unit_bounds);
         let engine = self.engine.as_mut().expect("checked above");
-        engine.submit_job(&mut self.dev, &ops, &bounds, now);
+        engine.submit_job(&mut self.dev, &ops, &self.gc_unit_bounds, now);
+        self.dev.recycle_staged(ops);
         now
     }
 

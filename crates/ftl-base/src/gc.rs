@@ -82,6 +82,9 @@ pub struct GcEngine {
     /// in-flight data charges complete while a translation dependency is
     /// being waited on).
     host_done: BTreeMap<CmdId, SimTime>,
+    /// The ids [`GcEngine::run_host_charges`] is waiting for, reused across
+    /// calls.
+    awaited: Vec<CmdId>,
 }
 
 impl GcEngine {
@@ -102,6 +105,7 @@ impl GcEngine {
             ),
             job: GcJob::default(),
             host_done: BTreeMap::new(),
+            awaited: Vec::new(),
         }
     }
 
@@ -145,9 +149,9 @@ impl GcEngine {
         }
     }
 
-    /// Submits staged host-path operations (each with its own submit time)
-    /// as `Priority::Host` charges **without waiting**, returning their
-    /// command ids for a later [`GcEngine::await_host`].
+    /// Submits staged host-path operations at time `at` as `Priority::Host`
+    /// charges **without waiting**, appending their command ids to `ids` for
+    /// a later [`GcEngine::await_host`].
     ///
     /// This is how a request's independent data-page operations stay
     /// overlapped the way the blocking path overlaps them: a multi-page
@@ -155,14 +159,12 @@ impl GcEngine {
     /// dependencies are being waited on, and runs of same-chip host charges
     /// are exactly what drives the GC starvation bound — queued GC yields
     /// per dispatch until the bound forces it through.
-    pub fn submit_host_async(&mut self, ops: &[(StagedOp, SimTime)]) -> Vec<CmdId> {
-        ops.iter()
-            .map(|&(op, at)| {
-                self.sched
-                    .submit(CmdKind::charge(op), Priority::Host, at)
-                    .expect("the GC scheduler's queue is unbounded")
-            })
-            .collect()
+    pub fn submit_host_async(&mut self, ops: &[StagedOp], at: SimTime, ids: &mut Vec<CmdId>) {
+        ids.extend(ops.iter().map(|&op| {
+            self.sched
+                .submit(CmdKind::charge(op), Priority::Host, at)
+                .expect("the GC scheduler's queue is unbounded")
+        }));
     }
 
     /// Runs the event loop until every command in `ids` has completed,
@@ -197,21 +199,25 @@ impl GcEngine {
         done
     }
 
-    /// Submits a batch of staged host-path operations and waits for all of
-    /// them: the synchronous form used for dependencies (translation-page
+    /// Submits a batch of staged host-path operations at `now` and waits for
+    /// all of them: the synchronous form used for dependencies (translation-page
     /// reads and writes) whose completion time the FTL chains on.
     pub fn run_host_charges(
         &mut self,
         dev: &mut FlashDevice,
-        ops: &[(StagedOp, SimTime)],
+        ops: &[StagedOp],
         now: SimTime,
         stats: &mut FtlStats,
     ) -> SimTime {
         if ops.is_empty() {
             return now;
         }
-        let ids = self.submit_host_async(ops);
-        self.await_host(dev, &ids, now, stats)
+        let mut ids = std::mem::take(&mut self.awaited);
+        ids.clear();
+        self.submit_host_async(ops, now, &mut ids);
+        let done = self.await_host(dev, &ids, now, stats);
+        self.awaited = ids;
+        done
     }
 
     /// Runs the event loop to quiescence — every outstanding GC charge (and
@@ -315,7 +321,7 @@ mod tests {
         // A host read on the same chip bypasses the queued GC work.
         dev.begin_staging();
         dev.read_page(3, t).unwrap();
-        let host_ops: Vec<_> = dev.end_staging().into_iter().map(|op| (op, t)).collect();
+        let host_ops = dev.end_staging();
         let done = engine.run_host_charges(&mut dev, &host_ops, t, &mut stats);
         assert!(done > t);
         assert!(stats.gc_yields >= 1, "host must have bypassed queued GC");

@@ -73,5 +73,5 @@ pub use event::EventQueue;
 pub use multi::{MultiIssuer, MultiIssuerStats};
 pub use queue::QueuePair;
 pub use ring::{CompletionBatch, SubmissionBatch};
-pub use sched::{ClassStats, IoScheduler, SchedConfig, SchedError, SchedStats};
+pub use sched::{ClassStats, DurationSummary, IoScheduler, SchedConfig, SchedError, SchedStats};
 pub use tenant::{Arbitration, TenantArbiter, TenantClass, TenantId, TenantPolicy};

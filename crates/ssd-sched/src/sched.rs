@@ -21,8 +21,7 @@
 
 use std::collections::VecDeque;
 
-use metrics::LatencyHistogram;
-use ssd_sim::{FlashDevice, FlashOp, Geometry, PhysAddr, SimTime, TraceData, TraceSink};
+use ssd_sim::{Duration, FlashDevice, FlashOp, Geometry, PhysAddr, SimTime, TraceData, TraceSink};
 
 use crate::cmd::{CmdId, CmdKind, Command, Completion, Priority};
 use crate::event::EventQueue;
@@ -80,8 +79,30 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// Counters and latency distributions accumulated by a scheduler.
-#[derive(Debug, Clone, Default)]
+/// Count, total and maximum of a stream of durations: what a scheduler keeps
+/// of its per-command delays. A scheduler under scheduled GC completes tens
+/// of commands per host write for the lifetime of its FTL, so it must not
+/// keep the samples themselves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurationSummary {
+    /// Number of durations recorded.
+    pub count: u64,
+    /// Their sum.
+    pub total: Duration,
+    /// The largest one (zero when none was recorded).
+    pub max: Duration,
+}
+
+impl DurationSummary {
+    fn record(&mut self, d: Duration) {
+        self.count += 1;
+        self.total += d;
+        self.max = self.max.max(d);
+    }
+}
+
+/// Counters and delay summaries accumulated by a scheduler.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Commands accepted by [`IoScheduler::submit`].
     pub submitted: u64,
@@ -94,9 +115,9 @@ pub struct SchedStats {
     /// Times a GC command was forced through by the starvation bound.
     pub gc_forced: u64,
     /// Scheduler queueing delay per completed command.
-    pub queueing: LatencyHistogram,
+    pub queueing: DurationSummary,
     /// Device service time per completed command.
-    pub service: LatencyHistogram,
+    pub service: DurationSummary,
 }
 
 /// Per-arbitration-class counters of one scheduler (indexed like the
@@ -181,6 +202,11 @@ pub struct IoScheduler {
     next_id: u64,
     stats: SchedStats,
     class_stats: Vec<ClassStats>,
+    /// [`IoScheduler::dispatch_chip`]'s per-class (queue index, plane mask)
+    /// of the issue slot's candidates; only meaningful inside that call.
+    candidates: Vec<Option<(usize, u32)>>,
+    /// The classes that lost the issue slot; scratch like `candidates`.
+    yielded: Vec<usize>,
 }
 
 impl IoScheduler {
@@ -219,6 +245,8 @@ impl IoScheduler {
             next_id: 0,
             stats: SchedStats::default(),
             class_stats: vec![ClassStats::default(); policy.num_classes()],
+            candidates: Vec::with_capacity(policy.num_classes()),
+            yielded: Vec::with_capacity(policy.num_classes()),
             policy,
         }
     }
@@ -399,7 +427,7 @@ impl IoScheduler {
     fn handle(&mut self, event: Event, dev: &mut FlashDevice) {
         match event {
             Event::Complete { chip, completion } => {
-                let planes = self.target_planes(&completion.kind);
+                let planes = Self::target_planes(&self.geometry, &completion.kind);
                 self.chips[chip].busy_planes &= !planes;
                 self.outstanding -= 1;
                 self.stats.completed += 1;
@@ -407,7 +435,7 @@ impl IoScheduler {
                 self.class_stats[class].completed += 1;
                 if completion.error.is_some() {
                     // Rejected commands took no device time: keep their
-                    // zero-duration samples out of the latency distributions.
+                    // zero-duration samples out of the delay summaries.
                     self.stats.errors += 1;
                 } else {
                     self.stats.queueing.record(completion.queueing());
@@ -460,10 +488,15 @@ impl IoScheduler {
     /// planes are all free, honouring per-plane FIFO order: a command may
     /// only bypass earlier queued commands that target disjoint planes
     /// (commands on the same plane never reorder).
-    fn queue_candidate(&self, queue: &VecDeque<Command>, now: SimTime, free: u32) -> Option<usize> {
+    fn queue_candidate(
+        g: &Geometry,
+        queue: &VecDeque<Command>,
+        now: SimTime,
+        free: u32,
+    ) -> Option<usize> {
         let mut blocked = 0u32;
         for (i, cmd) in queue.iter().enumerate() {
-            let planes = self.target_planes(&cmd.kind);
+            let planes = Self::target_planes(g, &cmd.kind);
             if cmd.submitted <= now && planes & !free == 0 && planes & blocked == 0 {
                 return Some(i);
             }
@@ -479,21 +512,19 @@ impl IoScheduler {
     /// arbitration per issue slot.
     fn dispatch_chip(&mut self, chip_idx: usize, dev: &mut FlashDevice) {
         let gc_class = self.policy.gc_class();
-        // Per-class (queue index, plane mask) of the slot's candidates, and
-        // the classes that lost it; both reused across loop iterations.
-        let mut candidates: Vec<Option<(usize, u32)>> = Vec::new();
-        let mut yielded: Vec<usize> = Vec::new();
         loop {
             let now = self.now;
             let free = self.all_planes & !self.chips[chip_idx].busy_planes;
             if free == 0 || self.chips[chip_idx].is_empty() {
                 return;
             }
+            let g = &self.geometry;
+            let candidates = &mut self.candidates;
             candidates.clear();
             for queue in &self.chips[chip_idx].queues {
                 candidates.push(
-                    self.queue_candidate(queue, now, free)
-                        .map(|i| (i, self.target_planes(&queue[i].kind))),
+                    Self::queue_candidate(g, queue, now, free)
+                        .map(|i| (i, Self::target_planes(g, &queue[i].kind))),
                 );
             }
             let decision = self.chips[chip_idx].arbiter.decide(
@@ -507,7 +538,7 @@ impl IoScheduler {
                     let (_, pb) = candidates[b].expect("present candidate");
                     pa & pb != 0
                 },
-                &mut yielded,
+                &mut self.yielded,
             );
             let Some(arb) = decision else {
                 // Commands are queued but none is issuable yet: wake up
@@ -517,7 +548,7 @@ impl IoScheduler {
                 self.schedule_wakeup(chip_idx);
                 return;
             };
-            for &c in &yielded {
+            for &c in &self.yielded {
                 self.class_stats[c].yields += 1;
                 if c == gc_class {
                     self.stats.gc_yields += 1;
@@ -545,7 +576,7 @@ impl IoScheduler {
                     }
                 }
             }
-            let (queue_idx, planes) = candidates[arb.winner].expect("winner has a candidate");
+            let (queue_idx, planes) = self.candidates[arb.winner].expect("winner has a candidate");
             let cmd = self.chips[chip_idx].queues[arb.winner]
                 .remove(queue_idx)
                 .expect("winner candidate exists");
@@ -642,8 +673,7 @@ impl IoScheduler {
     }
 
     /// The bitmask of planes a command occupies on its chip.
-    fn target_planes(&self, kind: &CmdKind) -> u32 {
-        let g = &self.geometry;
+    fn target_planes(g: &Geometry, kind: &CmdKind) -> u32 {
         match kind {
             CmdKind::Read { ppn } | CmdKind::Program { ppn, .. } => {
                 1 << PhysAddr::from_ppn(*ppn, g).plane
@@ -1346,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_histograms_cover_all_completions() {
+    fn stats_summaries_cover_all_completions() {
         let (mut dev, mut sched) = setup();
         let t0 = populate(&mut dev, 4);
         for ppn in 0..4 {
@@ -1355,10 +1385,16 @@ mod tests {
                 .unwrap();
         }
         sched.drain(&mut dev);
-        sched.pop_completions();
+        let done = sched.pop_completions();
         assert_eq!(sched.stats().submitted, 4);
         assert_eq!(sched.stats().completed, 4);
-        assert_eq!(sched.stats().queueing.count(), 4);
-        assert_eq!(sched.stats().service.count(), 4);
+        let stats = sched.stats();
+        assert_eq!(stats.queueing.count, 4);
+        assert_eq!(stats.service.count, 4);
+        // Four reads of one chip: each waits for the ones before it.
+        let service: Duration = done.iter().map(Completion::service).sum();
+        assert_eq!(stats.service.total, service);
+        assert_eq!(stats.queueing.max, done[3].queueing());
+        assert!(stats.queueing.total > stats.queueing.max);
     }
 }

@@ -60,6 +60,9 @@ pub struct FlashDevice {
     next_cmd_id: u64,
     in_flight: BinaryHeap<Reverse<QueuedCommand>>,
     staging: Option<Vec<StagedOp>>,
+    /// The emptied buffer of an earlier staging window
+    /// ([`FlashDevice::recycle_staged`]), which the next window records into.
+    spare_staged: Vec<StagedOp>,
     /// Recording trace sink; `None` (the default) disables tracing and keeps
     /// every emission site down to a single branch.
     trace: Option<Box<TraceBuffer>>,
@@ -135,6 +138,7 @@ impl FlashDevice {
             next_cmd_id: 0,
             in_flight: BinaryHeap::new(),
             staging: None,
+            spare_staged: Vec::new(),
             trace: None,
             charge_replay: false,
         }
@@ -196,7 +200,7 @@ impl FlashDevice {
     /// Panics if the device is already staging.
     pub fn begin_staging(&mut self) {
         assert!(self.staging.is_none(), "staging windows must not nest");
-        self.staging = Some(Vec::new());
+        self.staging = Some(std::mem::take(&mut self.spare_staged));
     }
 
     /// Leaves staging mode, returning every operation staged since
@@ -209,6 +213,15 @@ impl FlashDevice {
         self.staging
             .take()
             .expect("end_staging requires an open staging window")
+    }
+
+    /// Hands a buffer obtained from [`FlashDevice::end_staging`] back once its
+    /// operations have been consumed, so the next staging window records into
+    /// it instead of allocating (a scheduled-GC FTL opens one window per host
+    /// flash operation).
+    pub fn recycle_staged(&mut self, mut ops: Vec<StagedOp>) {
+        ops.clear();
+        self.spare_staged = ops;
     }
 
     /// Whether a staging window is open.
@@ -238,24 +251,26 @@ impl FlashDevice {
         planes: u32,
         issue: SimTime,
     ) -> SimTime {
-        let plane_list = Self::planes_of_mask(planes);
         assert!(
-            !plane_list.is_empty(),
+            planes != 0,
             "charge_op needs at least one plane in the mask"
         );
+        // The ascending plane indices set in the mask.
+        let mut plane_list = [0u32; u32::BITS as usize];
+        let mut count = 0;
+        for plane in (0..u32::BITS).filter(|b| planes & (1 << b) != 0) {
+            plane_list[count] = plane;
+            count += 1;
+        }
+        let plane_list = &plane_list[..count];
         self.charge_replay = true;
         let done = match op {
-            FlashOp::Read => self.time_read(chip as usize, channel, &plane_list, issue),
-            FlashOp::Program => self.time_program(chip as usize, channel, &plane_list, issue),
+            FlashOp::Read => self.time_read(chip as usize, channel, plane_list, issue),
+            FlashOp::Program => self.time_program(chip as usize, channel, plane_list, issue),
             FlashOp::Erase => self.time_erase(chip as usize, plane_list[0], issue),
         };
         self.charge_replay = false;
         done
-    }
-
-    /// The ascending plane indices set in a plane bitmask.
-    fn planes_of_mask(planes: u32) -> Vec<u32> {
-        (0..u32::BITS).filter(|b| planes & (1 << b) != 0).collect()
     }
 
     /// Charges the timing of a (possibly multi-plane) page read: one NAND
