@@ -173,8 +173,8 @@ const NIL: u32 = u32::MAX;
 /// let mut cmt = PageNodeCmt::new(3);
 /// cmt.insert_batch(0, &[(4, 400, true), (5, 500, false)]);
 /// assert_eq!(cmt.lookup(0, 5), Some(500));
-/// // Node 7 needs two of the three slots: node 0 goes, and because it held
-/// // a dirty mapping its translation page must be written back.
+/// // Two more mappings exceed the budget of three: node 0 goes, and because
+/// // it held a dirty mapping its translation page must be written back.
 /// assert_eq!(cmt.insert_batch(7, &[(0, 70, false), (1, 71, false)]), &[0]);
 /// assert_eq!(cmt.lookup(0, 5), None);
 /// ```
@@ -323,10 +323,11 @@ impl PageNodeCmt {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.nodes.len())
-                    .ok()
-                    .filter(|&s| s != NIL)
-                    .expect("node slab outgrew its u32 slot index");
+                assert!(
+                    self.nodes.len() < NIL as usize,
+                    "node slab outgrew its u32 slot index"
+                );
+                let slot = self.nodes.len() as u32;
                 self.nodes.push(Node {
                     tpn,
                     prev: NIL,
