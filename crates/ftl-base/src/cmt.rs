@@ -354,8 +354,16 @@ impl PageNodeCmt {
         if node.entries.iter().any(|e| e.dirty) {
             self.evicted_dirty.push(node.tpn);
         }
-        self.total_entries -= node.entries.len();
+        let held = node.entries.len();
+        self.total_entries -= held;
         node.entries.clear();
+        // The slot's next node inherits the buffer. One that grew past twice
+        // what this node ended up holding is cut back, so the slab retains
+        // memory in proportion to the mappings its nodes recently held, not
+        // to the largest node each slot ever saw.
+        if node.entries.capacity() > 2 * held {
+            node.entries.shrink_to(held);
+        }
         self.index[node.tpn] = NIL;
         self.free.push(slot);
     }
@@ -442,6 +450,7 @@ fn merge_batch(
         displaced.clear();
         displaced.extend_from_slice(&entries[from..]);
         entries.truncate(from);
+        entries.reserve(displaced.len() + batch.len());
         let mut old = displaced.iter().copied().peekable();
         for &(offset, ppn, dirty) in batch {
             while let Some(e) = old.next_if(|e| e.offset < offset) {
