@@ -446,12 +446,14 @@ impl Ftl for LearnedFtl {
                 break;
             }
             self.core.stats.host_write_pages += 1;
-            let tpn = self.core.entry_of_lpn(l);
-            // Consistency first: the model may no longer answer for this LPN.
-            self.models[tpn].invalidate(l);
-
             let (slot, new_barrier) = self.allocate_slot(l, barrier);
             barrier = new_barrier;
+            // Consistency first: the model may no longer answer for this LPN.
+            // Only after the slot is allocated, though — a group GC run by
+            // the allocation retrains the model from the LPN's old copy,
+            // which is still mapped, and would trust it again.
+            let tpn = self.core.entry_of_lpn(l);
+            self.models[tpn].invalidate(l);
             if self.gc_epoch != run_epoch {
                 // A GC ran while this request was being served; any pages of
                 // the pending run may have been relocated, so their recorded
@@ -627,6 +629,37 @@ mod tests {
             }
         }
         // And every trusted model prediction matches the mapping table.
+        for lpn in 0..span {
+            let e = f.core.entry_of_lpn(lpn);
+            if let Some(vppn) = f.models[e].predict(lpn) {
+                let ppn = vppn_to_ppn(vppn, f.core.dev.geometry());
+                assert_eq!(Some(ppn), f.core.mapping.get(lpn), "lpn {lpn}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_page_churn_keeps_trusted_predictions_exact() {
+        // Single-page writes make allocate_slot run group GCs in the middle of
+        // a write: the GC retrains the group's models from the LPN's *old*
+        // copy (still mapped at that point) and trusts it again, after which
+        // the write maps the LPN elsewhere. The write must withdraw the
+        // model's trust after that GC, not before it.
+        let mut f = LearnedFtl::new(
+            SsdConfig::tiny(),
+            LearnedFtlConfig::default().with_cmt_ratio(0.0),
+        );
+        let span = f.logical_pages();
+        let mut t = SimTime::ZERO;
+        let mut l = 1u64;
+        for _ in 0..4 * span {
+            l = (l
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407))
+                % span;
+            t = f.write(l, 1, t);
+        }
+        assert!(f.stats().gc_count > 0, "churn must trigger group GC");
         for lpn in 0..span {
             let e = f.core.entry_of_lpn(lpn);
             if let Some(vppn) = f.models[e].predict(lpn) {
