@@ -10,16 +10,31 @@ use ssd_sim::Ppn;
 /// translation-page flash reads/writes — but GC, recovery and correctness
 /// checks need an authoritative copy, exactly like a trace-driven FTL
 /// simulator keeps one.
+///
+/// Every host request looks its LPNs up here at a random index, so an entry
+/// is four bytes ([`UNMAPPED`] marks a hole) rather than a 16-byte
+/// `Option<Ppn>`: the table of a gibibyte device then stays in the host's
+/// second-level cache, and the time a lookup takes no longer follows whatever
+/// else is using the machine's memory.
 #[derive(Debug, Clone)]
 pub struct MappingTable {
-    map: Vec<Option<Ppn>>,
+    map: Vec<u32>,
+}
+
+/// The entry of an LPN without a mapping; PPNs must stay below it (a device
+/// of more than 2³² − 1 pages would not fit this simulator's per-page state
+/// in memory either).
+const UNMAPPED: u32 = u32::MAX;
+
+fn mapped(entry: u32) -> Option<Ppn> {
+    (entry != UNMAPPED).then_some(Ppn::from(entry))
 }
 
 impl MappingTable {
     /// Creates an empty table for `logical_pages` LPNs.
     pub fn new(logical_pages: u64) -> Self {
         MappingTable {
-            map: vec![None; logical_pages as usize],
+            map: vec![UNMAPPED; logical_pages as usize],
         }
     }
 
@@ -34,16 +49,20 @@ impl MappingTable {
     ///
     /// Panics if `lpn` is out of range.
     pub fn get(&self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize]
+        mapped(self.map[lpn as usize])
     }
 
     /// Updates the mapping of `lpn`, returning the previous location.
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is out of range.
+    /// Panics if `lpn` is out of range or `ppn` does not fit an entry.
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        self.map[lpn as usize].replace(ppn)
+        let entry = u32::try_from(ppn)
+            .ok()
+            .filter(|&entry| entry != UNMAPPED)
+            .expect("PPN beyond the mapping table's 32-bit entries");
+        mapped(std::mem::replace(&mut self.map[lpn as usize], entry))
     }
 
     /// Removes the mapping of `lpn` (e.g. after a trim), returning it.
@@ -52,18 +71,18 @@ impl MappingTable {
     ///
     /// Panics if `lpn` is out of range.
     pub fn remove(&mut self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize].take()
+        mapped(std::mem::replace(&mut self.map[lpn as usize], UNMAPPED))
     }
 
     /// Number of LPNs that currently have a mapping.
     pub fn mapped_count(&self) -> u64 {
-        self.map.iter().filter(|m| m.is_some()).count() as u64
+        self.map.iter().filter(|&&entry| entry != UNMAPPED).count() as u64
     }
 
     /// Iterates over `(lpn, ppn)` pairs in the half-open LPN range.
     pub fn range(&self, start: Lpn, end: Lpn) -> impl Iterator<Item = (Lpn, Ppn)> + '_ {
         let end = end.min(self.map.len() as u64);
-        (start..end).filter_map(move |lpn| self.map[lpn as usize].map(|ppn| (lpn, ppn)))
+        (start..end).filter_map(move |lpn| mapped(self.map[lpn as usize]).map(|ppn| (lpn, ppn)))
     }
 }
 
@@ -101,6 +120,12 @@ mod tests {
         // Range end is clamped to the table size.
         let pairs: Vec<_> = mt.range(10, 100).collect();
         assert_eq!(pairs, vec![(15, 1500)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit entries")]
+    fn ppn_beyond_an_entry_panics() {
+        MappingTable::new(5).update(0, Ppn::from(u32::MAX));
     }
 
     #[test]

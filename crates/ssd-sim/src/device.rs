@@ -10,7 +10,7 @@ use crate::clock::SimTime;
 use crate::config::SsdConfig;
 use crate::error::{DeviceError, DeviceResult};
 use crate::geometry::Geometry;
-use crate::oob::OobData;
+use crate::oob::{OobData, OobTable};
 use crate::stats::{DeviceStats, FlashOp};
 use crate::trace::{TraceBuffer, TraceData, TraceEvent, TraceReadClass, TraceSink};
 use crate::PageState;
@@ -55,7 +55,7 @@ pub struct FlashDevice {
     config: SsdConfig,
     chips: Vec<Chip>,
     channel_busy_until: Vec<SimTime>,
-    oob: Vec<OobData>,
+    oob: OobTable,
     stats: DeviceStats,
     next_cmd_id: u64,
     in_flight: BinaryHeap<Reverse<QueuedCommand>>,
@@ -133,7 +133,7 @@ impl FlashDevice {
             config,
             chips,
             channel_busy_until: vec![SimTime::ZERO; g.channels as usize],
-            oob: vec![OobData::default(); g.total_pages() as usize],
+            oob: OobTable::new(g.total_pages() as usize),
             stats: DeviceStats::new(),
             next_cmd_id: 0,
             in_flight: BinaryHeap::new(),
@@ -421,7 +421,7 @@ impl FlashDevice {
         if self.page_state(ppn)? == PageState::Free {
             return Err(DeviceError::ReadOnFreePage { ppn });
         }
-        let translation = self.oob[ppn as usize].is_translation;
+        let translation = self.oob.is_translation(ppn as usize);
         self.stats.record(FlashOp::Read, translation);
         let g = self.config.geometry;
         if let Some(staged) = &mut self.staging {
@@ -466,7 +466,7 @@ impl FlashDevice {
             }
         }
         for &ppn in ppns {
-            let translation = self.oob[ppn as usize].is_translation;
+            let translation = self.oob.is_translation(ppn as usize);
             self.stats.record(FlashOp::Read, translation);
         }
         let g = self.config.geometry;
@@ -509,7 +509,7 @@ impl FlashDevice {
                 return Err(DeviceError::ProgramOnUsedPage { ppn });
             }
         }
-        self.oob[ppn as usize] = oob;
+        self.oob.set(ppn as usize, oob);
         self.stats.record(FlashOp::Program, oob.is_translation);
         if let Some(staged) = &mut self.staging {
             staged.push(StagedOp {
@@ -564,7 +564,7 @@ impl FlashDevice {
                 .block_mut(Self::local_block(addr, &g))
                 .program(addr.page);
             debug_assert!(programmed, "group was validated above");
-            self.oob[ppn as usize] = oob;
+            self.oob.set(ppn as usize, oob);
             self.stats.record(FlashOp::Program, oob.is_translation);
         }
         let first = addrs[0];
@@ -663,9 +663,8 @@ impl FlashDevice {
         self.chips[chip_idx].block_mut(local_block).erase();
         // Clear the OOB of every page in the block.
         let first_ppn = self.first_ppn_of_flat_block(flat_block);
-        for p in 0..u64::from(g.pages_per_block) {
-            self.oob[(first_ppn + p) as usize] = OobData::default();
-        }
+        self.oob
+            .erase(first_ppn as usize, g.pages_per_block as usize);
         self.stats.record(FlashOp::Erase, false);
         let plane = local_block / g.blocks_per_plane;
         if let Some(staged) = &mut self.staging {
@@ -823,9 +822,9 @@ impl FlashDevice {
     /// # Errors
     ///
     /// Returns [`DeviceError::PpnOutOfRange`] if `ppn` does not exist.
-    pub fn oob(&self, ppn: Ppn) -> DeviceResult<&OobData> {
+    pub fn oob(&self, ppn: Ppn) -> DeviceResult<OobData> {
         self.check_ppn(ppn)?;
-        Ok(&self.oob[ppn as usize])
+        Ok(self.oob.get(ppn as usize))
     }
 
     /// Shared access to the block metadata at a flat block index.
