@@ -388,14 +388,14 @@ impl Ftl for LearnedFtl {
                 break;
             }
             self.core.stats.host_read_pages += 1;
-            let Some(true_ppn) = self.core.mapping.get(l) else {
-                self.core.stats.unmapped_reads += 1;
-                continue;
-            };
             let tpn = self.core.entry_of_lpn(l);
             let offset = self.core.offset_of_lpn(l);
 
-            // 1. The demand-based cache handles locality.
+            // 1. The demand-based cache handles locality. (Only LPNs that
+            //    were written are ever cached or trusted, so neither of the
+            //    first two steps asks the mapping table whether `l` is
+            //    mapped: like the FTL it models, the read path consults the
+            //    table only where a translation page would be read.)
             if let Some(cached) = self.cmt.lookup(tpn, offset) {
                 self.core.note_read_class(ReadClass::CmtHit, now);
                 let t = self.core.read_data(cached, now);
@@ -406,7 +406,10 @@ impl Ftl for LearnedFtl {
             // 2. The learned model handles random accesses — but only when the
             //    bitmap filter vouches for the prediction.
             let predicted = if self.config.ideal_prediction {
-                self.models[tpn].is_trusted(l).then_some(true_ppn)
+                self.models[tpn]
+                    .is_trusted(l)
+                    .then(|| self.core.mapping.get(l))
+                    .flatten()
             } else {
                 self.models[tpn].predict(l).map(|vppn| {
                     self.core.stats.model_predictions += 1;
@@ -415,7 +418,8 @@ impl Ftl for LearnedFtl {
             };
             if let Some(ppn) = predicted {
                 debug_assert_eq!(
-                    ppn, true_ppn,
+                    Some(ppn),
+                    self.core.mapping.get(l),
                     "bitmap filter must guarantee exact predictions"
                 );
                 self.core.note_read_class(ReadClass::ModelHit, now);
@@ -424,7 +428,12 @@ impl Ftl for LearnedFtl {
                 continue;
             }
 
-            // 3. Fall back to TPFTL's double read.
+            // 3. Fall back to TPFTL's double read, unless the translation
+            //    page has no mapping to offer.
+            let Some(true_ppn) = self.core.mapping.get(l) else {
+                self.core.stats.unmapped_reads += 1;
+                continue;
+            };
             self.core.note_read_class(ReadClass::DoubleRead, now);
             let ready =
                 self.core
@@ -550,6 +559,21 @@ mod tests {
         assert_eq!(s.single_reads, 64);
         // Sequential initialisation must have trained the models for the run.
         assert!(f.model_coverage() > 0.0);
+    }
+
+    #[test]
+    fn reading_a_never_written_lpn_costs_nothing_and_is_counted() {
+        let mut f = ftl();
+        // LPNs 0..64 are written; 64.. share their translation page, so its
+        // CMT node and model exist when the unwritten LPNs are read.
+        let t = f.write(0, 64, SimTime::ZERO);
+        f.reset_stats();
+        let flash_ops = f.device().stats().total_ops();
+        assert_eq!(f.read(64, 4, t), t);
+        let s = f.stats();
+        assert_eq!((s.host_read_pages, s.unmapped_reads), (4, 4));
+        assert_eq!(s.single_reads + s.double_reads + s.triple_reads, 0);
+        assert_eq!(f.device().stats().total_ops(), flash_ops);
     }
 
     #[test]
