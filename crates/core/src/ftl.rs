@@ -1,6 +1,6 @@
 //! The LearnedFTL flash translation layer.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ftl_base::{Ftl, FtlCore, FtlStats, GcMode, Lpn, PageNodeCmt, ReadClass};
 use learned_index::Point;
@@ -38,6 +38,29 @@ pub struct LearnedFtl {
     /// pending sequential-initialisation run whose pages a GC has already
     /// relocated (their recorded VPPNs would be stale).
     gc_epoch: u64,
+    gc_scratch: GcScratch,
+}
+
+/// The buffers of one group collection, kept (emptied) for the next one: a
+/// collection relocates thousands of pages, and a random-write workload runs
+/// one every few hundred requests.
+#[derive(Debug, Clone, Default)]
+struct GcScratch {
+    /// The group's own valid `(lpn, ppn)` pairs, in LPN order.
+    own_pairs: Vec<(Lpn, u64)>,
+    /// Valid pages other groups borrowed into the detached rows.
+    foreign_pairs: Vec<(Lpn, u64)>,
+    /// Where each relocated page went.
+    moved: Vec<(Lpn, u64)>,
+    /// The training points of the group's own relocated pages.
+    own_points: Vec<Point>,
+    /// Detached rows not erased yet.
+    pending_rows: Vec<u32>,
+    /// The pending rows one pass of `erase_drained_rows` leaves behind.
+    kept: Vec<u32>,
+    /// Valid pages left in each block row, indexed by row id (only the
+    /// detached rows' counts are ever read).
+    remaining: Vec<u64>,
 }
 
 impl LearnedFtl {
@@ -90,6 +113,7 @@ impl LearnedFtl {
             models,
             config,
             gc_epoch: 0,
+            gc_scratch: GcScratch::default(),
         }
     }
 
@@ -185,6 +209,22 @@ impl LearnedFtl {
     /// order to fresh block rows, retrains every model of the group, rewrites
     /// the group's translation pages and erases the old rows (paper § III-E2).
     fn gc_group(&mut self, group: usize, now: SimTime) -> SimTime {
+        let mut scratch = std::mem::take(&mut self.gc_scratch);
+        let done = self.gc_group_with(group, now, &mut scratch);
+        self.gc_scratch = scratch;
+        done
+    }
+
+    fn gc_group_with(&mut self, group: usize, now: SimTime, scratch: &mut GcScratch) -> SimTime {
+        let GcScratch {
+            own_pairs,
+            foreign_pairs,
+            moved,
+            own_points,
+            pending_rows,
+            kept,
+            remaining,
+        } = scratch;
         self.gc_epoch += 1;
         self.core.stats.record_gc(now);
         let entries = self.core.gtd.entries();
@@ -206,13 +246,12 @@ impl LearnedFtl {
             let end = self.core.gtd.lpn_range(entry_end - 1).1;
             (start, end)
         };
-        let mut own_pairs: Vec<(Lpn, u64)> = self.core.mapping.range(lpn_start, lpn_end).collect();
-        let foreign_pairs: Vec<(Lpn, u64)> = self
-            .alloc
-            .valid_pages_in_rows(&self.core.dev, &rows)
-            .into_iter()
-            .filter(|&(lpn, _)| lpn < lpn_start || lpn >= lpn_end)
-            .collect();
+        own_pairs.clear();
+        own_pairs.extend(self.core.mapping.range(lpn_start, lpn_end));
+        foreign_pairs.clear();
+        self.alloc
+            .valid_pages_in_rows(&self.core.dev, &rows, foreign_pairs);
+        foreign_pairs.retain(|&(lpn, _)| lpn < lpn_start || lpn >= lpn_end);
         let sort_started = WallTimer::start();
         own_pairs.sort_unstable_by_key(|&(lpn, _)| lpn);
         let sort_elapsed = sort_started.elapsed();
@@ -220,38 +259,31 @@ impl LearnedFtl {
 
         // Track how many valid pages remain in each detached row so rows can
         // be erased (and reused as GC destinations) as soon as they drain.
-        let mut remaining: BTreeMap<u32, u64> = BTreeMap::new();
-        for &row in &rows {
-            remaining.insert(row, 0);
-        }
-        let blocks_per_chip = self.core.dev.geometry().blocks_per_chip();
+        remaining.clear();
+        remaining.resize(self.core.dev.geometry().blocks_per_plane as usize, 0);
         for &(_, ppn) in own_pairs.iter().chain(foreign_pairs.iter()) {
-            let row = (self.core.dev.flat_block_of_ppn(ppn) % blocks_per_chip) as u32;
-            if let Some(count) = remaining.get_mut(&row) {
-                *count += 1;
-            }
+            remaining[self.alloc.row_of_ppn(ppn) as usize] += 1;
         }
-        let mut pending_rows: Vec<u32> = rows.clone();
+        pending_rows.clear();
+        pending_rows.extend_from_slice(&rows);
 
         // ② Write the valid pages back in LPN order, obtaining contiguous
         //    VPPNs for this group's own pages. Foreign pages follow at the
         //    end; their models can no longer be trusted for those LPNs.
-        let mut own_points: Vec<Point> = Vec::new();
+        own_points.clear();
+        moved.clear();
         let mut foreign_entries: BTreeSet<usize> = BTreeSet::new();
-        let mut moved: Vec<(Lpn, u64)> = Vec::new();
         for (is_own, &(lpn, old_ppn)) in own_pairs
             .iter()
             .map(|p| (true, p))
             .chain(foreign_pairs.iter().map(|p| (false, p)))
         {
-            let slot = self.gc_destination(group, &mut pending_rows, &mut remaining, t);
+            let slot = self.gc_destination(group, pending_rows, kept, remaining, t);
             t = self.core.relocate_data(lpn, old_ppn, slot.ppn, t);
             moved.push((lpn, slot.ppn));
-            // The source row (if it is one of ours) just lost a valid page.
-            let src_row = (self.core.dev.flat_block_of_ppn(old_ppn) % blocks_per_chip) as u32;
-            if let Some(count) = remaining.get_mut(&src_row) {
-                *count = count.saturating_sub(1);
-            }
+            // The source row just lost a valid page.
+            let left = &mut remaining[self.alloc.row_of_ppn(old_ppn) as usize];
+            *left = left.saturating_sub(1);
             if is_own {
                 own_points.push(Point::new(lpn, slot.vppn));
             } else {
@@ -289,14 +321,14 @@ impl LearnedFtl {
         }
 
         // Keep cached mappings coherent.
-        for &(lpn, new_ppn) in &moved {
+        for &(lpn, new_ppn) in moved.iter() {
             let tpn = self.core.entry_of_lpn(lpn);
             let offset = self.core.offset_of_lpn(lpn);
             self.cmt.refresh_if_cached(tpn, offset, new_ppn);
         }
 
         // Erase whatever detached rows are still pending and hand them back.
-        t = self.erase_drained_rows(&mut pending_rows, &remaining, t, true);
+        t = self.erase_drained_rows(pending_rows, kept, remaining, t, true);
 
         if self.config.charge_training_time && !self.core.gc_is_scheduled() {
             // The compute charge only exists on the blocking timeline; a
@@ -319,14 +351,15 @@ impl LearnedFtl {
         &mut self,
         group: usize,
         pending_rows: &mut Vec<u32>,
-        remaining: &mut BTreeMap<u32, u64>,
+        kept: &mut Vec<u32>,
+        remaining: &[u64],
         now: SimTime,
     ) -> GroupSlot {
         if let Some(slot) = self.alloc.allocate_for_gc(group) {
             return slot;
         }
         // No free rows left: erase any already-drained source row to recycle it.
-        let _ = self.erase_drained_rows(pending_rows, remaining, now, false);
+        let _ = self.erase_drained_rows(pending_rows, kept, remaining, now, false);
         if let Some(slot) = self.alloc.allocate_for_gc(group) {
             return slot;
         }
@@ -341,19 +374,21 @@ impl LearnedFtl {
     }
 
     /// Erases detached rows that hold no more valid pages and returns them to
-    /// the allocator. When `erase_all` is set, every pending row is expected
-    /// to be drained (end of GC).
+    /// the allocator; `kept` is scratch for the rows left pending. When
+    /// `erase_all` is set, every pending row is expected to be drained (end
+    /// of GC).
     fn erase_drained_rows(
         &mut self,
         pending_rows: &mut Vec<u32>,
-        remaining: &BTreeMap<u32, u64>,
+        kept: &mut Vec<u32>,
+        remaining: &[u64],
         now: SimTime,
         erase_all: bool,
     ) -> SimTime {
         let mut t = now;
-        let mut kept = Vec::new();
+        kept.clear();
         for &row in pending_rows.iter() {
-            let drained = remaining.get(&row).copied().unwrap_or(0) == 0;
+            let drained = remaining[row as usize] == 0;
             if !drained && !erase_all {
                 kept.push(row);
                 continue;
@@ -370,7 +405,7 @@ impl LearnedFtl {
             }
             self.alloc.return_rows([row]);
         }
-        *pending_rows = kept;
+        std::mem::swap(pending_rows, kept);
         t
     }
 }
@@ -689,6 +724,38 @@ mod tests {
             if let Some(vppn) = f.models[e].predict(lpn) {
                 let ppn = vppn_to_ppn(vppn, f.core.dev.geometry());
                 assert_eq!(Some(ppn), f.core.mapping.get(lpn), "lpn {lpn}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_plane_group_gc_never_erases_a_row_that_holds_valid_pages() {
+        // A block row spans every plane of every chip. The collector counts
+        // the valid pages left in each detached row and recycles a row in the
+        // middle of a collection once it has drained; counting the blocks of
+        // one plane only would let it erase a row whose other planes still
+        // hold valid pages (the device rejects that erase, and the collector
+        // treats the rejection as a bug).
+        let device = SsdConfig::tiny()
+            .with_geometry(ssd_sim::Geometry::new(4, 2, 1, 20, 256, 4096))
+            .with_op_ratio(0.4)
+            .with_planes(2);
+        let mut f = LearnedFtl::new(device, LearnedFtlConfig::default());
+        let span = f.logical_pages();
+        let mut t = SimTime::ZERO;
+        let mut l = 1u64;
+        for _ in 0..3 * span {
+            l = (l
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407))
+                % span;
+            t = f.write(l, 1, t);
+        }
+        assert!(f.stats().gc_count > 0, "churn must trigger group GC");
+        for lpn in 0..span {
+            if let Some(ppn) = f.core.mapping.get(lpn) {
+                assert_eq!(f.core.dev.page_state(ppn), Ok(ssd_sim::PageState::Valid));
+                assert_eq!(f.core.dev.oob(ppn).unwrap().lpn, Some(lpn));
             }
         }
     }

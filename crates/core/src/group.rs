@@ -275,24 +275,33 @@ impl GroupAllocator {
         best.map(|(gid, _)| gid)
     }
 
-    /// Collects the valid `(lpn, ppn)` pairs stored in the given rows.
-    pub fn valid_pages_in_rows(&self, dev: &FlashDevice, rows: &[u32]) -> Vec<(u64, Ppn)> {
-        let mut out = Vec::new();
+    /// The block row a physical page belongs to.
+    pub fn row_of_ppn(&self, ppn: Ppn) -> u32 {
+        let block = ppn / u64::from(self.geometry.pages_per_block);
+        (block % u64::from(self.geometry.blocks_per_plane)) as u32
+    }
+
+    /// Appends the valid `(lpn, ppn)` pairs stored in the given rows to `out`.
+    pub fn valid_pages_in_rows(&self, dev: &FlashDevice, rows: &[u32], out: &mut Vec<(u64, Ppn)>) {
         for &row in rows {
             for block in self.row_blocks(row) {
+                let Ok(info) = dev.block_info(block) else {
+                    continue;
+                };
+                if info.valid_pages() == 0 {
+                    continue;
+                }
                 let first = dev.first_ppn_of_flat_block(block);
-                for ppn in first..first + u64::from(self.geometry.pages_per_block) {
-                    if dev.page_state(ppn).ok() == Some(PageState::Valid) {
-                        if let Ok(oob) = dev.oob(ppn) {
-                            if let Some(lpn) = oob.lpn {
-                                out.push((lpn, ppn));
-                            }
+                for page in 0..self.geometry.pages_per_block {
+                    if info.page_state(page) == PageState::Valid {
+                        let ppn = first + u64::from(page);
+                        if let Some(lpn) = dev.oob(ppn).ok().and_then(|oob| oob.lpn) {
+                            out.push((lpn, ppn));
                         }
                     }
                 }
             }
         }
-        out
     }
 
     fn open_slots(&self, group: usize) -> u64 {
@@ -437,8 +446,29 @@ mod tests {
             .unwrap();
         dev.invalidate_page(b.ppn).unwrap();
         assert_eq!(alloc.most_invalid_group(&dev), Some(1));
-        let valid = alloc.valid_pages_in_rows(&dev, &alloc.rows_of_group(0));
+        let mut valid = Vec::new();
+        alloc.valid_pages_in_rows(&dev, &alloc.rows_of_group(0), &mut valid);
         assert_eq!(valid, vec![(0, a.ppn)]);
+    }
+
+    #[test]
+    fn every_block_of_a_row_maps_back_to_it_on_any_plane_count() {
+        for planes in [1, 2] {
+            let cfg = SsdConfig::tiny().with_planes(planes);
+            let dev = FlashDevice::new(cfg);
+            let partition = BlockPartition::for_config(&cfg, 512);
+            let gtd_entries = cfg.logical_pages().div_ceil(512) as usize;
+            let alloc =
+                GroupAllocator::new(&partition, cfg.geometry, gtd_entries, 1, 512, 1, 2, 0.5);
+            for row in [0, 3, cfg.geometry.blocks_per_plane - 1] {
+                for block in alloc.row_blocks(row) {
+                    let first = dev.first_ppn_of_flat_block(block);
+                    let last = first + u64::from(cfg.geometry.pages_per_block) - 1;
+                    assert_eq!(alloc.row_of_ppn(first), row, "planes={planes}");
+                    assert_eq!(alloc.row_of_ppn(last), row, "planes={planes}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,9 +26,7 @@
 //! little every time the host path waits for one of its own commands, and an
 //! explicit [`GcEngine::drain`] completes whatever is left (end of run).
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use ssd_sched::{CmdId, CmdKind, IoScheduler, Priority, SchedConfig};
+use ssd_sched::{CmdId, Completion, IoScheduler, Priority, SchedConfig};
 use ssd_sim::{FlashDevice, Geometry, SimTime, StagedOp, TraceData, TraceSink};
 
 use crate::stats::FtlStats;
@@ -55,9 +53,9 @@ pub enum GcMode {
 pub struct GcJob {
     /// Scheduled GC commands not yet completed.
     outstanding: usize,
-    /// Command ids that end one collection unit; their completion times feed
-    /// the GC timeline ([`FtlStats::gc_complete_events`]).
-    unit_ends: BTreeSet<CmdId>,
+    /// Command ids that end one collection unit, ascending; their completion
+    /// times feed the GC timeline ([`FtlStats::gc_complete_events`]).
+    unit_ends: Vec<CmdId>,
     /// `gc_yields` already folded into [`FtlStats`].
     seen_yields: u64,
     /// `gc_forced` already folded into [`FtlStats`].
@@ -80,8 +78,9 @@ pub struct GcEngine {
     /// Host completions observed while the event loop ran for *other*
     /// commands, parked until their submitter awaits them (a request's
     /// in-flight data charges complete while a translation dependency is
-    /// being waited on).
-    host_done: BTreeMap<CmdId, SimTime>,
+    /// being waited on). Never more than one request's charges, so a plain
+    /// list searched linearly.
+    host_done: Vec<(CmdId, SimTime)>,
     /// The ids [`GcEngine::run_host_charges`] is waiting for, reused across
     /// calls.
     awaited: Vec<CmdId>,
@@ -104,7 +103,7 @@ impl GcEngine {
                 },
             ),
             job: GcJob::default(),
-            host_done: BTreeMap::new(),
+            host_done: Vec::new(),
             awaited: Vec::new(),
         }
     }
@@ -115,9 +114,10 @@ impl GcEngine {
     }
 
     /// Submits one batch of staged GC operations as `Priority::Gc` charges at
-    /// time `now`, extending the background job. `unit_bounds` holds indices
-    /// into `ops` marking the end (exclusive) of each collection unit, so the
-    /// matching completions can be recorded as GC-finished events.
+    /// time `now`, extending the background job. `unit_bounds` holds
+    /// ascending indices into `ops` marking the end (exclusive) of each
+    /// collection unit, so the matching completions can be recorded as
+    /// GC-finished events.
     ///
     /// The call is non-blocking: the charges drain as the event loop runs
     /// (host waits, or [`GcEngine::drain`]).
@@ -137,14 +137,22 @@ impl GcEngine {
                 },
             );
         }
-        for (i, &op) in ops.iter().enumerate() {
-            let id = self
-                .sched
-                .submit(CmdKind::charge(op), Priority::Gc, now)
-                .expect("the GC scheduler's queue is unbounded");
-            self.job.outstanding += 1;
-            if unit_bounds.contains(&(i + 1)) {
-                self.job.unit_ends.insert(id);
+        let first = self
+            .sched
+            .submit_charges(ops, Priority::Gc, now)
+            .expect("the GC scheduler's queue is unbounded");
+        self.job.outstanding += ops.len();
+        // A unit ends with the charge just before its bound; units that
+        // staged nothing share their predecessor's last charge.
+        let mut last = 0;
+        for &bound in unit_bounds {
+            debug_assert!(
+                last <= bound && bound <= ops.len(),
+                "bounds ascend within ops"
+            );
+            if bound > last {
+                self.job.unit_ends.push(CmdId(first.0 + bound as u64 - 1));
+                last = bound;
             }
         }
     }
@@ -160,11 +168,11 @@ impl GcEngine {
     /// are exactly what drives the GC starvation bound — queued GC yields
     /// per dispatch until the bound forces it through.
     pub fn submit_host_async(&mut self, ops: &[StagedOp], at: SimTime, ids: &mut Vec<CmdId>) {
-        ids.extend(ops.iter().map(|&op| {
-            self.sched
-                .submit(CmdKind::charge(op), Priority::Host, at)
-                .expect("the GC scheduler's queue is unbounded")
-        }));
+        let first = self
+            .sched
+            .submit_charges(ops, Priority::Host, at)
+            .expect("the GC scheduler's queue is unbounded");
+        ids.extend((first.0..first.0 + ops.len() as u64).map(CmdId));
     }
 
     /// Runs the event loop until every command in `ids` has completed,
@@ -180,22 +188,22 @@ impl GcEngine {
     ) -> SimTime {
         let mut done = now;
         for &id in ids {
-            let completed = match self.host_done.remove(&id) {
-                Some(t) => t,
+            let parked = self.host_done.iter().position(|&(p, _)| p == id);
+            let completed = match parked {
+                Some(at) => self.host_done.swap_remove(at).1,
                 None => {
-                    let completion = self.sched.run_until_complete(dev, id);
+                    let completion = self.sched.run_until_complete_with(dev, id, |c| {
+                        if c.id != id {
+                            Self::reap(&mut self.job, &mut self.host_done, stats, c);
+                        }
+                    });
                     debug_assert!(completion.is_ok(), "host charges can never be rejected");
-                    // Park everything the loop completed (including this
-                    // command), then claim it.
-                    self.reap(stats);
-                    self.host_done
-                        .remove(&id)
-                        .expect("the completion was just observed")
+                    completion.completed
                 }
             };
             done = done.max(completed);
         }
-        self.reap(stats);
+        self.fold_arbitration(stats);
         done
     }
 
@@ -226,7 +234,9 @@ impl GcEngine {
     pub fn drain(&mut self, dev: &mut FlashDevice, stats: &mut FtlStats) -> SimTime {
         let outstanding = self.job.outstanding;
         let begun = self.sched.now();
-        let t = self.sched.drain(dev);
+        let t = self.sched.drain_with(dev, |c| {
+            Self::reap(&mut self.job, &mut self.host_done, stats, c)
+        });
         if outstanding > 0 {
             if let Some(sink) = dev.trace_sink() {
                 sink.span(
@@ -238,7 +248,7 @@ impl GcEngine {
                 );
             }
         }
-        self.reap(stats);
+        self.fold_arbitration(stats);
         debug_assert_eq!(self.job.outstanding, 0, "drain must finish the job");
         // Any still-parked host completions were claimed by value before the
         // drain (a well-formed request awaits everything it submits).
@@ -246,21 +256,31 @@ impl GcEngine {
         t
     }
 
-    /// Folds newly recorded completions and arbitration counters into the
-    /// FTL's statistics; host completions are parked for their awaiter.
-    fn reap(&mut self, stats: &mut FtlStats) {
-        for c in self.sched.pop_completions() {
-            if c.priority != Priority::Gc {
-                self.host_done.insert(c.id, c.completed);
-                continue;
-            }
-            debug_assert!(c.is_ok(), "GC charges can never be rejected");
-            self.job.outstanding -= 1;
-            stats.gc_flash_time += c.service();
-            if self.job.unit_ends.remove(&c.id) {
-                stats.gc_complete_events.push(c.completed);
-            }
+    /// Folds one completion, as the scheduler reports it, into the job and
+    /// the FTL's statistics: a GC charge into the flash-time total and, when
+    /// it ends a collection unit, the GC timeline; a host completion is
+    /// parked for its awaiter.
+    fn reap(
+        job: &mut GcJob,
+        host_done: &mut Vec<(CmdId, SimTime)>,
+        stats: &mut FtlStats,
+        c: &Completion,
+    ) {
+        if c.priority != Priority::Gc {
+            host_done.push((c.id, c.completed));
+            return;
         }
+        debug_assert!(c.is_ok(), "GC charges can never be rejected");
+        job.outstanding -= 1;
+        stats.gc_flash_time += c.service();
+        if let Ok(at) = job.unit_ends.binary_search(&c.id) {
+            job.unit_ends.remove(at);
+            stats.gc_complete_events.push(c.completed);
+        }
+    }
+
+    /// Folds the scheduler's arbitration counters into the FTL's statistics.
+    fn fold_arbitration(&mut self, stats: &mut FtlStats) {
         let s = self.sched.stats();
         stats.gc_yields += s.gc_yields - self.job.seen_yields;
         stats.gc_forced += s.gc_forced - self.job.seen_forced;
@@ -327,5 +347,48 @@ mod tests {
         assert!(stats.gc_yields >= 1, "host must have bypassed queued GC");
         engine.drain(&mut dev, &mut stats);
         assert_eq!(stats.gc_complete_events.len(), 1);
+    }
+
+    #[test]
+    fn reaped_collections_leave_no_completion_sized_buffers_behind() {
+        // 10 000 GC charges submitted, drained and reaped — twice: the engine
+        // folds each GC completion into the job and the statistics as it is
+        // visited, so what it keeps afterwards does not depend on how many
+        // completed (the scheduler's side of the bound is pinned by
+        // `visited_backlogs_leave_no_completion_sized_buffers_behind` there).
+        const CHARGES: usize = 10_000;
+        let cfg = SsdConfig::tiny();
+        let mut dev = FlashDevice::new(cfg);
+        let mut stats = FtlStats::new();
+        let mut engine = GcEngine::new(cfg.geometry, 4);
+        let chips = cfg.geometry.total_chips();
+        let ops: Vec<StagedOp> = (0..CHARGES as u64)
+            .map(|i| StagedOp {
+                op: if i % 2 == 0 {
+                    ssd_sim::FlashOp::Read
+                } else {
+                    ssd_sim::FlashOp::Program
+                },
+                chip: i % chips,
+                channel: ((i % chips) / u64::from(cfg.geometry.chips_per_channel)) as u32,
+                planes: 1,
+            })
+            .collect();
+        for round in 1..=2 {
+            let now = dev.drain_time();
+            engine.submit_job(&mut dev, &ops, &[CHARGES / 2, CHARGES], now);
+            // A host charge awaited mid-backlog, as a write's translation
+            // read would be: the loop reaps whatever completes before it.
+            engine.run_host_charges(&mut dev, &ops[..1], now, &mut stats);
+            engine.drain(&mut dev, &mut stats);
+            assert_eq!(engine.job().outstanding(), 0);
+            assert_eq!(stats.gc_complete_events.len(), 2 * round);
+            assert!(
+                engine.sched.pop_completions().is_empty(),
+                "visited completions are not buffered as well"
+            );
+            assert!(engine.host_done.capacity() <= 4);
+            assert!(engine.job.unit_ends.capacity() <= 4);
+        }
     }
 }

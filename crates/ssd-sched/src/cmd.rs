@@ -1,5 +1,5 @@
-//! Flash commands as the scheduler sees them: identity, payload, priority
-//! class and the completion record handed back to the submitter.
+//! Flash commands as their submitter sees them: identity, payload, priority
+//! class and the completion record handed back.
 
 use ssd_sim::{DeviceError, Duration, FlashOp, OobData, Ppn, SimTime};
 
@@ -77,23 +77,6 @@ impl CmdKind {
             planes: staged.planes,
         }
     }
-}
-
-/// A command waiting in (or moving through) the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Command {
-    /// Scheduler-assigned identity.
-    pub id: CmdId,
-    /// Operation and target.
-    pub kind: CmdKind,
-    /// Arbitration class.
-    pub priority: Priority,
-    /// The tenant the command serves (tenant 0 for single-tenant
-    /// submitters; ignored for [`Priority::Gc`] commands, which always land
-    /// in the GC arbitration class).
-    pub tenant: TenantId,
-    /// When the submitter handed the command to the scheduler.
-    pub submitted: SimTime,
 }
 
 /// The completion record for one command: what ran, where, and the three

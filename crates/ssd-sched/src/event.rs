@@ -66,6 +66,13 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Bytes one pending event occupies in the heap (every sift moves that
+    /// many): the layout guard of payload types meant to stay small.
+    #[cfg(test)]
+    pub(crate) const fn entry_bytes() -> usize {
+        std::mem::size_of::<Entry<T>>()
+    }
+
     /// Schedules `payload` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, payload: T) {
         let entry = Entry {

@@ -31,7 +31,7 @@
 //!   on the same chip, but never more than
 //!   [`SchedConfig::gc_starvation_bound`] times in a row (the degenerate
 //!   [`TenantPolicy::two_class`] default),
-//! * [`Command`] / [`Completion`] — the command lifecycle with the three
+//! * [`CmdKind`] / [`Completion`] — the command lifecycle with the three
 //!   timestamps (submitted, issued, completed) that tail-latency analysis
 //!   needs, split into queueing and service components.
 //!
@@ -67,7 +67,7 @@ mod ring;
 mod sched;
 mod tenant;
 
-pub use cmd::{CmdId, CmdKind, Command, Completion, Priority};
+pub use cmd::{CmdId, CmdKind, Completion, Priority};
 pub use engine::{SerialEngine, ShardEngine};
 pub use event::EventQueue;
 pub use multi::{MultiIssuer, MultiIssuerStats};

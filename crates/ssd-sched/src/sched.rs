@@ -3,7 +3,9 @@
 //! [`IoScheduler`] sits between command submitters (an FTL's host path and
 //! its garbage collector) and a [`FlashDevice`]. Commands are queued per
 //! chip, issued through the device's enqueue/poll interface, and completed
-//! out of order through a binary-heap event loop on [`SimTime`]. Dispatch is
+//! out of order through a binary-heap event loop on [`SimTime`]: an issued
+//! command's completion record waits in the in-flight slot of its plane, and
+//! the heap orders 32-byte (time, slot) entries. Dispatch is
 //! **plane-aware**: a chip is issuable whenever any of its planes is free,
 //! and each queue is drained in per-plane FIFO order — a command may only
 //! bypass earlier queued commands of its class that target *other* planes
@@ -21,9 +23,11 @@
 
 use std::collections::VecDeque;
 
-use ssd_sim::{Duration, FlashDevice, FlashOp, Geometry, PhysAddr, SimTime, TraceData, TraceSink};
+use ssd_sim::{
+    Duration, FlashDevice, FlashOp, Geometry, PhysAddr, SimTime, StagedOp, TraceData, TraceSink,
+};
 
-use crate::cmd::{CmdId, CmdKind, Command, Completion, Priority};
+use crate::cmd::{CmdId, CmdKind, Completion, Priority};
 use crate::event::EventQueue;
 use crate::tenant::{TenantArbiter, TenantId, TenantPolicy};
 
@@ -134,10 +138,33 @@ pub struct ClassStats {
     pub forced: u64,
 }
 
+/// A command waiting in a chip queue. Its arbitration class is the queue it
+/// sits in, and the planes it will occupy are worked out once, at submit.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: CmdId,
+    kind: CmdKind,
+    submitted: SimTime,
+    tenant: TenantId,
+    /// Bitmask of the planes the command occupies on its chip.
+    planes: u32,
+}
+
+/// A command issued to the device: its finished completion record (the
+/// device reports the completion time at issue) and the planes to release
+/// when the completion event fires.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    record: Completion,
+    planes: u32,
+}
+
 #[derive(Debug, Clone)]
 struct ChipQueue {
     /// One FIFO per arbitration class, indexed like the policy's classes.
-    queues: Vec<VecDeque<Command>>,
+    queues: Vec<VecDeque<Queued>>,
+    /// Commands queued across all classes.
+    queued: usize,
     /// Weighted-round-robin / starvation state for this chip's classes.
     arbiter: TenantArbiter,
     /// Bitmask of planes with a command currently issued to the device.
@@ -150,24 +177,25 @@ impl ChipQueue {
     fn new(policy: &TenantPolicy) -> Self {
         ChipQueue {
             queues: (0..policy.num_classes()).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             arbiter: TenantArbiter::new(policy),
             busy_planes: 0,
             wakeup_at: None,
         }
     }
-
-    fn is_empty(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
-    }
 }
 
-#[derive(Debug, Clone)]
+/// What the event heap orders. A completing command is named by the in-flight
+/// slot holding its record, so heap sifts move a few words per entry however
+/// large a completion record is.
+#[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The command issued on `chip` completes; its record is pre-computed.
-    Complete { chip: usize, completion: Completion },
+    /// The command issued on `chip` whose lowest occupied plane is `plane`
+    /// completes.
+    Complete { chip: u32, plane: u32 },
     /// Re-run dispatch on `chip`: a queued command's submission time has
     /// been reached.
-    Wakeup { chip: usize },
+    Wakeup { chip: u32 },
 }
 
 /// The event-driven multi-queue scheduler over one [`FlashDevice`].
@@ -196,7 +224,13 @@ pub struct IoScheduler {
     all_planes: u32,
     now: SimTime,
     chips: Vec<ChipQueue>,
+    /// The issued commands, one slot per plane of the device: a command sits
+    /// in the slot of the lowest plane it occupies (planes are exclusive, so
+    /// at most one command per plane is in flight).
+    in_flight: Vec<Option<InFlight>>,
     events: EventQueue<Event>,
+    /// Completions recorded by the buffering entry points, until
+    /// [`IoScheduler::pop_completions`] takes them.
     completions: Vec<Completion>,
     outstanding: usize,
     next_id: u64,
@@ -231,14 +265,15 @@ impl IoScheduler {
         } else {
             (1u32 << geometry.planes_per_chip) - 1
         };
+        let chips = geometry.total_chips() as usize;
+        let planes = chips * geometry.planes_per_chip as usize;
         IoScheduler {
             config,
             geometry,
             all_planes,
             now: SimTime::ZERO,
-            chips: (0..geometry.total_chips())
-                .map(|_| ChipQueue::new(&policy))
-                .collect(),
+            chips: (0..chips).map(|_| ChipQueue::new(&policy)).collect(),
+            in_flight: vec![None; planes],
             events: EventQueue::new(),
             completions: Vec::new(),
             outstanding: 0,
@@ -313,27 +348,79 @@ impl IoScheduler {
         tenant: TenantId,
         submitted: SimTime,
     ) -> Result<CmdId, SchedError> {
-        if self.outstanding >= self.config.queue_depth {
-            return Err(SchedError::QueueFull {
-                queue_depth: self.config.queue_depth,
-            });
+        self.reserve(1)?;
+        let class = self.class_of(priority, tenant);
+        let chip = self.target_chip(&kind);
+        let planes = Self::target_planes(&self.geometry, &kind);
+        Ok(self.enqueue(chip, class, kind, tenant, planes, submitted))
+    }
+
+    /// Submits the charge commands replaying `ops` (see [`CmdKind::charge`])
+    /// in one call, all at `priority` for tenant 0 and all at time
+    /// `submitted`: how a staged garbage collection hands over its hundreds
+    /// of operations. The commands get consecutive ids in `ops` order; the
+    /// first one's is returned (the id the next submission gets when `ops`
+    /// is empty).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::QueueFull`], submitting nothing, unless the
+    /// whole batch fits under `queue_depth`.
+    pub fn submit_charges(
+        &mut self,
+        ops: &[StagedOp],
+        priority: Priority,
+        submitted: SimTime,
+    ) -> Result<CmdId, SchedError> {
+        self.reserve(ops.len())?;
+        let first = CmdId(self.next_id);
+        let tenant = TenantId(0);
+        let class = self.class_of(priority, tenant);
+        for &op in ops {
+            let kind = CmdKind::charge(op);
+            self.enqueue(op.chip as usize, class, kind, tenant, op.planes, submitted);
         }
+        Ok(first)
+    }
+
+    /// Checks that `commands` more submissions fit under the queue depth.
+    fn reserve(&self, commands: usize) -> Result<(), SchedError> {
+        let queue_depth = self.config.queue_depth;
+        if commands > queue_depth.saturating_sub(self.outstanding) {
+            return Err(SchedError::QueueFull { queue_depth });
+        }
+        Ok(())
+    }
+
+    fn enqueue(
+        &mut self,
+        chip: usize,
+        class: usize,
+        kind: CmdKind,
+        tenant: TenantId,
+        planes: u32,
+        submitted: SimTime,
+    ) -> CmdId {
         let id = CmdId(self.next_id);
         self.next_id += 1;
-        let chip = self.target_chip(&kind);
-        let class = self.class_of(priority, tenant);
-        let cmd = Command {
+        let chip = &mut self.chips[chip];
+        chip.queues[class].push_back(Queued {
             id,
             kind,
-            priority,
-            tenant,
             submitted,
-        };
-        self.chips[chip].queues[class].push_back(cmd);
+            tenant,
+            planes,
+        });
+        chip.queued += 1;
         self.outstanding += 1;
         self.stats.submitted += 1;
         self.class_stats[class].submitted += 1;
-        Ok(id)
+        id
+    }
+
+    /// The in-flight slot of a command whose lowest occupied plane is `plane`.
+    fn slot_of(&self, chip: usize, plane: u32) -> usize {
+        chip * self.geometry.planes_per_chip as usize + plane as usize
     }
 
     /// The arbitration class a command lands in.
@@ -352,14 +439,16 @@ impl IoScheduler {
         // idle chip one dispatch pass, then advance purely event by event
         // (each event re-dispatches only the chip it names).
         self.dispatch_idle_chips(dev);
+        let mut buffer = std::mem::take(&mut self.completions);
         while let Some(t) = self.events.peek_time() {
             if t > until {
                 break;
             }
             let (t, event) = self.events.pop().expect("peeked event exists");
             self.now = self.now.max(t);
-            self.handle(event, dev);
+            self.handle(event, dev, &mut |c| buffer.push(*c));
         }
+        self.completions = buffer;
         self.now = self.now.max(until);
         // The scheduler owns the completion records, so reap the device's
         // in-flight set as we go — otherwise it would grow for the device's
@@ -372,10 +461,25 @@ impl IoScheduler {
     /// Returns the completion time of the last command (or the current time
     /// when the scheduler was already idle).
     pub fn drain(&mut self, dev: &mut FlashDevice) -> SimTime {
+        let mut buffer = std::mem::take(&mut self.completions);
+        let end = self.drain_with(dev, |c| buffer.push(*c));
+        self.completions = buffer;
+        end
+    }
+
+    /// [`IoScheduler::drain`], handing each completion to `sink` in
+    /// completion order instead of buffering it for
+    /// [`IoScheduler::pop_completions`]: the non-allocating way to reap for a
+    /// submitter that folds completions into a few numbers.
+    pub fn drain_with(
+        &mut self,
+        dev: &mut FlashDevice,
+        mut sink: impl FnMut(&Completion),
+    ) -> SimTime {
         self.dispatch_idle_chips(dev);
         while let Some((t, event)) = self.events.pop() {
             self.now = self.now.max(t);
-            self.handle(event, dev);
+            self.handle(event, dev, &mut sink);
         }
         debug_assert_eq!(self.outstanding, 0, "drain must complete every command");
         // See run_until: the device's in-flight records are ours to reap.
@@ -398,24 +502,57 @@ impl IoScheduler {
     /// would run dry without observing it.
     pub fn run_until_complete(&mut self, dev: &mut FlashDevice, id: CmdId) -> Completion {
         self.dispatch_idle_chips(dev);
-        // Only completions recorded since the last scan can match, so each
-        // buffer entry is examined once even when a long GC backlog drains
-        // ahead of the awaited command.
-        let mut scanned = 0;
-        loop {
-            if let Some(c) = self.completions[scanned..].iter().find(|c| c.id == id) {
-                // The scheduler owns the completion records; reap the device's
-                // in-flight set as run_until/drain do.
-                dev.poll_completions(self.now);
-                return *c;
-            }
-            scanned = self.completions.len();
+        if let Some(c) = self.completions.iter().find(|c| c.id == id) {
+            // The scheduler owns the completion records; reap the device's
+            // in-flight set as run_until/drain do.
+            dev.poll_completions(self.now);
+            return *c;
+        }
+        let mut buffer = std::mem::take(&mut self.completions);
+        let completion = self.await_completion(dev, id, &mut |c| buffer.push(*c));
+        self.completions = buffer;
+        completion
+    }
+
+    /// [`IoScheduler::run_until_complete`], handing each completion — the
+    /// awaited one included — to `sink` in completion order instead of
+    /// buffering it for [`IoScheduler::pop_completions`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never submitted or completed before this call.
+    pub fn run_until_complete_with(
+        &mut self,
+        dev: &mut FlashDevice,
+        id: CmdId,
+        mut sink: impl FnMut(&Completion),
+    ) -> Completion {
+        self.dispatch_idle_chips(dev);
+        self.await_completion(dev, id, &mut sink)
+    }
+
+    fn await_completion(
+        &mut self,
+        dev: &mut FlashDevice,
+        id: CmdId,
+        sink: &mut impl FnMut(&Completion),
+    ) -> Completion {
+        let mut awaited = None;
+        while awaited.is_none() {
             let Some((t, event)) = self.events.pop() else {
                 panic!("{id} never completes: was it submitted to this scheduler?");
             };
             self.now = self.now.max(t);
-            self.handle(event, dev);
+            self.handle(event, dev, &mut |c| {
+                if c.id == id {
+                    awaited = Some(*c);
+                }
+                sink(c);
+            });
         }
+        // See run_until: the device's in-flight records are ours to reap.
+        dev.poll_completions(self.now);
+        awaited.expect("the loop ends on the awaited completion")
     }
 
     /// Takes every completion recorded since the last call, in completion
@@ -424,11 +561,21 @@ impl IoScheduler {
         std::mem::take(&mut self.completions)
     }
 
-    fn handle(&mut self, event: Event, dev: &mut FlashDevice) {
+    /// Fires one event. A completion is accounted, handed to `sink` straight
+    /// from its in-flight slot, and its chip re-dispatched: the one path every
+    /// completion takes, whoever consumes it.
+    fn handle(&mut self, event: Event, dev: &mut FlashDevice, sink: &mut impl FnMut(&Completion)) {
         match event {
-            Event::Complete { chip, completion } => {
-                let planes = Self::target_planes(&self.geometry, &completion.kind);
-                self.chips[chip].busy_planes &= !planes;
+            Event::Complete { chip, plane } => {
+                let chip_idx = chip as usize;
+                let slot = self.slot_of(chip_idx, plane);
+                let InFlight {
+                    record: completion,
+                    planes,
+                } = self.in_flight[slot]
+                    .as_ref()
+                    .expect("a completion event names an occupied slot");
+                self.chips[chip_idx].busy_planes &= !*planes;
                 self.outstanding -= 1;
                 self.stats.completed += 1;
                 let class = self.class_of(completion.priority, completion.tenant);
@@ -448,7 +595,7 @@ impl IoScheduler {
                         completion.submitted,
                         completion.completed,
                         TraceData::CmdLifecycle {
-                            chip: chip as u32,
+                            chip,
                             op: Self::op_of(&completion.kind),
                             gc: completion.priority == Priority::Gc,
                             issued: completion.issued,
@@ -458,21 +605,22 @@ impl IoScheduler {
                     t.counter(
                         completion.completed,
                         TraceData::QueueDepth {
-                            chip: chip as u32,
-                            host: self.chips[chip].queues[..gc_class]
+                            chip,
+                            host: self.chips[chip_idx].queues[..gc_class]
                                 .iter()
                                 .map(VecDeque::len)
                                 .sum::<usize>() as u32,
-                            gc: self.chips[chip].queues[gc_class].len() as u32,
+                            gc: self.chips[chip_idx].queues[gc_class].len() as u32,
                         },
                     );
                 }
-                self.completions.push(completion);
-                self.dispatch_chip(chip, dev);
+                sink(completion);
+                self.in_flight[slot] = None;
+                self.dispatch_chip(chip_idx, dev);
             }
             Event::Wakeup { chip } => {
-                self.chips[chip].wakeup_at = None;
-                self.dispatch_chip(chip, dev);
+                self.chips[chip as usize].wakeup_at = None;
+                self.dispatch_chip(chip as usize, dev);
             }
         }
     }
@@ -488,17 +636,12 @@ impl IoScheduler {
     /// planes are all free, honouring per-plane FIFO order: a command may
     /// only bypass earlier queued commands that target disjoint planes
     /// (commands on the same plane never reorder).
-    fn queue_candidate(
-        g: &Geometry,
-        queue: &VecDeque<Command>,
-        now: SimTime,
-        free: u32,
-    ) -> Option<usize> {
+    fn queue_candidate(queue: &VecDeque<Queued>, now: SimTime, free: u32) -> Option<(usize, u32)> {
         let mut blocked = 0u32;
         for (i, cmd) in queue.iter().enumerate() {
-            let planes = Self::target_planes(g, &cmd.kind);
+            let planes = cmd.planes;
             if cmd.submitted <= now && planes & !free == 0 && planes & blocked == 0 {
-                return Some(i);
+                return Some((i, planes));
             }
             blocked |= planes;
             if blocked & free == free {
@@ -515,18 +658,17 @@ impl IoScheduler {
         loop {
             let now = self.now;
             let free = self.all_planes & !self.chips[chip_idx].busy_planes;
-            if free == 0 || self.chips[chip_idx].is_empty() {
+            if free == 0 || self.chips[chip_idx].queued == 0 {
                 return;
             }
-            let g = &self.geometry;
             let candidates = &mut self.candidates;
             candidates.clear();
-            for queue in &self.chips[chip_idx].queues {
-                candidates.push(
-                    Self::queue_candidate(g, queue, now, free)
-                        .map(|i| (i, Self::target_planes(g, &queue[i].kind))),
-                );
-            }
+            candidates.extend(
+                self.chips[chip_idx]
+                    .queues
+                    .iter()
+                    .map(|queue| Self::queue_candidate(queue, now, free)),
+            );
             let decision = self.chips[chip_idx].arbiter.decide(
                 |c| candidates[c].is_some(),
                 |a, b| {
@@ -577,10 +719,12 @@ impl IoScheduler {
                 }
             }
             let (queue_idx, planes) = self.candidates[arb.winner].expect("winner has a candidate");
-            let cmd = self.chips[chip_idx].queues[arb.winner]
+            let chip = &mut self.chips[chip_idx];
+            let cmd = chip.queues[arb.winner]
                 .remove(queue_idx)
                 .expect("winner candidate exists");
-            self.chips[chip_idx].busy_planes |= planes;
+            chip.queued -= 1;
+            chip.busy_planes |= planes;
             let issue = now.max(cmd.submitted);
             let (completed, error) = match cmd.kind {
                 CmdKind::Read { ppn } => match dev.enqueue_read(ppn, issue) {
@@ -604,22 +748,35 @@ impl IoScheduler {
                     planes,
                 } => (dev.charge_op(op, chip, channel, planes, issue), None),
             };
-            let completion = Completion {
-                id: cmd.id,
-                kind: cmd.kind,
-                priority: cmd.priority,
-                tenant: cmd.tenant,
-                chip: chip_idx as u64,
-                submitted: cmd.submitted,
-                issued: issue,
-                completed,
-                error,
-            };
+            let plane = planes.trailing_zeros();
+            let slot = self.slot_of(chip_idx, plane);
+            debug_assert!(
+                self.in_flight[slot].is_none(),
+                "free planes hold no command"
+            );
+            self.in_flight[slot] = Some(InFlight {
+                record: Completion {
+                    id: cmd.id,
+                    kind: cmd.kind,
+                    priority: if arb.winner == gc_class {
+                        Priority::Gc
+                    } else {
+                        Priority::Host
+                    },
+                    tenant: cmd.tenant,
+                    chip: chip_idx as u64,
+                    submitted: cmd.submitted,
+                    issued: issue,
+                    completed,
+                    error,
+                },
+                planes,
+            });
             self.events.schedule(
                 completed,
                 Event::Complete {
-                    chip: chip_idx,
-                    completion,
+                    chip: chip_idx as u32,
+                    plane,
                 },
             );
         }
@@ -645,7 +802,12 @@ impl IoScheduler {
             // pending (a superseded later one fires as a harmless no-op).
             if self.chips[chip_idx].wakeup_at.is_none_or(|w| t < w) {
                 self.chips[chip_idx].wakeup_at = Some(t);
-                self.events.schedule(t, Event::Wakeup { chip: chip_idx });
+                self.events.schedule(
+                    t,
+                    Event::Wakeup {
+                        chip: chip_idx as u32,
+                    },
+                );
             }
         }
     }
@@ -706,6 +868,16 @@ mod tests {
             t = dev.program_page(ppn, OobData::mapped(ppn), t).unwrap();
         }
         t
+    }
+
+    #[test]
+    fn waiting_commands_and_heap_entries_stay_small() {
+        // A heap sift moves whole entries and a deep GC backlog is all queued
+        // entries: 32 bytes per pending event (time, sequence number, slot),
+        // and no more per queued command than the 56-byte `Command` the
+        // queues held before the in-flight slab (PR 16).
+        assert!(EventQueue::<Event>::entry_bytes() <= 32);
+        assert!(std::mem::size_of::<Queued>() <= 56);
     }
 
     #[test]
@@ -937,6 +1109,110 @@ mod tests {
             dev.stats().reads,
             reads_before,
             "charging must not re-count the staged operation"
+        );
+    }
+
+    #[test]
+    fn batched_charges_and_visited_completions_match_the_one_by_one_path() {
+        let cfg = SsdConfig::tiny().with_planes(2);
+        let g = cfg.geometry;
+        let ops: Vec<StagedOp> = (0..40u64)
+            .map(|i| StagedOp {
+                op: [FlashOp::Read, FlashOp::Program, FlashOp::Erase][(i % 3) as usize],
+                chip: (i * 7) % g.total_chips(),
+                channel: (((i * 7) % g.total_chips()) / u64::from(g.chips_per_channel)) as u32,
+                planes: [0b01, 0b10, 0b11][(i % 5 % 3) as usize],
+            })
+            .collect();
+        let at = SimTime::from_micros(3);
+
+        let mut dev = FlashDevice::new(cfg);
+        let mut one_by_one = IoScheduler::new(g, SchedConfig::default());
+        for &op in &ops {
+            one_by_one
+                .submit(CmdKind::charge(op), Priority::Gc, at)
+                .unwrap();
+        }
+        let end = one_by_one.drain(&mut dev);
+        let expected = one_by_one.pop_completions();
+
+        let mut dev = FlashDevice::new(cfg);
+        let mut batched = IoScheduler::new(g, SchedConfig::default());
+        let first = batched.submit_charges(&ops, Priority::Gc, at).unwrap();
+        assert_eq!(first, CmdId(0));
+        assert_eq!(batched.outstanding(), ops.len());
+        let mut visited = Vec::new();
+        assert_eq!(batched.drain_with(&mut dev, |c| visited.push(*c)), end);
+        assert_eq!(visited, expected);
+        assert_eq!(batched.stats(), one_by_one.stats());
+        assert!(
+            batched.pop_completions().is_empty(),
+            "visited completions are not buffered as well"
+        );
+
+        // A batch either fits under the queue depth or submits nothing.
+        let mut shallow = IoScheduler::new(g, SchedConfig::with_queue_depth(ops.len() - 1));
+        assert_eq!(
+            shallow.submit_charges(&ops, Priority::Gc, at),
+            Err(SchedError::QueueFull {
+                queue_depth: ops.len() - 1
+            })
+        );
+        assert_eq!(shallow.outstanding(), 0);
+        let next = shallow
+            .submit_charges(&ops[1..], Priority::Host, at)
+            .unwrap();
+        assert_eq!(next, CmdId(0), "a refused batch consumes no ids");
+    }
+
+    #[test]
+    fn visited_backlogs_leave_no_completion_sized_buffers_behind() {
+        // 10 000 GC charges submitted, visited through an awaited host charge
+        // and a drain — twice: the scheduler keeps nothing per *completion*
+        // (a buffer of completion records the size of a drained backlog is
+        // what made scheduled GC's memory grow before), and its queues keep
+        // the capacity of one backlog, not of every backlog they ever held.
+        const CHARGES: usize = 10_000;
+        let cfg = SsdConfig::tiny();
+        let g = cfg.geometry;
+        let mut dev = FlashDevice::new(cfg);
+        let mut sched = IoScheduler::new(g, SchedConfig::with_queue_depth(usize::MAX));
+        let ops: Vec<StagedOp> = (0..CHARGES as u64)
+            .map(|i| StagedOp {
+                op: [FlashOp::Read, FlashOp::Program][(i % 2) as usize],
+                chip: i % g.total_chips(),
+                channel: ((i % g.total_chips()) / u64::from(g.chips_per_channel)) as u32,
+                planes: 1,
+            })
+            .collect();
+        let mut queue_capacity = Vec::new();
+        for round in 1..=2 {
+            let now = sched.now();
+            sched.submit_charges(&ops, Priority::Gc, now).unwrap();
+            let host = sched
+                .submit_charges(&ops[..1], Priority::Host, now)
+                .unwrap();
+            let mut visited = 0;
+            sched.run_until_complete_with(&mut dev, host, |_| visited += 1);
+            sched.drain_with(&mut dev, |_| visited += 1);
+            assert_eq!(visited, CHARGES + 1);
+            assert_eq!(sched.stats().completed, (round * (CHARGES + 1)) as u64);
+            assert_eq!(sched.completions.capacity(), 0);
+            assert!(sched.events.is_empty());
+            queue_capacity.push(
+                sched
+                    .chips
+                    .iter()
+                    .flat_map(|chip| &chip.queues)
+                    .map(VecDeque::capacity)
+                    .sum::<usize>(),
+            );
+        }
+        // Amortised growth may double a queue past its longest backlog.
+        assert!(queue_capacity[0] <= 2 * (CHARGES + 1));
+        assert_eq!(
+            queue_capacity[0], queue_capacity[1],
+            "no growth per collection"
         );
     }
 

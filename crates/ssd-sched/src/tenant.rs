@@ -321,6 +321,40 @@ mod tests {
     }
 
     #[test]
+    fn lone_foreground_wins_spend_and_refill_credit() {
+        // A (weight 2) alone on two slots spends its credit, so the next
+        // contended slot goes to B (weight 1); A alone again finds nobody
+        // with credit left and triggers the refill of *every* class.
+        let policy = TenantPolicy::new(vec![
+            TenantClass::weighted(2),
+            TenantClass::weighted(1),
+            TenantClass::background(u32::MAX),
+        ]);
+        let mut arb = TenantArbiter::new(&policy);
+        let mut yielded = Vec::new();
+        let mut slot = |arb: &mut TenantArbiter, present: &[usize]| {
+            arb.decide(|c| present.contains(&c), always, &mut yielded)
+                .map(|a| (a.winner, a.forced))
+        };
+        assert_eq!(slot(&mut arb, &[0]), Some((0, false)));
+        assert_eq!(slot(&mut arb, &[0]), Some((0, false)));
+        assert_eq!(
+            slot(&mut arb, &[0, 1]),
+            Some((1, false)),
+            "A is out of credit"
+        );
+        assert_eq!(slot(&mut arb, &[0]), Some((0, false)), "refills A and B");
+        assert_eq!(
+            slot(&mut arb, &[0, 1]),
+            Some((0, false)),
+            "A:1 ties B:1, lowest wins"
+        );
+        assert_eq!(slot(&mut arb, &[0, 1]), Some((1, false)));
+        assert_eq!(slot(&mut arb, &[2]), Some((2, false)), "background alone");
+        assert_eq!(slot(&mut arb, &[]), None);
+    }
+
+    #[test]
     fn disjoint_losers_are_not_bypassed() {
         // contends == false models plane-disjoint candidates: the loser
         // issues in the same instant on the next slot, so no yield accrues.

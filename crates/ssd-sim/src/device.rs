@@ -258,9 +258,11 @@ impl FlashDevice {
         // The ascending plane indices set in the mask.
         let mut plane_list = [0u32; u32::BITS as usize];
         let mut count = 0;
-        for plane in (0..u32::BITS).filter(|b| planes & (1 << b) != 0) {
-            plane_list[count] = plane;
+        let mut rest = planes;
+        while rest != 0 {
+            plane_list[count] = rest.trailing_zeros();
             count += 1;
+            rest &= rest - 1;
         }
         let plane_list = &plane_list[..count];
         self.charge_replay = true;
@@ -418,7 +420,7 @@ impl FlashDevice {
     /// [`DeviceError::ReadOnFreePage`] if the page has never been programmed.
     pub fn read_page(&mut self, ppn: Ppn, issue: SimTime) -> DeviceResult<SimTime> {
         let addr = self.check_ppn(ppn)?;
-        if self.page_state(ppn)? == PageState::Free {
+        if self.state_at(&addr) == PageState::Free {
             return Err(DeviceError::ReadOnFreePage { ppn });
         }
         let translation = self.oob.is_translation(ppn as usize);
@@ -808,13 +810,15 @@ impl FlashDevice {
     ///
     /// Returns [`DeviceError::PpnOutOfRange`] if `ppn` does not exist.
     pub fn page_state(&self, ppn: Ppn) -> DeviceResult<PageState> {
-        let addr = self.check_ppn(ppn)?;
+        Ok(self.state_at(&self.check_ppn(ppn)?))
+    }
+
+    /// The state of the page at an already-checked address.
+    fn state_at(&self, addr: &PhysAddr) -> PageState {
         let g = self.config.geometry;
-        let chip_idx = addr.chip_index(&g) as usize;
-        let local_block = Self::local_block(&addr, &g);
-        Ok(self.chips[chip_idx]
-            .block(local_block)
-            .page_state(addr.page))
+        self.chips[addr.chip_index(&g) as usize]
+            .block(Self::local_block(addr, &g))
+            .page_state(addr.page)
     }
 
     /// The OOB metadata of the page at `ppn`.

@@ -191,3 +191,205 @@ fn scheduled_gc_matches_blocking_flash_work_on_single_chip_pool_ftls() {
         assert_same_flash_work(&blocking, &scheduled);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden equivalence of the scheduled-GC replay path, recorded on the commit
+// before the slab-backed event loop (PR 16): a seeded churn on the tiny device
+// followed by `drain_gc`, with every simulated statistic pinned. The engine,
+// the scheduler and `FlashDevice::charge_op` may get cheaper; none of these
+// numbers may move.
+// ---------------------------------------------------------------------------
+
+/// Every simulated scalar of a run plus hashes of its two GC timelines.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    /// `FtlStats` scalars in declaration order (the two host-time fields are
+    /// not simulated and stay out).
+    ftl: [u64; 25],
+    /// `DeviceStats` in declaration order.
+    device: [u64; 5],
+    /// FNV-1a over `gc_events` / `gc_complete_events` (nanoseconds).
+    gc_events_hash: u64,
+    gc_complete_events_hash: u64,
+    /// The time `drain_gc` reported.
+    drained_ns: u64,
+}
+
+fn fnv_times(times: &[ssd_sim::SimTime]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for t in times {
+        for b in t.as_nanos().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Seeded churn under `GcMode::Scheduled` on `SsdConfig::tiny()`: mostly
+/// single-page writes (the case that runs a group GC in the middle of a
+/// write), some 4-page writes (deferred host batches) and single-page reads
+/// of the churned space, then a final `drain_gc`.
+fn scheduled_churn(kind: FtlKind) -> Pinned {
+    use baselines::BaselineConfig;
+    use learnedftl::LearnedFtlConfig;
+    use ssd_sim::SimTime;
+
+    let mut ftl = kind.build_with(
+        SsdConfig::tiny(),
+        BaselineConfig::default().with_gc_mode(GcMode::Scheduled),
+        LearnedFtlConfig::default()
+            .with_charge_training_time(false)
+            .with_gc_mode(GcMode::Scheduled),
+    );
+    assert_eq!(ftl.gc_mode(), GcMode::Scheduled);
+    let span = ftl.logical_pages();
+    let mut t = SimTime::ZERO;
+    let mut state = 0x5EED_u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    // A sequential fill first, so reads always find mapped pages.
+    let mut l = 0;
+    while l + 8 <= span {
+        t = ftl.write(l, 8, t);
+        l += 8;
+    }
+    for _ in 0..3 * span {
+        let lpn = next() % (span - 4);
+        t = match next() % 10 {
+            0 => ftl.write(lpn, 4, t),
+            1 | 2 => ftl.read(lpn, 1, t),
+            _ => ftl.write(lpn, 1, t),
+        };
+    }
+    let drained = ftl.drain_gc();
+    let s = ftl.stats();
+    let d = ftl.device_stats();
+    Pinned {
+        ftl: [
+            s.host_read_pages,
+            s.host_write_pages,
+            s.cmt_hits,
+            s.cmt_misses,
+            s.model_hits,
+            s.buffer_hits,
+            s.unmapped_reads,
+            s.single_reads,
+            s.double_reads,
+            s.triple_reads,
+            s.data_page_writes,
+            s.gc_page_writes,
+            s.gc_page_reads,
+            s.translation_writes,
+            s.translation_reads,
+            s.gc_count,
+            s.blocks_erased,
+            s.gc_events.len() as u64,
+            s.gc_complete_events.len() as u64,
+            s.gc_stalled_exits,
+            s.gc_yields,
+            s.gc_forced,
+            s.gc_flash_time.as_nanos(),
+            s.models_trained,
+            s.model_predictions,
+        ],
+        device: [
+            d.reads,
+            d.programs,
+            d.erases,
+            d.translation_reads,
+            d.translation_programs,
+        ],
+        gc_events_hash: fnv_times(&s.gc_events),
+        gc_complete_events_hash: fnv_times(&s.gc_complete_events),
+        drained_ns: drained.as_nanos(),
+    }
+}
+
+#[test]
+fn scheduled_churn_reproduces_the_pinned_statistics_learnedftl() {
+    let got = scheduled_churn(FtlKind::LearnedFtl);
+    assert!(got.ftl[15] > 0 && got.ftl[20] > 0, "GC must run and yield");
+    assert_eq!(
+        got,
+        Pinned {
+            ftl: [
+                3627,
+                26268,
+                34,
+                3593,
+                3230,
+                0,
+                0,
+                3264,
+                363,
+                0,
+                26268,
+                293640,
+                293640,
+                10858,
+                11209,
+                408,
+                2530,
+                408,
+                408,
+                0,
+                29590,
+                0,
+                80129575000,
+                408,
+                3230,
+            ],
+            device: [308476, 330766, 2530, 11209, 10858],
+            gc_events_hash: 11376085147867947157,
+            gc_complete_events_hash: 1121166136042729040,
+            drained_ns: 23250170000,
+        }
+    );
+}
+
+#[test]
+fn scheduled_churn_reproduces_the_pinned_statistics_dftl() {
+    let got = scheduled_churn(FtlKind::Dftl);
+    assert!(got.ftl[15] > 0 && got.ftl[20] > 0, "GC must run and yield");
+    assert_eq!(
+        got,
+        Pinned {
+            ftl: [
+                3627,
+                26268,
+                107,
+                3520,
+                0,
+                0,
+                0,
+                107,
+                3520,
+                0,
+                26268,
+                72172,
+                72172,
+                9268,
+                12776,
+                716,
+                786,
+                716,
+                716,
+                22,
+                27193,
+                27,
+                21786075000,
+                0,
+                0,
+            ],
+            device: [88575, 107708, 786, 12776, 9268],
+            gc_events_hash: 1999718007632515846,
+            gc_complete_events_hash: 10791188341065063497,
+            drained_ns: 8415825000,
+        }
+    );
+}
