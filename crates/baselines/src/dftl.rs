@@ -72,13 +72,10 @@ impl Dftl {
             return now;
         }
         let tpn = self.core.entry_of_lpn(lpn);
-        let (start, end) = (
-            tpn as u64 * u64::from(self.core.mappings_per_page()),
-            (tpn as u64 + 1) * u64::from(self.core.mappings_per_page()),
-        );
+        let (start, end) = self.core.gtd.lpn_range(tpn);
         // The evicted entry itself is already out of the cache; its mapping is
         // in the authoritative table. Flush the peers that are still cached.
-        let _ = self.cmt.take_dirty_in_range(start, end);
+        self.cmt.clean_dirty_in_range(start, end);
         let read_done = self.core.read_translation(tpn, now);
         self.core.write_translation(tpn, read_done)
     }

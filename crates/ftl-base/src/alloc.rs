@@ -3,10 +3,11 @@
 //! to one chip land on its planes in turn and form multi-plane program
 //! groups — plus greedy victim selection for GC.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use crate::partition::BlockPartition;
-use ssd_sim::{FlashDevice, Ppn, SimTime};
+use ssd_sim::{FlashDevice, Ppn};
 
 /// The active block stripe of one chip: one open block per participating
 /// plane (all with the same in-plane block index when the free lists allow
@@ -33,6 +34,9 @@ struct ChipState {
     stripe: Option<Stripe>,
     /// Blocks that have been fully programmed (may contain invalid pages).
     used: Vec<u64>,
+    /// Allocatable pages: those of the erased blocks plus the unfilled rest
+    /// of the stripe.
+    free_pages: u64,
 }
 
 /// The dynamic allocation strategy: each write is steered to the least-busy
@@ -43,6 +47,23 @@ struct ChipState {
 /// stripe across planes so multi-plane geometries expose their intra-chip
 /// parallelism; with one plane per chip the pool behaves exactly like the
 /// historical single-timeline allocator.
+///
+/// # Cost
+///
+/// Everything a write or a collection asks per page is a counter the pool
+/// keeps up to date as pages are handed out and blocks come back, so no
+/// query recounts free lists or stripes:
+///
+/// * [`needs_gc`](Self::needs_gc), [`free_block_count`](Self::free_block_count),
+///   [`free_page_count`](Self::free_page_count): O(1).
+/// * [`allocate`](Self::allocate), [`allocate_stripe`](Self::allocate_stripe):
+///   one pass over the chips (a plane-timeline read and a compare each) and
+///   O(1) per page handed out, with no heap allocation. Opening a stripe —
+///   once per block — searches the chip's free lists for a plane-aligned
+///   block set and does allocate.
+/// * [`pick_victim`](Self::pick_victim): one valid-page count per used block.
+/// * [`release_block`](Self::release_block): a search of the used list of
+///   the block's own chip only.
 #[derive(Debug, Clone)]
 pub struct DynamicDataPool {
     chips: Vec<ChipState>,
@@ -51,6 +72,12 @@ pub struct DynamicDataPool {
     blocks_per_plane: u64,
     blocks_per_chip: u64,
     gc_low_watermark: usize,
+    /// Erased blocks over all chips (the sum of the `free` list lengths).
+    free_blocks: usize,
+    /// Allocatable pages over all chips (the sum of `ChipState::free_pages`).
+    free_pages: u64,
+    /// The group [`DynamicDataPool::allocate_stripe`] last handed out.
+    granted: Vec<Ppn>,
 }
 
 /// A single page relocation performed by garbage collection.
@@ -72,16 +99,24 @@ impl DynamicDataPool {
     /// a small fixed headroom.
     pub fn new(partition: &BlockPartition, pages_per_block: u32, gc_low_watermark: usize) -> Self {
         let planes = partition.planes_per_chip() as u32;
-        let chips = (0..partition.total_chips())
-            .map(|chip| ChipState {
-                free: (0..u64::from(planes))
+        let chips: Vec<ChipState> = (0..partition.total_chips())
+            .map(|chip| {
+                let free: Vec<VecDeque<u64>> = (0..u64::from(planes))
                     .map(|plane| partition.data_blocks_on_plane(chip, plane).collect())
-                    .collect(),
-                stripe: None,
-                used: Vec::new(),
+                    .collect();
+                let blocks: usize = free.iter().map(VecDeque::len).sum();
+                ChipState {
+                    free,
+                    stripe: None,
+                    used: Vec::new(),
+                    free_pages: blocks as u64 * u64::from(pages_per_block),
+                }
             })
             .collect();
+        let free_pages: u64 = chips.iter().map(|c| c.free_pages).sum();
         DynamicDataPool {
+            free_blocks: (free_pages / u64::from(pages_per_block)) as usize,
+            free_pages,
             chips,
             pages_per_block,
             planes_per_chip: planes,
@@ -91,67 +126,47 @@ impl DynamicDataPool {
                 + partition.translation_blocks_per_plane())
                 * partition.planes_per_chip(),
             gc_low_watermark,
+            granted: Vec::new(),
         }
     }
 
     /// Total number of erased data blocks across all chips.
     pub fn free_block_count(&self) -> usize {
-        self.chips
-            .iter()
-            .map(|c| c.free.iter().map(VecDeque::len).sum::<usize>())
-            .sum()
-    }
-
-    /// Free (allocatable) pages on one chip, counting its partially filled
-    /// stripe.
-    fn chip_free_pages(&self, chip: usize) -> u64 {
-        let c = &self.chips[chip];
-        let free_blocks: u64 = c.free.iter().map(|f| f.len() as u64).sum();
-        let stripe_free = c
-            .stripe
-            .as_ref()
-            .map(|s| {
-                let total = u64::from(self.pages_per_block) * s.blocks.len() as u64;
-                let taken = u64::from(s.page) * s.blocks.len() as u64 + s.cursor as u64;
-                total - taken
-            })
-            .unwrap_or(0);
-        free_blocks * u64::from(self.pages_per_block) + stripe_free
+        self.free_blocks
     }
 
     /// Total free (allocatable) pages, counting partially filled stripes.
     pub fn free_page_count(&self) -> u64 {
-        (0..self.chips.len()).map(|c| self.chip_free_pages(c)).sum()
+        self.free_pages
     }
 
     /// Whether garbage collection should run before accepting more writes.
     pub fn needs_gc(&self) -> bool {
-        self.free_block_count() <= self.gc_low_watermark
+        self.free_blocks <= self.gc_low_watermark
     }
 
-    /// The chip indices ordered by (earliest-free plane, most free space):
-    /// the dispatch order of the dynamic strategy.
-    fn chip_order(&self, dev: &FlashDevice) -> Vec<usize> {
-        let busy = dev.busy_until_per_chip();
-        let mut order: Vec<usize> = (0..self.chips.len()).collect();
-        order.sort_by_key(|&i| {
-            (
-                busy.get(i).copied().unwrap_or(SimTime::ZERO),
-                u64::MAX - self.chip_free_pages(i),
-            )
-        });
-        order
+    /// The chip the dynamic strategy dispatches to next: of the chips that
+    /// still have an allocatable page, the one whose earliest plane frees
+    /// first, then the one with the most free pages, then the lowest index.
+    fn pick_chip(&self, dev: &FlashDevice) -> Option<usize> {
+        let mut best = None;
+        for (chip, state) in self.chips.iter().enumerate() {
+            if state.free_pages == 0 {
+                continue;
+            }
+            let key = (dev.busy_until_of_chip(chip), Reverse(state.free_pages));
+            if best.is_none_or(|(least, _)| key < least) {
+                best = Some((key, chip));
+            }
+        }
+        best.map(|(_, chip)| chip)
     }
 
     /// Allocates the next data page, steering to the least-busy chip.
     /// Returns `None` when every chip is out of space (the caller must GC).
     pub fn allocate(&mut self, dev: &FlashDevice) -> Option<Ppn> {
-        for idx in self.chip_order(dev) {
-            if let Some(ppn) = self.allocate_on_chip(idx, dev) {
-                return Some(ppn);
-            }
-        }
-        None
+        let chip = self.pick_chip(dev)?;
+        self.allocate_on_chip(chip, dev)
     }
 
     /// Allocates up to `want` pages as one **plane-aligned stripe** on the
@@ -161,60 +176,57 @@ impl DynamicDataPool {
     /// block boundary: it is cut at the end of the current page row. With one
     /// plane per chip (or `want == 1`) this is exactly [`Self::allocate`].
     ///
-    /// Returns `None` when every chip is out of space.
-    pub fn allocate_stripe(&mut self, dev: &FlashDevice, want: usize) -> Option<Vec<Ppn>> {
+    /// Returns `None` when every chip is out of space. The slice is valid
+    /// until the next call.
+    pub fn allocate_stripe(&mut self, dev: &FlashDevice, want: usize) -> Option<&[Ppn]> {
         let want = want.max(1);
-        for idx in self.chip_order(dev) {
-            let got = self.allocate_stripe_on_chip(idx, dev, want);
-            if !got.is_empty() {
-                return Some(got);
-            }
-        }
-        None
-    }
-
-    /// Allocates the next data page on a specific chip (used by tests and by
-    /// GC relocation, which moves one page at a time). Returns `None` if the
-    /// chip is out of space.
-    pub fn allocate_on_chip(&mut self, chip: usize, dev: &FlashDevice) -> Option<Ppn> {
-        let mut got = self.allocate_stripe_on_chip(chip, dev, 1);
-        debug_assert!(got.len() <= 1);
-        got.pop()
-    }
-
-    /// Takes up to `want` pages from the chip's stripe, cutting the group at
-    /// the end of the current page row (so it stays plane-aligned and inside
-    /// one block row).
-    fn allocate_stripe_on_chip(&mut self, chip: usize, dev: &FlashDevice, want: usize) -> Vec<Ppn> {
-        let pages_per_block = self.pages_per_block;
-        let mut out = Vec::new();
-        loop {
-            if out.len() >= want {
-                return out;
-            }
-            if self.chips[chip].stripe.is_none() && !self.open_stripe(chip, want) {
-                return out;
-            }
-            let state = &mut self.chips[chip];
-            let stripe = state.stripe.as_mut().expect("opened above");
-            let (_, block) = stripe.blocks[stripe.cursor];
-            out.push(dev.first_ppn_of_flat_block(block) + u64::from(stripe.page));
-            stripe.cursor += 1;
-            let row_ended = stripe.cursor == stripe.blocks.len();
-            if row_ended {
-                stripe.cursor = 0;
-                stripe.page += 1;
-                if stripe.page == pages_per_block {
-                    let stripe = state.stripe.take().expect("still open");
-                    state.used.extend(stripe.blocks.iter().map(|&(_, b)| b));
-                }
-            }
+        let chip = self.pick_chip(dev)?;
+        self.granted.clear();
+        while self.granted.len() < want {
+            let Some((ppn, row_ended)) = self.take_page(chip, dev, want) else {
+                break;
+            };
+            self.granted.push(ppn);
             // Never extend a group past the end of its page row: the next
             // page would break the shared (block, page) offset.
             if row_ended {
-                return out;
+                break;
             }
         }
+        debug_assert!(!self.granted.is_empty(), "a picked chip has a page");
+        Some(&self.granted)
+    }
+
+    /// Allocates the next data page on a specific chip (used by tests).
+    /// Returns `None` if the chip is out of space.
+    pub fn allocate_on_chip(&mut self, chip: usize, dev: &FlashDevice) -> Option<Ppn> {
+        self.take_page(chip, dev, 1).map(|(ppn, _)| ppn)
+    }
+
+    /// Takes the next page of the chip's stripe — opening one for a
+    /// `want`-page request if none is open — and says whether that page
+    /// ended its page row. `None` if the chip is out of space.
+    fn take_page(&mut self, chip: usize, dev: &FlashDevice, want: usize) -> Option<(Ppn, bool)> {
+        if self.chips[chip].stripe.is_none() && !self.open_stripe(chip, want) {
+            return None;
+        }
+        let state = &mut self.chips[chip];
+        let stripe = state.stripe.as_mut().expect("opened above");
+        let (_, block) = stripe.blocks[stripe.cursor];
+        let ppn = dev.first_ppn_of_flat_block(block) + u64::from(stripe.page);
+        stripe.cursor += 1;
+        let row_ended = stripe.cursor == stripe.blocks.len();
+        if row_ended {
+            stripe.cursor = 0;
+            stripe.page += 1;
+            if stripe.page == self.pages_per_block {
+                let stripe = state.stripe.take().expect("still open");
+                state.used.extend(stripe.blocks.iter().map(|&(_, b)| b));
+            }
+        }
+        state.free_pages -= 1;
+        self.free_pages -= 1;
+        Some((ppn, row_ended))
     }
 
     /// Opens a fresh stripe on `chip`: preferably one block per plane with a
@@ -272,6 +284,7 @@ impl DynamicDataPool {
                         (plane as u32, f.remove(pos).expect("position is valid"))
                     })
                     .collect();
+                self.free_blocks -= blocks.len();
                 state.stripe = Some(Stripe {
                     blocks,
                     page: 0,
@@ -288,6 +301,7 @@ impl DynamicDataPool {
             .expect("at least one plane");
         match state.free[plane].pop_front() {
             Some(block) => {
+                self.free_blocks -= 1;
                 state.stripe = Some(Stripe {
                     blocks: vec![(plane as u32, block)],
                     page: 0,
@@ -329,22 +343,27 @@ impl DynamicDataPool {
     ///
     /// Panics if the block is not currently tracked as used.
     pub fn release_block(&mut self, block: u64) {
+        let chip = (block / self.blocks_per_chip) as usize;
         let plane = ((block % self.blocks_per_chip) / self.blocks_per_plane) as usize;
-        for chip in &mut self.chips {
-            if let Some(pos) = chip.used.iter().position(|&b| b == block) {
-                chip.used.swap_remove(pos);
-                chip.free[plane].push_back(block);
-                return;
-            }
-        }
-        panic!("release_block: block {block} was not in the used list");
+        let tracked = self.chips.get_mut(chip).and_then(|state| {
+            let pos = state.used.iter().position(|&b| b == block)?;
+            Some((state, pos))
+        });
+        let Some((state, pos)) = tracked else {
+            panic!("release_block: block {block} was not in the used list");
+        };
+        state.used.swap_remove(pos);
+        state.free[plane].push_back(block);
+        state.free_pages += u64::from(self.pages_per_block);
+        self.free_pages += u64::from(self.pages_per_block);
+        self.free_blocks += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssd_sim::{OobData, PhysAddr, SsdConfig};
+    use ssd_sim::{OobData, PhysAddr, SimTime, SsdConfig};
 
     fn setup() -> (FlashDevice, DynamicDataPool) {
         let cfg = SsdConfig::tiny();
@@ -419,7 +438,7 @@ mod tests {
             let got = pool
                 .allocate_stripe(&dev, 2)
                 .unwrap_or_else(|| panic!("allocation {i} failed early"));
-            for ppn in got {
+            for &ppn in got {
                 assert!(seen.insert(ppn), "ppn {ppn} handed out twice");
             }
             if seen.len() as u64 >= capacity {
@@ -435,7 +454,7 @@ mod tests {
     fn stripes_are_plane_aligned_and_programmable() {
         let (mut dev, mut pool) = setup_planes(2);
         let g = *dev.geometry();
-        let stripe = pool.allocate_stripe(&dev, 2).unwrap();
+        let stripe = pool.allocate_stripe(&dev, 2).unwrap().to_vec();
         assert_eq!(stripe.len(), 2, "two free planes give a full pair");
         let a = PhysAddr::from_ppn(stripe[0], &g);
         let b = PhysAddr::from_ppn(stripe[1], &g);
@@ -484,6 +503,138 @@ mod tests {
     fn releasing_unknown_block_panics() {
         let (_dev, mut pool) = setup();
         pool.release_block(0);
+    }
+
+    /// The free pages of one chip, recounted from its free lists and its
+    /// stripe (what `ChipState::free_pages` keeps up to date).
+    fn recount_chip_free_pages(pool: &DynamicDataPool, chip: usize) -> u64 {
+        let c = &pool.chips[chip];
+        let free_blocks: u64 = c.free.iter().map(|f| f.len() as u64).sum();
+        let stripe_free = c.stripe.as_ref().map_or(0, |s| {
+            let total = u64::from(pool.pages_per_block) * s.blocks.len() as u64;
+            let taken = u64::from(s.page) * s.blocks.len() as u64 + s.cursor as u64;
+            total - taken
+        });
+        free_blocks * u64::from(pool.pages_per_block) + stripe_free
+    }
+
+    /// The dispatch order as it was computed before the one-pass pick: every
+    /// chip, stable-sorted by (earliest-free plane, most free pages), for the
+    /// caller to try in turn. Kept as the reference `pick_chip` must agree
+    /// with.
+    fn chip_order(pool: &DynamicDataPool, dev: &FlashDevice) -> Vec<usize> {
+        let busy = dev.busy_until_per_chip();
+        let mut order: Vec<usize> = (0..pool.chips.len()).collect();
+        order.sort_by_key(|&i| (busy[i], u64::MAX - recount_chip_free_pages(pool, i)));
+        order
+    }
+
+    mod pick_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum PoolOp {
+            /// `allocate`.
+            Page,
+            /// `allocate_stripe` of this many pages.
+            Stripe(usize),
+            /// This many `allocate_on_chip` calls: fills stripes part-way,
+            /// or the whole chip.
+            Burst(usize, usize),
+            /// Returns the chip's oldest used block, if it has one.
+            Release(usize),
+            /// Keeps one plane busy for an erase issued at this microsecond.
+            Busy(usize, u32, u64),
+        }
+
+        fn pool_op() -> impl Strategy<Value = PoolOp> {
+            prop_oneof![
+                Just(PoolOp::Page),
+                Just(PoolOp::Page),
+                (1usize..5).prop_map(PoolOp::Stripe),
+                (0usize..4, 1usize..300).prop_map(|(c, n)| PoolOp::Burst(c, n)),
+                (0usize..4).prop_map(|c| PoolOp::Burst(c, 2048)),
+                (0usize..4).prop_map(PoolOp::Release),
+                (0usize..4, 0u32..2, 0u64..3000).prop_map(|(c, p, at)| PoolOp::Busy(c, p, at)),
+                (0usize..4, 0u32..2, 0u64..3000).prop_map(|(c, p, at)| PoolOp::Busy(c, p, at)),
+            ]
+        }
+
+        /// The chip the sort-based dispatch ended up on: the first of the
+        /// order that could allocate.
+        fn reference_pick(pool: &DynamicDataPool, dev: &FlashDevice) -> Option<usize> {
+            chip_order(pool, dev)
+                .into_iter()
+                .find(|&chip| pool.clone().allocate_on_chip(chip, dev).is_some())
+        }
+
+        proptest! {
+            // The one-pass pick is the head of the sorted order, and the
+            // counters it reads never drift from a recount — over pools with
+            // full chips, part-filled stripes, released blocks, busy planes,
+            // and watermarks the pool sits above, at and below.
+            #[test]
+            fn prop_pick_matches_sorted_order_and_counters_match_a_recount(
+                planes in prop_oneof![Just(1u32), Just(2)],
+                watermark in prop_oneof![Just(0usize), Just(2), Just(30), Just(10_000)],
+                ops in proptest::collection::vec(pool_op(), 1..80),
+            ) {
+                let (mut dev, mut pool) = setup_planes(planes);
+                pool.gc_low_watermark = watermark;
+                let g = *dev.geometry();
+                let chip_of = |ppn: Ppn| PhysAddr::from_ppn(ppn, &g).chip_index(&g) as usize;
+                for (step, op) in ops.into_iter().enumerate() {
+                    let want = reference_pick(&pool, &dev);
+                    prop_assert_eq!(pool.pick_chip(&dev), want, "step {}", step);
+                    match op {
+                        PoolOp::Page => {
+                            let got = pool.allocate(&dev);
+                            prop_assert_eq!(got.map(chip_of), want, "step {}", step);
+                        }
+                        PoolOp::Stripe(pages) => {
+                            let got = pool.allocate_stripe(&dev, pages).map(|group| {
+                                assert!(!group.is_empty() && group.len() <= pages);
+                                chip_of(group[0])
+                            });
+                            prop_assert_eq!(got, want, "step {}", step);
+                        }
+                        PoolOp::Burst(chip, pages) => {
+                            for _ in 0..pages {
+                                if pool.allocate_on_chip(chip, &dev).is_none() {
+                                    prop_assert_eq!(pool.chips[chip].free_pages, 0);
+                                    break;
+                                }
+                            }
+                        }
+                        PoolOp::Release(chip) => {
+                            if let Some(&block) = pool.chips[chip].used.first() {
+                                pool.release_block(block);
+                            }
+                        }
+                        PoolOp::Busy(chip, plane, at_us) => {
+                            let block = (chip as u64 * u64::from(g.planes_per_chip)
+                                + u64::from(plane % planes))
+                                * u64::from(g.blocks_per_plane);
+                            dev.erase_block(block, SimTime::from_micros(at_us)).unwrap();
+                        }
+                    }
+                    let per_chip: Vec<u64> = (0..pool.chips.len())
+                        .map(|c| recount_chip_free_pages(&pool, c))
+                        .collect();
+                    let kept: Vec<u64> = pool.chips.iter().map(|c| c.free_pages).collect();
+                    prop_assert_eq!(&kept, &per_chip, "step {}", step);
+                    prop_assert_eq!(pool.free_page_count(), per_chip.iter().sum::<u64>());
+                    let free_blocks: usize = pool
+                        .chips
+                        .iter()
+                        .map(|c| c.free.iter().map(VecDeque::len).sum::<usize>())
+                        .sum();
+                    prop_assert_eq!(pool.free_block_count(), free_blocks, "step {}", step);
+                    prop_assert_eq!(pool.needs_gc(), free_blocks <= watermark);
+                }
+            }
+        }
     }
 
     mod stripe_properties {
@@ -544,7 +695,7 @@ mod tests {
                 let part = BlockPartition::for_config(&cfg, 512);
                 let mut a = DynamicDataPool::new(&part, cfg.geometry.pages_per_block, 2);
                 let mut b = DynamicDataPool::new(&part, cfg.geometry.pages_per_block, 2);
-                let mut from_stripes = Vec::new();
+                let mut from_stripes: Vec<Ppn> = Vec::new();
                 while from_stripes.len() < count {
                     match a.allocate_stripe(&dev_a, want) {
                         Some(group) => {

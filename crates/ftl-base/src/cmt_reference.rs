@@ -1,13 +1,89 @@
-//! Test-only reference model of [`crate::PageNodeCmt`]: the original
-//! `BTreeMap`-per-node implementation over the hashed [`LruCache`], kept
-//! verbatim so the differential property test in `cmt.rs` can hold the slab
-//! implementation to its exact lookup results and eviction order.
+//! Test-only reference models of the CMTs, kept verbatim from before their
+//! rewrites so the differential property tests in `cmt.rs` can hold the new
+//! implementations to the old ones' exact results and eviction order:
+//!
+//! * [`ReferenceNodeCmt`] for [`crate::PageNodeCmt`]: the original
+//!   `BTreeMap`-per-node implementation over the hashed [`LruCache`];
+//! * [`ReferenceEntryCmt`] for [`crate::EntryCmt`]: dirty bits with no index
+//!   over them, so a range flush scans the whole cache.
 
 use std::collections::BTreeMap;
 
 use crate::cmt::CmtEntry;
 use crate::lru::LruCache;
+use crate::request::Lpn;
 use ssd_sim::Ppn;
+
+#[derive(Debug, Clone)]
+pub(crate) struct ReferenceEntryCmt {
+    cache: LruCache<Lpn, CmtEntry>,
+}
+
+impl ReferenceEntryCmt {
+    pub(crate) fn new(capacity: usize) -> Self {
+        ReferenceEntryCmt {
+            cache: LruCache::new(capacity),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.cache.len()
+    }
+
+    pub(crate) fn lookup(&mut self, lpn: Lpn) -> Option<Ppn> {
+        self.cache.get(&lpn).map(|e| e.ppn)
+    }
+
+    pub(crate) fn insert_clean(&mut self, lpn: Lpn, ppn: Ppn) -> Option<(Lpn, CmtEntry)> {
+        self.cache.insert(lpn, CmtEntry { ppn, dirty: false })
+    }
+
+    pub(crate) fn insert_dirty(&mut self, lpn: Lpn, ppn: Ppn) -> Option<(Lpn, CmtEntry)> {
+        self.cache.insert(lpn, CmtEntry { ppn, dirty: true })
+    }
+
+    pub(crate) fn update_if_cached(&mut self, lpn: Lpn, ppn: Ppn) -> bool {
+        if let Some(entry) = self.cache.peek_mut(&lpn) {
+            entry.ppn = ppn;
+            entry.dirty = true;
+            true
+        } else {
+            false
+        }
+    }
+
+    pub(crate) fn refresh_if_cached(&mut self, lpn: Lpn, ppn: Ppn) {
+        if let Some(entry) = self.cache.peek_mut(&lpn) {
+            entry.ppn = ppn;
+        }
+    }
+
+    pub(crate) fn remove(&mut self, lpn: Lpn) -> Option<CmtEntry> {
+        self.cache.remove(&lpn)
+    }
+
+    pub(crate) fn take_dirty_in_range(&mut self, start: Lpn, end: Lpn) -> Vec<(Lpn, Ppn)> {
+        let lpns: Vec<Lpn> = self
+            .cache
+            .iter()
+            .filter(|(lpn, e)| (start..end).contains(*lpn) && e.dirty)
+            .map(|(lpn, _)| *lpn)
+            .collect();
+        let mut out = Vec::with_capacity(lpns.len());
+        for lpn in lpns {
+            if let Some(entry) = self.cache.peek_mut(&lpn) {
+                entry.dirty = false;
+                out.push((lpn, entry.ppn));
+            }
+        }
+        out
+    }
+
+    /// Every cached mapping, most recently used first.
+    pub(crate) fn entries(&self) -> Vec<(Lpn, CmtEntry)> {
+        self.cache.iter().map(|(lpn, e)| (*lpn, *e)).collect()
+    }
+}
 
 type TransNode = BTreeMap<u32, CmtEntry>;
 

@@ -73,7 +73,22 @@ impl FtlCore {
     /// host-path flash operation is routed through the same scheduler at
     /// `Priority::Host` so the two classes contend per chip under the
     /// scheduler's starvation-bounded arbitration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has more pages than the mapping table's 4-byte
+    /// entries can address ([`MappingTable::MAX_DEVICE_PAGES`]) — here, before
+    /// any per-page state is allocated, rather than at the first write that
+    /// lands beyond the limit.
     pub fn with_gc_mode(config: SsdConfig, gc_mode: GcMode) -> Self {
+        let device_pages = config.geometry.total_pages();
+        assert!(
+            device_pages <= MappingTable::MAX_DEVICE_PAGES,
+            "geometry {} has {device_pages} pages; the mapping table's 4-byte entries address at \
+             most {}",
+            config.geometry,
+            MappingTable::MAX_DEVICE_PAGES,
+        );
         let mappings_per_page = config.geometry.page_size / MAPPING_ENTRY_BYTES;
         let partition = BlockPartition::for_config(&config, mappings_per_page);
         let logical_pages = config.logical_pages();
@@ -519,43 +534,43 @@ pub fn run_greedy_gc(
     now: SimTime,
 ) -> Option<GcOutcome> {
     let victim = pool.pick_victim(&core.dev)?;
+    let block = core
+        .dev
+        .block_info(victim)
+        .expect("the pool only tracks blocks of its device");
     // Refuse to start a collection that could not finish: relocating the
     // victim's valid pages needs at least that many free page slots elsewhere.
-    let victim_valid = u64::from(
-        core.dev
-            .block_info(victim)
-            .map(|b| b.valid_pages())
-            .unwrap_or(0),
-    );
-    if pool.free_page_count() < victim_valid + 1 {
+    let victim_valid = block.valid_pages();
+    if pool.free_page_count() < u64::from(victim_valid) + 1 {
         return None;
     }
     core.stats.record_gc(now);
-    let mut moves = Vec::new();
-    let mut dirty_entries = BTreeSet::new();
-    let mut t = now;
+    // The pages to move, read off the victim in one pass before any of them
+    // moves: a relocation invalidates its own page and no other of the block.
     let first = core.dev.first_ppn_of_flat_block(victim);
-    let pages = u64::from(core.dev.geometry().pages_per_block);
-    for old_ppn in first..first + pages {
-        if core.dev.page_state(old_ppn).expect("ppn in range") != PageState::Valid {
-            continue;
-        }
+    let mut moves = Vec::with_capacity(victim_valid as usize);
+    for page in (0..block.page_count()).filter(|&p| block.page_state(p) == PageState::Valid) {
+        let old_ppn = first + u64::from(page);
         let lpn = core
             .dev
             .oob(old_ppn)
             .expect("ppn in range")
             .lpn
             .expect("valid data page must carry its LPN in OOB");
-        let new_ppn = pool
-            .allocate(&core.dev)
-            .expect("GC must have headroom to relocate valid pages");
-        t = core.relocate_data(lpn, old_ppn, new_ppn, t);
-        dirty_entries.insert(core.entry_of_lpn(lpn));
         moves.push(GcMove {
             lpn,
             old_ppn,
-            new_ppn,
+            new_ppn: old_ppn,
         });
+    }
+    let mut dirty_entries = BTreeSet::new();
+    let mut t = now;
+    for mv in &mut moves {
+        mv.new_ppn = pool
+            .allocate(&core.dev)
+            .expect("GC must have headroom to relocate valid pages");
+        t = core.relocate_data(mv.lpn, mv.old_ppn, mv.new_ppn, t);
+        dirty_entries.insert(core.entry_of_lpn(mv.lpn));
     }
     let erased = core
         .dev
@@ -581,6 +596,19 @@ mod tests {
         let core = FtlCore::new(cfg);
         let pool = DynamicDataPool::new(&core.partition, cfg.geometry.pages_per_block, 2);
         (core, pool)
+    }
+
+    #[test]
+    #[should_panic(expected = "4-byte entries address at most 4294967295")]
+    fn a_device_beyond_the_mapping_entries_is_refused_up_front() {
+        // 2³² pages: one more than the entries address. Building it would
+        // take tens of gigabytes of per-page state; the check comes first.
+        let cfg = SsdConfig {
+            geometry: ssd_sim::Geometry::new(64, 64, 1, 2048, 512, 4096),
+            ..SsdConfig::tiny()
+        };
+        assert_eq!(cfg.geometry.total_pages(), 1 << 32);
+        FtlCore::new(cfg);
     }
 
     #[test]

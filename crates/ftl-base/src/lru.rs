@@ -112,8 +112,30 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             self.touch(idx);
             return None;
         }
+        self.insert_new(key, value).1
+    }
+
+    /// Makes `key` the most recently used entry, inserting it with `value`
+    /// if it is not cached (a cached entry keeps the value it has). Returns
+    /// the slot holding `key` — `None` only for a zero-capacity cache, which
+    /// holds nothing — and what [`LruCache::insert`] would.
+    ///
+    /// A slot names the storage of one cached entry. It stays valid for
+    /// [`LruCache::slot_mut`] until that entry is removed or evicted; the
+    /// next insert may then recycle it. Callers that thread their own lists through the values
+    /// (the CMT's dirty index) link entries by slot instead of hashing keys.
+    pub fn touch_or_insert(&mut self, key: K, value: V) -> (Option<usize>, Option<(K, V)>) {
+        if let Some(&idx) = self.map.get(&key) {
+            self.touch(idx);
+            return (Some(idx), None);
+        }
+        self.insert_new(key, value)
+    }
+
+    /// Inserts a key that is not cached, evicting for it if need be.
+    fn insert_new(&mut self, key: K, value: V) -> (Option<usize>, Option<(K, V)>) {
         if self.capacity == 0 {
-            return Some((key, value));
+            return (None, Some((key, value)));
         }
         let evicted = if self.map.len() >= self.capacity {
             self.pop_lru()
@@ -139,7 +161,23 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         };
         self.map.insert(key, idx);
         self.attach_front(idx);
-        evicted
+        (Some(idx), evicted)
+    }
+
+    /// The slot holding `key`, without touching recency.
+    pub fn slot_of(&self, key: &K) -> Option<usize> {
+        self.map.get(key).copied()
+    }
+
+    /// The key and the value in `slot` (see [`LruCache::touch_or_insert`]).
+    ///
+    /// # Panics
+    ///
+    /// May panic if `slot` was never handed out; a stale slot yields whatever
+    /// entry recycled it.
+    pub fn slot_mut(&mut self, slot: usize) -> (&K, &mut V) {
+        let entry = &mut self.entries[slot];
+        (&entry.key, &mut entry.value)
     }
 
     /// Removes `key`, returning its value.

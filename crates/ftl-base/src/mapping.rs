@@ -31,6 +31,11 @@ fn mapped(entry: u32) -> Option<Ppn> {
 }
 
 impl MappingTable {
+    /// The number of physical pages of the largest device whose every PPN
+    /// fits an entry. [`crate::FtlCore`] refuses a larger geometry when it is
+    /// built, so [`MappingTable::update`] never meets a PPN it cannot store.
+    pub const MAX_DEVICE_PAGES: u64 = UNMAPPED as u64;
+
     /// Creates an empty table for `logical_pages` LPNs.
     pub fn new(logical_pages: u64) -> Self {
         MappingTable {

@@ -910,6 +910,16 @@ impl FlashDevice {
         self.chips.iter().map(Chip::next_plane_free).collect()
     }
 
+    /// One element of [`FlashDevice::busy_until_per_chip`]: the time the chip
+    /// with flat index `chip` can next accept an operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chip` is out of range.
+    pub fn busy_until_of_chip(&self, chip: usize) -> SimTime {
+        self.chips[chip].next_plane_free()
+    }
+
     /// Per-plane busy-until times, indexed by flat plane index
     /// (`chip * planes_per_chip + plane`).
     pub fn busy_until_per_plane(&self) -> Vec<SimTime> {
