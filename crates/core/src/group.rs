@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use ftl_base::BlockPartition;
-use ssd_sim::{vppn_to_ppn, FlashDevice, Geometry, PageState, Ppn, Vppn};
+use ssd_sim::{AddrCodec, FlashDevice, Geometry, PageState, Ppn, Vppn};
 
 /// One block *row*: the set of blocks with the same in-plane block index on
 /// every plane of every chip. A row is exactly one group allocation unit —
@@ -60,6 +60,8 @@ struct GroupState {
 #[derive(Debug, Clone)]
 pub struct GroupAllocator {
     geometry: Geometry,
+    /// The geometry's VPPN decode, precomputed: every slot handed out decodes.
+    codec: AddrCodec,
     pages_per_row: u64,
     entries_per_group: usize,
     mappings_per_page: u32,
@@ -91,6 +93,7 @@ impl GroupAllocator {
         let group_count = gtd_entries.div_ceil(entries_per_group).max(1);
         GroupAllocator {
             geometry,
+            codec: AddrCodec::new(&geometry),
             pages_per_row,
             entries_per_group,
             mappings_per_page,
@@ -314,14 +317,13 @@ impl GroupAllocator {
 
     fn take_slot(&mut self, group: usize) -> Option<(Ppn, Vppn)> {
         let pages_per_row = self.pages_per_row;
-        let geometry = self.geometry;
         let alloc = self.groups[group].rows.last_mut()?;
         if alloc.cursor >= pages_per_row {
             return None;
         }
         let vppn = u64::from(alloc.row) * pages_per_row + alloc.cursor;
         alloc.cursor += 1;
-        Some((vppn_to_ppn(vppn, &geometry), vppn))
+        Some((self.codec.vppn_to_ppn(vppn), vppn))
     }
 }
 

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::address::{PhysAddr, Ppn};
+use crate::address::{AddrCodec, PhysAddr, Ppn};
 use crate::block::Block;
 use crate::chip::Chip;
 use crate::clock::SimTime;
@@ -53,6 +53,8 @@ use crate::PageState;
 #[derive(Debug, Clone)]
 pub struct FlashDevice {
     config: SsdConfig,
+    /// The geometry's PPN decode, precomputed: every flash operation decodes.
+    codec: AddrCodec,
     chips: Vec<Chip>,
     channel_busy_until: Vec<SimTime>,
     oob: OobTable,
@@ -131,6 +133,7 @@ impl FlashDevice {
             .collect();
         FlashDevice {
             config,
+            codec: AddrCodec::new(&g),
             chips,
             channel_busy_until: vec![SimTime::ZERO; g.channels as usize],
             oob: OobTable::new(g.total_pages() as usize),
@@ -972,14 +975,11 @@ impl FlashDevice {
     }
 
     fn check_ppn(&self, ppn: Ppn) -> DeviceResult<PhysAddr> {
-        let g = self.config.geometry;
-        if ppn >= g.total_pages() {
-            return Err(DeviceError::PpnOutOfRange {
-                ppn,
-                total: g.total_pages(),
-            });
+        let total = self.codec.total_pages();
+        if ppn >= total {
+            return Err(DeviceError::PpnOutOfRange { ppn, total });
         }
-        Ok(PhysAddr::from_ppn(ppn, &g))
+        Ok(self.codec.from_ppn(ppn))
     }
 
     fn local_block(addr: &PhysAddr, g: &Geometry) -> u32 {

@@ -52,7 +52,7 @@ mod stats;
 pub mod trace;
 pub mod wallclock;
 
-pub use address::{ppn_to_vppn, vppn_to_ppn, PhysAddr, Ppn, Vppn};
+pub use address::{ppn_to_vppn, vppn_to_ppn, AddrCodec, PhysAddr, Ppn, Vppn};
 pub use block::{Block, BlockState};
 pub use chip::Chip;
 pub use clock::{Duration, SimTime};
