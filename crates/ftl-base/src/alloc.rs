@@ -113,10 +113,13 @@ impl DynamicDataPool {
                 }
             })
             .collect();
-        let free_pages: u64 = chips.iter().map(|c| c.free_pages).sum();
+        let free_blocks: usize = chips
+            .iter()
+            .map(|c| c.free.iter().map(VecDeque::len).sum::<usize>())
+            .sum();
         DynamicDataPool {
-            free_blocks: (free_pages / u64::from(pages_per_block)) as usize,
-            free_pages,
+            free_blocks,
+            free_pages: free_blocks as u64 * u64::from(pages_per_block),
             chips,
             pages_per_block,
             planes_per_chip: planes,

@@ -547,6 +547,7 @@ pub fn run_greedy_gc(
     core.stats.record_gc(now);
     // The pages to move, read off the victim in one pass before any of them
     // moves: a relocation invalidates its own page and no other of the block.
+    // Each move's destination is allocated when its turn comes, below.
     let first = core.dev.first_ppn_of_flat_block(victim);
     let mut moves = Vec::with_capacity(victim_valid as usize);
     for page in (0..block.page_count()).filter(|&p| block.page_state(p) == PageState::Valid) {

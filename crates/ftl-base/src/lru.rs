@@ -122,8 +122,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     ///
     /// A slot names the storage of one cached entry. It stays valid for
     /// [`LruCache::slot_mut`] until that entry is removed or evicted; the
-    /// next insert may then recycle it. Callers that thread their own lists through the values
-    /// (the CMT's dirty index) link entries by slot instead of hashing keys.
+    /// next insert may then recycle it. Callers that thread their own lists
+    /// through the values (the CMT's dirty index) link entries by slot
+    /// instead of hashing keys.
     pub fn touch_or_insert(&mut self, key: K, value: V) -> (Option<usize>, Option<(K, V)>) {
         if let Some(&idx) = self.map.get(&key) {
             self.touch(idx);
