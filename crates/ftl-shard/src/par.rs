@@ -24,15 +24,11 @@
 //! ring (a full ring auto-flushes), `channel_depth` bounds each worker's
 //! batch channel (backpressure against a runaway open-loop dispatch).
 //! [`ThreadedDispatcher::dispatch`] only stages; staged work is flushed to
-//! the workers when a shard's ring fills and when
-//! [`ThreadedDispatcher::wait_resolved`] — the host loop's single blocking
-//! point — is about to block on a piece that is still staged: every shard's
-//! window ships then, so the piece a blocked caller waits on is always in
-//! flight, and a window keeps growing for as long as the caller is served
-//! from completions that have already been requested. (A closed-loop host
-//! dispatches once per wait; flushing on every wait shipped it one piece
-//! per batch.) `sq_depth = 1` degenerates to the historical piece-at-a-time
-//! behaviour.
+//! the workers when a shard's ring fills and, unconditionally, at the top
+//! of every [`ThreadedDispatcher::wait_resolved`] call — the host loop's
+//! single blocking point, so everything a blocked caller could be waiting
+//! on is always in flight. `sq_depth = 1` degenerates to the historical
+//! piece-at-a-time behaviour.
 //!
 //! # Determinism (the reorder buffer)
 //!
@@ -43,10 +39,9 @@
 //! order, and `wait_resolved` applies only as many pieces as it takes to
 //! resolve the next request. Every host-visible value — resolution order,
 //! [`ThreadedDispatcher::lower_bound`], and hence the host loop's decisions
-//! — is then a pure function of the dispatch history; so is which piece a
-//! wait needs next and whether it is still staged, hence the batch
-//! boundaries themselves, and traced batch-size counters are byte-identical
-//! run to run.
+//! and the batch boundaries themselves — is then a pure function of the
+//! dispatch history, so traced batch-size counters are byte-identical run
+//! to run.
 //!
 //! Shards share no state, so the only cross-thread coupling is the request /
 //! completion traffic itself. The caller's host model (the harness's
@@ -290,17 +285,18 @@ impl ThreadedDispatcher {
     /// Blocks until some request is fully resolved and returns
     /// `(request, completion)`.
     ///
-    /// Applies parked completions in dispatch order — only as many as it
-    /// takes to resolve the next request, so the host-visible state after
-    /// each call is a pure function of the dispatch history, not of reply
-    /// timing — and flushes every shard's staged submission window when the
-    /// piece it has to apply next has not been shipped yet.
+    /// Flushes every shard's staged submission window first (so everything
+    /// the caller could be waiting on is in flight), then applies parked
+    /// completions in dispatch order — only as many as it takes to resolve
+    /// the next request, so the host-visible state after each call is a
+    /// pure function of the dispatch history, not of reply timing.
     ///
     /// # Panics
     ///
     /// Re-raises a worker's panic, and panics if called with no requests in
     /// flight or if the workers died without reporting.
     pub fn wait_resolved(&mut self) -> (ReqId, SimTime) {
+        self.flush_all();
         loop {
             if let Some(done) = self.ready.pop_front() {
                 return done;
@@ -312,9 +308,6 @@ impl ThreadedDispatcher {
             if self.apply_next() {
                 continue;
             }
-            if self.next_piece_is_staged() {
-                self.flush_all();
-            }
             match self.replies.recv() {
                 Ok(reply) => self.absorb(reply),
                 Err(_) => panic!("worker threads exited with requests still in flight"),
@@ -325,8 +318,8 @@ impl ThreadedDispatcher {
     /// Non-blocking [`ThreadedDispatcher::wait_resolved`]: returns the next
     /// fully resolved request if its completion batch has already arrived.
     /// Does **not** flush staged work — staging flushes only on ring
-    /// pressure or when a blocking wait needs a staged piece, so
-    /// opportunistic draining cannot shrink the submission windows.
+    /// pressure or on a blocking wait, so opportunistic draining cannot
+    /// shrink the submission windows.
     ///
     /// # Panics
     ///
@@ -344,17 +337,6 @@ impl ThreadedDispatcher {
                 Err(_) => return None,
             }
         }
-    }
-
-    /// Whether the next piece in dispatch order still sits in its shard's
-    /// submission ring. A shard's earlier pieces have all been applied, so
-    /// if it is staged it is the ring's first entry.
-    fn next_piece_is_staged(&self) -> bool {
-        self.log.get(self.applied).is_some_and(|record| {
-            self.staging[record.shard]
-                .first()
-                .is_some_and(|item| item.seq == self.applied)
-        })
     }
 
     /// Applies the next piece in dispatch order if its completion has
@@ -864,35 +846,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn a_wait_ships_staged_work_only_when_it_needs_a_staged_piece() {
-        let staged = |d: &ThreadedDispatcher| d.staging.iter().map(Vec::len).sum::<usize>();
-        frontend(2).run_threaded(2, |d| {
-            for lpn in 0..8 {
-                d.dispatch(HostRequest::read(lpn, 1), SimTime::ZERO);
-            }
-            assert_eq!(staged(d), 8, "dispatch only stages");
-            // The first wait needs piece 0, which is staged: everything ships.
-            d.wait_resolved();
-            assert_eq!(staged(d), 0);
-            // A closed-loop host: one dispatch per wait. Seven shipped
-            // requests are unresolved, so the next seven waits are served
-            // from work already in flight and the window keeps growing.
-            for round in 0..7 {
-                d.dispatch(HostRequest::read(8 + round, 1), SimTime::ZERO);
-                d.wait_resolved();
-                assert_eq!(staged(d), round as usize + 1, "round {round}");
-            }
-            // The next wait needs the oldest staged piece: one flush ships
-            // the seven-request window.
-            d.wait_resolved();
-            assert_eq!(staged(d), 0);
-            while d.outstanding() > 0 {
-                d.wait_resolved();
-            }
-        });
     }
 
     #[test]

@@ -118,10 +118,10 @@ enum FlightSlot {
 /// completion, and every queue slot holding the request learns its value.
 ///
 /// This is the conservative loop's **only blocking point**, which makes it
-/// the ring-flush boundary: when the completion `wait_resolved` needs next
-/// belongs to a piece that is still staged, it ships every shard's
+/// the ring-flush boundary: `wait_resolved` ships every shard's staged
 /// submission window to the workers before blocking, so all requests
-/// dispatched since the previous flush travel as one batch per shard.
+/// dispatched since the previous wakeup travel as one batch per shard —
+/// the eligible window *is* the submission batch.
 fn absorb_resolution(
     dispatcher: &mut ThreadedDispatcher,
     slots: &mut [StreamSlot],
