@@ -12,7 +12,8 @@ use ftl_base::GcMode;
 pub struct BaselineConfig {
     /// Fraction of all page mappings the CMT can hold (paper: 3 %).
     pub cmt_ratio: f64,
-    /// How many consecutive mappings TPFTL prefetches into the CMT on a miss.
+    /// How many consecutive mappings TPFTL prefetches into the CMT on a miss,
+    /// the one that missed included (so zero is served as one).
     pub prefetch_len: u32,
     /// Number of erased data blocks below which GC is triggered. `0` selects
     /// an automatic value (one block per chip).
@@ -55,7 +56,7 @@ impl BaselineConfig {
 
     /// Returns a copy with a different prefetch length.
     pub fn with_prefetch_len(mut self, len: u32) -> Self {
-        self.prefetch_len = len.max(1);
+        self.prefetch_len = len;
         self
     }
 

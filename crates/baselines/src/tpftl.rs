@@ -40,7 +40,7 @@ impl Tpftl {
             core,
             pool,
             cmt,
-            prefetch_len: baseline.prefetch_len.max(1),
+            prefetch_len: baseline.prefetch_len,
         }
     }
 

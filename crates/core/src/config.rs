@@ -20,7 +20,8 @@ pub struct LearnedFtlConfig {
     /// (64 for the paper's geometry).
     pub entries_per_group: usize,
     /// How many consecutive mappings to prefetch into the CMT on a miss
-    /// (inherited from TPFTL).
+    /// (inherited from TPFTL), the one that missed included (so zero is
+    /// served as one).
     pub prefetch_len: u32,
     /// Number of free block rows kept in reserve before GC triggers.
     pub reserve_rows: usize,

@@ -698,6 +698,33 @@ mod tests {
     }
 
     #[test]
+    fn a_prefetch_length_of_zero_still_caches_the_mapping_that_missed() {
+        let config = LearnedFtlConfig {
+            prefetch_len: 0,
+            ..LearnedFtlConfig::default().with_cmt_ratio(0.005)
+        };
+        let mut f = LearnedFtl::new(SsdConfig::tiny(), config);
+        // A single-page write leaves LPN 5 cached but never trusted by a
+        // model; forty more in the next translation page overflow the
+        // 31-mapping CMT and evict its node.
+        let mut t = f.write(5, 1, SimTime::ZERO);
+        for l in 512..552 {
+            t = f.write(l, 1, t);
+        }
+        let tpn = f.core.entry_of_lpn(5);
+        assert!(!f.models[tpn].is_trusted(5) && !f.cmt.contains(tpn, 5));
+        f.reset_stats();
+        let t = f.read(5, 1, t);
+        let _ = f.read(5, 1, t);
+        let s = f.stats();
+        assert_eq!(
+            (s.double_reads, s.cmt_hits),
+            (1, 1),
+            "the second read must find what the first one loaded"
+        );
+    }
+
+    #[test]
     fn single_page_churn_keeps_trusted_predictions_exact() {
         // Single-page writes make allocate_slot run group GCs in the middle of
         // a write: the GC retrains the group's models from the LPN's *old*

@@ -8,8 +8,10 @@
 //!   all of its dirty mappings with a single translation-page write.
 
 use crate::lru::LruCache;
+use crate::mapping::pack_ppn;
 use crate::request::Lpn;
 use ssd_sim::Ppn;
+use std::ops::Range;
 
 /// One cached mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,31 +266,24 @@ fn bucket_of(lpn: Lpn) -> usize {
     (lpn >> DIRTY_BUCKET_SHIFT) as usize
 }
 
-/// One cached mapping of a [`PageNodeCmt`] node (16 bytes).
+/// A per-translation-page node of the two-level CMT: a slab slot's links in
+/// the node-granular LRU list and how many mappings it holds. The mappings
+/// themselves sit in the CMT's flat slabs, at the slot's stride.
 #[derive(Debug, Clone, Copy)]
-struct NodeEntry {
-    offset: u32,
-    dirty: bool,
-    ppn: Ppn,
-}
-
-/// A per-translation-page node of the two-level CMT: a slab slot carrying
-/// its links in the node-granular LRU list and its mappings as one run
-/// sorted by offset.
-///
-/// Offset order rather than insertion or hash order: node trimming walks the
-/// node, and the simulator must be bit-for-bit reproducible across processes
-/// (a per-instance hasher seed once made eviction order — and therefore
-/// simulated timing — nondeterministic).
-#[derive(Debug, Clone)]
 struct Node {
     tpn: usize,
     /// Towards the most recently used node.
     prev: u32,
     /// Towards the least recently used node.
     next: u32,
-    entries: Vec<NodeEntry>,
+    /// Mappings held: the population count of the slot's `present` words.
+    held: u32,
 }
+
+/// Offsets a node can address: the mappings of a 512 KiB translation page.
+/// Every slot reserves room up to the highest offset ever inserted, so an
+/// offset from outside any real geometry is refused rather than allocated for.
+const MAX_NODE_OFFSETS: usize = 1 << 16;
 
 /// TPFTL's two-level cached mapping table.
 ///
@@ -298,10 +293,44 @@ struct Node {
 /// back with a single translation-page update (the batching that gives TPFTL
 /// its low write overhead).
 ///
-/// Nodes live in a slab indexed by a dense `tpn → slot` table, the LRU list
-/// is threaded through the slab, and an evicted node's slot and mapping
-/// buffer are recycled by the next node, so a CMT that has reached capacity
-/// serves misses without allocating, hashing or copying nodes.
+/// A node is two bitmaps and a 4-byte PPN per offset — bit `offset` of
+/// `present` says the mapping is cached, the same bit of `dirty ⊆ present`
+/// that it is newer than flash — held in flat slabs the CMT owns: the node in
+/// slab slot `s` has its bitmap words at `s × stride / 64` and its PPNs at
+/// `s × stride`, where `stride` is the smallest multiple of 64 above every
+/// offset inserted so far. A cached translation page therefore costs
+/// `4 × stride + 2 × stride / 8` bytes whatever it holds (2 176 bytes at 512
+/// mappings per page), and there are never more slots than translation pages
+/// or than mappings of capacity. Slots are found through a dense `tpn → slot`
+/// table, the LRU list is threaded through them, and an evicted node's slot
+/// is recycled by the next node.
+///
+/// # Cost
+///
+/// Nothing searches, sorts, merges or — once the slabs have grown to the
+/// working set — allocates:
+///
+/// * [`lookup`], [`contains`], [`update_if_cached`], [`refresh_if_cached`]:
+///   one table load, one bit test, one indexed load or store (`lookup` also
+///   relinks the node as most recent);
+/// * [`insert_batch`]: one store per mapping, plus one OR and one population
+///   count each time the batch moves on to another 64-offset word (once per
+///   word for an ascending run), in whatever order it comes;
+/// * evicting a node: `stride / 64` words tested for a dirty bit and zeroed;
+/// * trimming the only node: four passes over its `stride / 64` words;
+/// * the first insert of an offset at or beyond `stride` lays the slabs out
+///   again, O(slots × stride) — offsets are bounded by the mappings of a
+///   translation page, so this happens a handful of times while a CMT warms.
+///
+/// Trimming walks offsets in ascending order, never in an order that depends
+/// on insertion history or a hasher: the simulator must be bit-for-bit
+/// reproducible across processes, and eviction order is simulated timing.
+///
+/// [`lookup`]: PageNodeCmt::lookup
+/// [`contains`]: PageNodeCmt::contains
+/// [`update_if_cached`]: PageNodeCmt::update_if_cached
+/// [`refresh_if_cached`]: PageNodeCmt::refresh_if_cached
+/// [`insert_batch`]: PageNodeCmt::insert_batch
 ///
 /// ```
 /// use ftl_base::PageNodeCmt;
@@ -321,14 +350,22 @@ pub struct PageNodeCmt {
     /// grown on demand to the highest tpn seen.
     index: Vec<u32>,
     nodes: Vec<Node>,
-    /// Slab slots of evicted nodes, reused (with their buffers) LIFO.
+    /// Offsets each slot has room for: a multiple of 64.
+    stride: usize,
+    /// `stride / 64` words per slot; bit `offset` set: the mapping is cached.
+    present: Vec<u64>,
+    /// Laid out like `present`, and a subset of it: the mapping is dirty.
+    dirty: Vec<u64>,
+    /// `stride` packed PPNs per slot, meaningful where `present` is set.
+    ppns: Vec<u32>,
+    /// Slab slots of evicted nodes, reused LIFO; their words are all zero.
     free: Vec<u32>,
     /// Most recently used node.
     head: u32,
     /// Least recently used node.
     tail: u32,
-    /// Scratch for [`merge_batch`].
-    displaced: Vec<NodeEntry>,
+    /// Scratch of [`PageNodeCmt::trim_only_node`]: the batch as a bitmap.
+    fresh: Vec<u64>,
     /// What the last [`PageNodeCmt::insert_batch`] returned.
     evicted_dirty: Vec<usize>,
 }
@@ -341,10 +378,14 @@ impl PageNodeCmt {
             total_entries: 0,
             index: Vec::new(),
             nodes: Vec::new(),
+            stride: 0,
+            present: Vec::new(),
+            dirty: Vec::new(),
+            ppns: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            displaced: Vec::new(),
+            fresh: Vec::new(),
             evicted_dirty: Vec::new(),
         }
     }
@@ -373,11 +414,27 @@ impl PageNodeCmt {
         self.index.get(tpn).copied().filter(|&slot| slot != NIL)
     }
 
-    fn entry_mut(&mut self, tpn: usize, offset: u32) -> Option<&mut NodeEntry> {
-        let slot = self.slot_of(tpn)?;
-        let entries = &mut self.nodes[slot as usize].entries;
-        let at = position(entries, offset)?;
-        Some(&mut entries[at])
+    /// Bitmap words per slot.
+    fn words(&self) -> usize {
+        self.stride / 64
+    }
+
+    /// Where the bitmap words of `slot` are in `present` and `dirty`.
+    fn words_of(&self, slot: u32) -> Range<usize> {
+        let words = self.words();
+        slot as usize * words..(slot as usize + 1) * words
+    }
+
+    /// Where the node in `slot` keeps the mapping for `offset`, if it is
+    /// cached: the index of its bitmap word, its bit in that word and the
+    /// index of its PPN.
+    fn cached(&self, slot: u32, offset: u32) -> Option<(usize, u64, usize)> {
+        let (slot, offset) = (slot as usize, offset as usize);
+        if offset >= self.stride {
+            return None;
+        }
+        let (word, bit) = (slot * self.words() + offset / 64, 1 << (offset % 64));
+        (self.present[word] & bit != 0).then_some((word, bit, slot * self.stride + offset))
     }
 
     /// Looks up the mapping for (`tpn`, `offset`), refreshing the node's
@@ -385,39 +442,73 @@ impl PageNodeCmt {
     pub fn lookup(&mut self, tpn: usize, offset: u32) -> Option<Ppn> {
         let slot = self.slot_of(tpn)?;
         self.touch(slot);
-        let entries = &self.nodes[slot as usize].entries;
-        position(entries, offset).map(|at| entries[at].ppn)
+        let (_, _, at) = self.cached(slot, offset)?;
+        Some(Ppn::from(self.ppns[at]))
     }
 
     /// Whether the mapping for (`tpn`, `offset`) is cached.
     pub fn contains(&self, tpn: usize, offset: u32) -> bool {
         self.slot_of(tpn)
-            .is_some_and(|slot| position(&self.nodes[slot as usize].entries, offset).is_some())
+            .is_some_and(|slot| self.cached(slot, offset).is_some())
     }
 
     /// Inserts a batch of `(offset, ppn, dirty)` mappings into the node for
     /// `tpn`, making it the most recently used; a mapping already cached is
-    /// overwritten, and within the batch a later duplicate wins. Ascending
-    /// batches (a prefetched run, a single write) are merged in one pass.
-    /// An empty batch is a no-op.
+    /// overwritten, and within the batch a later duplicate wins. An empty
+    /// batch is a no-op.
     ///
     /// Returns the translation pages that now need a write-back, in eviction
     /// order: the tpns of the least-recently-used nodes dropped to respect
     /// capacity that held at least one dirty mapping — or `tpn` itself when
     /// it is the only node, alone exceeds capacity and had dirty mappings
     /// trimmed. The slice is valid until the next call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a PPN does not fit a 4-byte entry (it has to be below
+    /// [`crate::MappingTable::MAX_DEVICE_PAGES`]) or an offset is 65 536 or more,
+    /// beyond any translation page's.
     pub fn insert_batch(&mut self, tpn: usize, mappings: &[(u32, Ppn, bool)]) -> &[usize] {
         self.evicted_dirty.clear();
-        if self.capacity_entries == 0 || mappings.is_empty() {
+        let Some(highest) = mappings.iter().map(|&(offset, _, _)| offset).max() else {
             return &self.evicted_dirty;
+        };
+        if self.capacity_entries == 0 {
+            return &self.evicted_dirty;
+        }
+        if highest as usize >= self.stride {
+            self.grow_stride(highest);
         }
         let slot = match self.slot_of(tpn) {
             Some(slot) => slot,
             None => self.attach_new_node(tpn),
         };
         self.touch(slot);
-        let entries = &mut self.nodes[slot as usize].entries;
-        self.total_entries += merge_batch(entries, mappings, &mut self.displaced);
+
+        let words = self.words_of(slot);
+        let present = &mut self.present[words.clone()];
+        let dirty = &mut self.dirty[words];
+        let ppns = &mut self.ppns[slot as usize * self.stride..][..self.stride];
+        // The batch's bits are gathered per bitmap word and merged into the
+        // node when the batch moves on to another word: `set` the offsets to
+        // cache, `set_dirty` those among them whose last mention was dirty.
+        let (mut word, mut set, mut set_dirty) = (0, 0u64, 0u64);
+        let mut added = 0;
+        for &(offset, ppn, is_dirty) in mappings {
+            let offset = offset as usize;
+            if offset / 64 != word {
+                added += merge_word(&mut present[word], &mut dirty[word], set, set_dirty);
+                (word, set, set_dirty) = (offset / 64, 0, 0);
+            }
+            let bit = 1 << (offset % 64);
+            set |= bit;
+            set_dirty = set_dirty & !bit | u64::from(is_dirty) << (offset % 64);
+            ppns[offset] = pack_ppn(ppn);
+        }
+        added += merge_word(&mut present[word], &mut dirty[word], set, set_dirty);
+        self.nodes[slot as usize].held += added;
+        self.total_entries += added as usize;
+
         while self.total_entries > self.capacity_entries {
             if self.tail == slot {
                 self.trim_only_node(slot, mappings);
@@ -430,27 +521,51 @@ impl PageNodeCmt {
 
     /// Updates the mapping for (`tpn`, `offset`) if cached, marking it dirty.
     /// Returns whether it was cached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` does not fit a 4-byte entry (it has to be below
+    /// [`crate::MappingTable::MAX_DEVICE_PAGES`]).
     pub fn update_if_cached(&mut self, tpn: usize, offset: u32, ppn: Ppn) -> bool {
-        match self.entry_mut(tpn, offset) {
-            Some(entry) => {
-                entry.ppn = ppn;
-                entry.dirty = true;
-                true
-            }
-            None => false,
-        }
+        let entry = pack_ppn(ppn);
+        let Some((word, bit, at)) = self.slot_of(tpn).and_then(|s| self.cached(s, offset)) else {
+            return false;
+        };
+        self.ppns[at] = entry;
+        self.dirty[word] |= bit;
+        true
     }
 
     /// Overwrites the PPN for (`tpn`, `offset`) if cached without changing the
     /// dirty bit (GC relocation refresh).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` does not fit a 4-byte entry (it has to be below
+    /// [`crate::MappingTable::MAX_DEVICE_PAGES`]).
     pub fn refresh_if_cached(&mut self, tpn: usize, offset: u32, ppn: Ppn) {
-        if let Some(entry) = self.entry_mut(tpn, offset) {
-            entry.ppn = ppn;
+        let entry = pack_ppn(ppn);
+        if let Some((_, _, at)) = self.slot_of(tpn).and_then(|s| self.cached(s, offset)) {
+            self.ppns[at] = entry;
         }
     }
 
+    /// Lays the slabs out again with room for offset `highest` in every slot.
+    fn grow_stride(&mut self, highest: u32) {
+        assert!(
+            (highest as usize) < MAX_NODE_OFFSETS,
+            "offset {highest} is beyond any translation page's {MAX_NODE_OFFSETS} mappings"
+        );
+        let stride = (highest as usize + 1).next_multiple_of(64);
+        let slots = self.nodes.len();
+        self.present = respaced(&self.present, self.words(), stride / 64, slots);
+        self.dirty = respaced(&self.dirty, self.words(), stride / 64, slots);
+        self.ppns = respaced(&self.ppns, self.stride, stride, slots);
+        self.stride = stride;
+    }
+
     /// Takes a slab slot for a node of `tpn` (recycling an evicted node's
-    /// slot and buffer when there is one) and links it in as most recent.
+    /// when there is one) and links it in as most recent.
     fn attach_new_node(&mut self, tpn: usize) -> u32 {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -467,8 +582,11 @@ impl PageNodeCmt {
                     tpn,
                     prev: NIL,
                     next: NIL,
-                    entries: Vec::new(),
+                    held: 0,
                 });
+                self.present.resize(self.nodes.len() * self.words(), 0);
+                self.dirty.resize(self.nodes.len() * self.words(), 0);
+                self.ppns.resize(self.nodes.len() * self.stride, 0);
                 slot
             }
         };
@@ -485,52 +603,59 @@ impl PageNodeCmt {
     fn evict_lru(&mut self) {
         let slot = self.tail;
         self.unlink(slot);
+        let words = self.words_of(slot);
+        let dirty = &mut self.dirty[words.clone()];
         let node = &mut self.nodes[slot as usize];
-        if node.entries.iter().any(|e| e.dirty) {
+        if dirty.iter().any(|&word| word != 0) {
             self.evicted_dirty.push(node.tpn);
         }
-        let held = node.entries.len();
-        self.total_entries -= held;
-        node.entries.clear();
-        // The slot's next node inherits the buffer. One that grew past twice
-        // what this node ended up holding is cut back, so the slab retains
-        // memory in proportion to the mappings its nodes recently held, not
-        // to the largest node each slot ever saw.
-        if node.entries.capacity() > 2 * held {
-            node.entries.shrink_to(held);
-        }
+        dirty.fill(0);
+        self.present[words].fill(0);
+        self.total_entries -= node.held as usize;
+        node.held = 0;
         self.index[node.tpn] = NIL;
         self.free.push(slot);
     }
 
     /// The only node alone exceeds capacity: trims it by dropping clean
-    /// entries before dirty ones, entries that were already cached before the
-    /// ones `batch` just inserted within each class, and lower offsets first.
-    /// If a dirty entry had to go the node is reported like an eviction, so
-    /// the caller still writes its translation page back.
+    /// mappings before dirty ones, mappings that were already cached before
+    /// the ones `batch` just inserted within each class, and lower offsets
+    /// first. If a dirty mapping had to go the node is reported like an
+    /// eviction, so the caller still writes its translation page back.
     fn trim_only_node(&mut self, slot: u32, batch: &[(u32, Ppn, bool)]) {
-        let excess = self.total_entries - self.capacity_entries;
+        let words = self.words_of(slot);
+        self.fresh.clear();
+        self.fresh.resize(words.len(), 0);
+        for &(offset, _, _) in batch {
+            self.fresh[offset as usize / 64] |= 1 << (offset % 64);
+        }
+        let present = &mut self.present[words.clone()];
+        let dirty = &mut self.dirty[words];
         let node = &mut self.nodes[slot as usize];
-        let mut victims: Vec<(bool, bool, u32)> = node
-            .entries
-            .iter()
-            .map(|e| {
-                let fresh = batch.iter().any(|&(offset, _, _)| offset == e.offset);
-                (e.dirty, fresh, e.offset)
-            })
-            .collect();
-        victims.sort_unstable();
-        victims.truncate(excess);
-        if victims.iter().any(|&(dirty, _, _)| dirty) {
+        let mut excess = (self.total_entries - self.capacity_entries) as u32;
+        self.total_entries -= excess as usize;
+        node.held -= excess;
+        let mut dirty_trimmed = false;
+        for (trim_dirty, trim_fresh) in [(false, false), (false, true), (true, false), (true, true)]
+        {
+            if excess == 0 {
+                break;
+            }
+            for ((present, dirty), &fresh) in
+                present.iter_mut().zip(dirty.iter_mut()).zip(&self.fresh)
+            {
+                let of_dirtiness = if trim_dirty { *dirty } else { !*dirty };
+                let of_age = if trim_fresh { fresh } else { !fresh };
+                let victims = lowest_bits(*present & of_dirtiness & of_age, excess);
+                *present &= !victims;
+                *dirty &= !victims;
+                excess -= victims.count_ones();
+                dirty_trimmed |= trim_dirty && victims != 0;
+            }
+        }
+        if dirty_trimmed {
             self.evicted_dirty.push(node.tpn);
         }
-        victims.sort_unstable_by_key(|&(_, _, offset)| offset);
-        node.entries.retain(|e| {
-            victims
-                .binary_search_by_key(&e.offset, |&(_, _, offset)| offset)
-                .is_err()
-        });
-        self.total_entries -= excess;
     }
 
     fn touch(&mut self, slot: u32) {
@@ -563,48 +688,36 @@ impl PageNodeCmt {
     }
 }
 
-/// Index of `offset` in the offset-sorted `entries`.
-fn position(entries: &[NodeEntry], offset: u32) -> Option<usize> {
-    entries.binary_search_by_key(&offset, |e| e.offset).ok()
+/// Caches the offsets `set` of one bitmap word of a node, leaving dirty those
+/// of them in `set_dirty` and clean the others. Returns how many of them were
+/// not cached before.
+fn merge_word(present: &mut u64, dirty: &mut u64, set: u64, set_dirty: u64) -> u32 {
+    let added = (set & !*present).count_ones();
+    *present |= set;
+    *dirty = *dirty & !set | set_dirty;
+    added
 }
 
-/// Inserts `batch` into the offset-sorted `entries`, overwriting mappings
-/// already present, and returns how many mappings were added. `displaced` is
-/// scratch space (its contents are irrelevant before and after).
-fn merge_batch(
-    entries: &mut Vec<NodeEntry>,
-    batch: &[(u32, Ppn, bool)],
-    displaced: &mut Vec<NodeEntry>,
-) -> usize {
-    let before = entries.len();
-    if batch.windows(2).all(|w| w[0].0 < w[1].0) {
-        // One merge pass over the part of the node at or beyond the batch's
-        // first offset; a run beyond the node's last offset (the common
-        // prefetch and sequential-write case) degenerates to an append.
-        let from = entries.partition_point(|e| e.offset < batch[0].0);
-        displaced.clear();
-        displaced.extend_from_slice(&entries[from..]);
-        entries.truncate(from);
-        entries.reserve(displaced.len() + batch.len());
-        let mut old = displaced.iter().copied().peekable();
-        for &(offset, ppn, dirty) in batch {
-            while let Some(e) = old.next_if(|e| e.offset < offset) {
-                entries.push(e);
-            }
-            old.next_if(|e| e.offset == offset);
-            entries.push(NodeEntry { offset, dirty, ppn });
-        }
-        entries.extend(old);
-    } else {
-        for &(offset, ppn, dirty) in batch {
-            let entry = NodeEntry { offset, dirty, ppn };
-            match entries.binary_search_by_key(&offset, |e| e.offset) {
-                Ok(at) => entries[at] = entry,
-                Err(at) => entries.insert(at, entry),
-            }
-        }
+/// The `n` lowest set bits of `mask` (all of them if it has no more).
+fn lowest_bits(mask: u64, n: u32) -> u64 {
+    if mask.count_ones() <= n {
+        return mask;
     }
-    entries.len() - before
+    let mut rest = mask;
+    for _ in 0..n {
+        rest &= rest - 1;
+    }
+    mask & !rest
+}
+
+/// `old` — `slots` runs of `from` items — as runs of `to >= from` items, each
+/// old run at the start of its new one and default items after it.
+fn respaced<T: Copy + Default>(old: &[T], from: usize, to: usize, slots: usize) -> Vec<T> {
+    let mut new = vec![T::default(); slots * to];
+    for slot in 0..slots {
+        new[slot * to..][..from].copy_from_slice(&old[slot * from..][..from]);
+    }
+    new
 }
 
 #[cfg(test)]
@@ -639,6 +752,65 @@ mod tests {
             }
             lpns.sort_unstable();
             lpns
+        }
+    }
+
+    impl PageNodeCmt {
+        /// The cached mapping for (`tpn`, `offset`) with its dirty bit.
+        fn peek(&self, tpn: usize, offset: u32) -> Option<CmtEntry> {
+            let (word, bit, at) = self.cached(self.slot_of(tpn)?, offset)?;
+            Some(CmtEntry {
+                ppn: Ppn::from(self.ppns[at]),
+                dirty: self.dirty[word] & bit != 0,
+            })
+        }
+
+        /// What every operation must leave true of the slabs, the LRU list
+        /// and the `tpn → slot` table.
+        fn check_invariants(&self) {
+            let (words, slots) = (self.words(), self.nodes.len());
+            assert_eq!(self.stride % 64, 0);
+            assert_eq!(self.present.len(), slots * words);
+            assert_eq!(self.dirty.len(), slots * words);
+            assert_eq!(self.ppns.len(), slots * self.stride);
+            let cached: u32 = self.present.iter().map(|word| word.count_ones()).sum();
+            assert_eq!(
+                self.len(),
+                cached as usize,
+                "len() against the present bits"
+            );
+            for (present, dirty) in self.present.iter().zip(&self.dirty) {
+                assert_eq!(dirty & !present, 0, "a dirty bit without its present bit");
+            }
+            // The list visits every cached node once, with matching back
+            // links, and each of them is the slot the table has for its tpn.
+            let mut listed = vec![false; slots];
+            let (mut prev, mut cursor) = (NIL, self.head);
+            while cursor != NIL {
+                let node = &self.nodes[cursor as usize];
+                assert!(!std::mem::replace(&mut listed[cursor as usize], true));
+                assert_eq!(node.prev, prev, "back link of slot {cursor}");
+                assert_eq!(self.index[node.tpn], cursor, "slot of tpn {}", node.tpn);
+                let held = &self.present[self.words_of(cursor)];
+                let held: u32 = held.iter().map(|word| word.count_ones()).sum();
+                assert_eq!(node.held, held, "held count of tpn {}", node.tpn);
+                assert!(held > 0, "an empty node stays cached");
+                (prev, cursor) = (cursor, node.next);
+            }
+            assert_eq!(self.tail, prev);
+            let listed_slots = listed.iter().filter(|&&l| l).count();
+            assert_eq!(listed_slots, self.node_count());
+            let indexed = self.index.iter().filter(|&&slot| slot != NIL).count();
+            assert_eq!(indexed, self.node_count(), "tpns against cached slots");
+            // Every other slot is free, once, and all zero.
+            for &slot in &self.free {
+                assert!(!std::mem::replace(&mut listed[slot as usize], true));
+                assert_eq!(self.nodes[slot as usize].held, 0);
+                let words = self.words_of(slot);
+                assert!(self.present[words.clone()].iter().all(|&word| word == 0));
+                assert!(self.dirty[words].iter().all(|&word| word == 0));
+            }
+            assert!(listed.iter().all(|&l| l), "a slot neither cached nor free");
         }
     }
 
@@ -917,6 +1089,69 @@ mod tests {
             assert_eq!(cmt.lookup(tpn, 7), Some(7));
         }
         assert!(cmt.nodes.len() <= 2, "evicted slots must be reused");
+        assert!(cmt.ppns.len() <= 2 * 64 && cmt.present.len() <= 2);
+        cmt.check_invariants();
+    }
+
+    #[test]
+    fn page_node_cmt_lays_its_slabs_out_again_for_a_higher_offset() {
+        let mut cmt = PageNodeCmt::new(100);
+        cmt.insert_batch(0, &[(3, 30, true), (63, 630, false)]);
+        cmt.insert_batch(1, &[(0, 10, false)]);
+        assert_eq!(cmt.stride, 64);
+        assert_eq!(cmt.lookup(0, 64), None, "beyond the stride is not cached");
+        assert!(!cmt.update_if_cached(1, 511, 1));
+        // Offset 511 needs eight words a slot; both nodes move and keep
+        // their mappings and dirty bits.
+        cmt.insert_batch(1, &[(511, 5110, true)]);
+        assert_eq!(cmt.stride, 512);
+        cmt.check_invariants();
+        assert_eq!(cmt.lookup(0, 3), Some(30));
+        assert_eq!(cmt.lookup(0, 63), Some(630));
+        assert_eq!(cmt.lookup(1, 0), Some(10));
+        assert_eq!(cmt.lookup(1, 511), Some(5110));
+        assert_eq!(cmt.len(), 4);
+        let full: Vec<(u32, Ppn, bool)> = (0..100).map(|i| (i, 1, false)).collect();
+        assert_eq!(cmt.insert_batch(2, &full), &[0, 1], "both were dirty");
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond any translation page's 65536 mappings")]
+    fn page_node_cmt_refuses_an_offset_no_translation_page_has() {
+        PageNodeCmt::new(8).insert_batch(0, &[(1 << 16, 1, false)]);
+    }
+
+    /// The highest PPN a 4-byte entry holds, and the first it cannot.
+    const MAX_PPN: Ppn = u32::MAX as Ppn - 1;
+    const TOO_BIG: Ppn = MAX_PPN + 1;
+
+    #[test]
+    fn page_node_cmt_holds_the_highest_ppn_of_the_largest_device() {
+        let mut cmt = PageNodeCmt::new(8);
+        cmt.insert_batch(0, &[(0, MAX_PPN, false)]);
+        assert_eq!(cmt.lookup(0, 0), Some(MAX_PPN));
+    }
+
+    #[test]
+    #[should_panic(expected = "PPN beyond the 32-bit entries")]
+    fn page_node_cmt_insert_refuses_a_ppn_beyond_its_entries() {
+        PageNodeCmt::new(8).insert_batch(0, &[(0, 1, false), (1, TOO_BIG, false)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PPN beyond the 32-bit entries")]
+    fn page_node_cmt_update_refuses_a_ppn_beyond_its_entries() {
+        let mut cmt = PageNodeCmt::new(8);
+        cmt.insert_batch(0, &[(0, 1, false)]);
+        cmt.update_if_cached(0, 0, TOO_BIG + 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "PPN beyond the 32-bit entries")]
+    fn page_node_cmt_refresh_refuses_a_ppn_beyond_its_entries() {
+        let mut cmt = PageNodeCmt::new(8);
+        cmt.insert_batch(0, &[(0, 1, false)]);
+        cmt.refresh_if_cached(0, 0, 1 << 40);
     }
 
     #[test]
@@ -954,26 +1189,32 @@ mod tests {
         Refresh(usize, u32, Ppn),
     }
 
-    /// Translation pages and offsets are drawn from small ranges so nodes
-    /// collide, overlap and get re-created after eviction.
+    /// Translation pages are drawn from a small range so nodes collide,
+    /// overlap and get re-created after eviction. Offsets come half from the
+    /// first word and a half (dense: most operations meet a cached mapping),
+    /// half from sixteen words (the slabs are laid out again several times
+    /// per case, with nodes in them); PPNs go up to the highest an entry
+    /// holds.
     fn op() -> impl Strategy<Value = Op> {
         let tpn = || 0usize..12;
-        let offset = || 0u32..96;
+        let offset = || prop_oneof![0u32..96, 0u32..1024];
+        let ppn = || 0..MAX_PPN + 1;
         // A prefetch-like clean run of consecutive offsets (ascending, so it
-        // overlaps whatever earlier runs left in the node).
-        let run = (tpn(), offset(), 1u32..70, 0u64..1_000_000).prop_map(|(t, from, len, ppn)| {
+        // overlaps whatever earlier runs left in the node), more often than
+        // not starting in one bitmap word and ending in another.
+        let run = (tpn(), offset(), 1u32..70, ppn()).prop_map(|(t, from, len, ppn)| {
             let batch = (from..from + len)
-                .map(|o| (o, ppn + u64::from(o), false))
+                .map(|o| (o, (ppn + Ppn::from(o)).min(MAX_PPN), false))
                 .collect();
             Op::Insert(t, batch)
         });
         // The host write path's single dirty mapping.
-        let write = (tpn(), offset(), 0u64..1_000_000)
-            .prop_map(|(t, o, p)| Op::Insert(t, vec![(o, p, true)]));
+        let write =
+            (tpn(), offset(), ppn()).prop_map(|(t, o, p)| Op::Insert(t, vec![(o, p, true)]));
         // Anything goes: unsorted, duplicate offsets, mixed dirty bits.
         let scattered = (
             tpn(),
-            collection::vec((offset(), 0u64..1_000_000, any::<bool>()), 1..12),
+            collection::vec((offset(), ppn(), any::<bool>()), 1..12),
         )
             .prop_map(|(t, batch)| Op::Insert(t, batch));
         prop_oneof![
@@ -982,21 +1223,24 @@ mod tests {
             run,
             write,
             scattered,
-            (tpn(), offset(), 0u64..1_000_000).prop_map(|(t, o, p)| Op::Update(t, o, p)),
-            (tpn(), offset(), 0u64..1_000_000).prop_map(|(t, o, p)| Op::Refresh(t, o, p)),
+            (tpn(), offset(), ppn()).prop_map(|(t, o, p)| Op::Update(t, o, p)),
+            (tpn(), offset(), ppn()).prop_map(|(t, o, p)| Op::Refresh(t, o, p)),
         ]
     }
 
     proptest! {
-        /// The slab CMT must be indistinguishable from the original
+        /// The bitmap CMT must be indistinguishable from the original
         /// `BTreeMap`-per-node implementation: same lookup results (hence
         /// same recency updates), same sizes, and the same translation pages
         /// written back in the same order — including the oversized-only-node
-        /// trim (capacities 1 and 4 against runs of up to 69) and slot reuse.
+        /// trim (capacities 1, 4 and 7 against runs of up to 69) and slot
+        /// reuse — with its own structure intact after every step.
         #[test]
         fn page_node_cmt_matches_reference_model(
             ops in collection::vec(op(), 1..300),
-            capacity in prop_oneof![Just(0usize), Just(1), Just(4), Just(64), Just(4096)],
+            capacity in prop_oneof![
+                Just(0usize), Just(1), Just(4), Just(7), Just(64), Just(513), Just(4096)
+            ],
         ) {
             let mut cmt = PageNodeCmt::new(capacity);
             let mut model = ReferenceNodeCmt::new(capacity);
@@ -1021,6 +1265,12 @@ mod tests {
                             model.insert_batch(tpn, &batch),
                             "step {}: insert {:?} into {}", step, batch, tpn
                         );
+                        for &(offset, _, _) in &batch {
+                            prop_assert_eq!(
+                                cmt.peek(tpn, offset), model.peek(tpn, offset),
+                                "step {}: offset {} of {:?}", step, offset, batch
+                            );
+                        }
                     }
                     Op::Update(tpn, offset, ppn) => {
                         prop_assert_eq!(
@@ -1037,11 +1287,13 @@ mod tests {
                 prop_assert_eq!(cmt.len(), model.len(), "step {}", step);
                 prop_assert_eq!(cmt.node_count(), model.node_count(), "step {}", step);
                 prop_assert!(cmt.len() <= capacity);
+                cmt.check_invariants();
             }
-            // Whatever survived must agree mapping for mapping.
+            // Whatever survived must agree mapping for mapping, dirty bits
+            // included.
             for tpn in 0..12 {
-                for offset in 0..170 {
-                    prop_assert_eq!(cmt.lookup(tpn, offset), model.lookup(tpn, offset));
+                for offset in 0..1100 {
+                    prop_assert_eq!(cmt.peek(tpn, offset), model.peek(tpn, offset));
                 }
             }
         }

@@ -127,6 +127,12 @@ impl ReferenceNodeCmt {
             .unwrap_or(false)
     }
 
+    /// The cached mapping for (`tpn`, `offset`) with its dirty bit, recency
+    /// untouched: what evictions only show one node at a time.
+    pub(crate) fn peek(&self, tpn: usize, offset: u32) -> Option<CmtEntry> {
+        self.nodes.peek(&tpn)?.get(&offset).copied()
+    }
+
     /// The original `insert_batch`, reduced to what its callers consumed:
     /// the tpns of the evicted (or trimmed) nodes that held dirty mappings.
     pub(crate) fn insert_batch(&mut self, tpn: usize, mappings: &[(u32, Ppn, bool)]) -> Vec<usize> {

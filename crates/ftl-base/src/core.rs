@@ -354,6 +354,9 @@ impl FtlCore {
     /// up to `prefetch_len − 1` following LPNs of the same translation page as
     /// clean entries, and writes back the nodes this evicted. Returns the time
     /// the mapping is available and the write-backs are done.
+    ///
+    /// A `prefetch_len` of zero is served as one: the mapping that missed is
+    /// what the translation page was read for.
     pub fn load_with_prefetch(
         &mut self,
         cmt: &mut PageNodeCmt,
@@ -363,14 +366,12 @@ impl FtlCore {
     ) -> SimTime {
         let tpn = self.entry_of_lpn(lpn);
         let t_trans = self.read_translation(tpn, now);
-        let (_, range_end) = self.gtd.lpn_range(tpn);
-        let end_lpn = (lpn + u64::from(prefetch_len)).min(range_end);
+        let (range_start, range_end) = self.gtd.lpn_range(tpn);
+        let end_lpn = (lpn + u64::from(prefetch_len.max(1))).min(range_end);
         self.prefetch.clear();
-        for l in lpn..end_lpn {
-            if let Some(ppn) = self.mapping.get(l) {
-                self.prefetch.push((self.gtd.offset_of_lpn(l), ppn, false));
-            }
-        }
+        let run = self.mapping.range(lpn, end_lpn);
+        self.prefetch
+            .extend(run.map(|(l, ppn)| ((l - range_start) as u32, ppn, false)));
         let evicted = cmt.insert_batch(tpn, &self.prefetch);
         self.write_back_nodes(evicted, t_trans)
     }

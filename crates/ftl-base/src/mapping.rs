@@ -30,6 +30,19 @@ fn mapped(entry: u32) -> Option<Ppn> {
     (entry != UNMAPPED).then_some(Ppn::from(entry))
 }
 
+/// `ppn` as the four bytes that hold a mapping here and in
+/// [`crate::PageNodeCmt`]'s nodes.
+///
+/// # Panics
+///
+/// Panics if `ppn` is [`MappingTable::MAX_DEVICE_PAGES`] or more.
+pub(crate) fn pack_ppn(ppn: Ppn) -> u32 {
+    u32::try_from(ppn)
+        .ok()
+        .filter(|&entry| entry != UNMAPPED)
+        .expect("PPN beyond the 32-bit entries that hold mappings")
+}
+
 impl MappingTable {
     /// The number of physical pages of the largest device whose every PPN
     /// fits an entry. [`crate::FtlCore`] refuses a larger geometry when it is
@@ -63,11 +76,10 @@ impl MappingTable {
     ///
     /// Panics if `lpn` is out of range or `ppn` does not fit an entry.
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        let entry = u32::try_from(ppn)
-            .ok()
-            .filter(|&entry| entry != UNMAPPED)
-            .expect("PPN beyond the mapping table's 32-bit entries");
-        mapped(std::mem::replace(&mut self.map[lpn as usize], entry))
+        mapped(std::mem::replace(
+            &mut self.map[lpn as usize],
+            pack_ppn(ppn),
+        ))
     }
 
     /// Removes the mapping of `lpn` (e.g. after a trim), returning it.
@@ -87,7 +99,13 @@ impl MappingTable {
     /// Iterates over `(lpn, ppn)` pairs in the half-open LPN range.
     pub fn range(&self, start: Lpn, end: Lpn) -> impl Iterator<Item = (Lpn, Ppn)> + '_ {
         let end = end.min(self.map.len() as u64);
-        (start..end).filter_map(move |lpn| mapped(self.map[lpn as usize]).map(|ppn| (lpn, ppn)))
+        let entries = self
+            .map
+            .get(start as usize..end as usize)
+            .unwrap_or_default();
+        (start..end)
+            .zip(entries)
+            .filter_map(|(lpn, &entry)| mapped(entry).map(|ppn| (lpn, ppn)))
     }
 }
 
