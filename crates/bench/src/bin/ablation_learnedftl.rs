@@ -1,5 +1,5 @@
 //! Ablation study of LearnedFTL's design choices (not a paper figure, but the
-//! knobs DESIGN.md calls out):
+//! `LearnedFtlConfig` knobs behind the mechanisms the README describes):
 //!
 //! * the number of linear pieces per in-place-update model (paper default: 8),
 //! * the CMT share of the DRAM budget (paper default: 1.5 %),

@@ -1,18 +1,17 @@
 //! # bench
 //!
-//! Shared plumbing for the figure-reproduction binaries (`src/bin/figXX_*.rs`)
-//! and the Criterion microbenchmarks (`benches/`).
+//! Shared plumbing for the figure-reproduction binaries (`src/bin/figXX_*.rs`).
 //!
 //! Every binary reproduces one table or figure of the LearnedFTL paper: it
 //! runs the corresponding experiment through [`harness::experiments`], prints
 //! the measured series next to what the paper reports, and states the shape
-//! criterion (who should win, roughly by how much). The binaries honour one
+//! check (who should win, roughly by how much). The binaries honour one
 //! environment variable:
 //!
 //! * `LEARNEDFTL_SCALE=quick|standard|paper` — selects the device size and
 //!   experiment scale. `standard` (the default) uses the scaled-down device
-//!   described in DESIGN.md; `paper` uses the full 32 GiB geometry (slow);
-//!   `quick` is a smoke-test size used by CI.
+//!   of [`SsdConfig::small`]; `paper` uses the full 32 GiB geometry (slow);
+//!   `quick` is a smoke-test size used by CI. Any other value is refused.
 
 use harness::experiments::ExperimentScale;
 use harness::RunResult;
@@ -31,17 +30,24 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `LEARNEDFTL_SCALE` environment variable.
-    pub fn from_env() -> Scale {
-        match std::env::var("LEARNEDFTL_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "quick" => Scale::Quick,
-            "paper" => Scale::Paper,
-            _ => Scale::Standard,
+    /// Parses a `LEARNEDFTL_SCALE` value, ignoring case. An empty value is
+    /// [`Scale::Standard`]; an unknown one is an error, so a typo cannot
+    /// silently run the standard scale.
+    pub fn parse(value: &str) -> Result<Scale, String> {
+        match value.to_lowercase().as_str() {
+            "" | "standard" => Ok(Scale::Standard),
+            "quick" => Ok(Scale::Quick),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(format!(
+                "LEARNEDFTL_SCALE={value:?}: expected quick, standard or paper"
+            )),
         }
+    }
+
+    /// Reads the scale from the `LEARNEDFTL_SCALE` environment variable
+    /// (unset is [`Scale::Standard`]).
+    pub fn from_env() -> Result<Scale, String> {
+        Scale::parse(&std::env::var("LEARNEDFTL_SCALE").unwrap_or_default())
     }
 
     /// The device configuration for this scale.
@@ -166,16 +172,6 @@ pub struct BenchArgs {
     /// traced run to this path (`--analyze-out PATH`). Enables tracing for
     /// that run.
     pub analyze_out: Option<String>,
-    /// Write the machine-readable `BENCH_*.json` wall-clock artifact of a
-    /// benchmark binary to this path (`--bench-out PATH`); only
-    /// `fig27_throughput` consumes it today, other binaries accept and
-    /// ignore it.
-    pub bench_out: Option<String>,
-    /// Check the written BENCH artifact against a checked-in floors document
-    /// (`--bench-floors PATH`; see [`metrics::check_bench_floors`]): the
-    /// binary exits non-zero if any configuration's requests/sec fell below
-    /// its floor. Only `fig27_throughput` consumes it today.
-    pub bench_floors: Option<String>,
 }
 
 impl Default for BenchArgs {
@@ -188,24 +184,23 @@ impl Default for BenchArgs {
             metrics_out: None,
             metrics_interval_us: None,
             analyze_out: None,
-            bench_out: None,
-            bench_floors: None,
         }
     }
 }
 
 impl BenchArgs {
-    /// Parses the process's command line, exiting with a usage message on
-    /// malformed input. Binaries call this once at the top of `main`.
+    /// Parses the process's command line and checks `LEARNEDFTL_SCALE`,
+    /// exiting with a usage message on malformed input. Binaries call this
+    /// once at the top of `main`.
     pub fn from_env() -> BenchArgs {
-        match Self::parse(std::env::args().skip(1)) {
+        match Scale::from_env().and_then(|_| Self::parse(std::env::args().skip(1))) {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: <figure> [--shards N] [--planes N] [--quick] \
                      [--trace-out PATH] [--metrics-out PATH] [--metrics-interval US] \
-                     [--analyze-out PATH] [--bench-out PATH] [--bench-floors PATH]"
+                     [--analyze-out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -218,7 +213,7 @@ impl BenchArgs {
         if self.quick {
             Scale::Quick
         } else {
-            Scale::from_env()
+            Scale::from_env().expect("LEARNEDFTL_SCALE is checked by BenchArgs::from_env")
         }
     }
 
@@ -277,10 +272,6 @@ impl BenchArgs {
                 parsed.metrics_out = Some(path);
             } else if let Some(path) = flag_string("--analyze-out", &arg, &mut iter)? {
                 parsed.analyze_out = Some(path);
-            } else if let Some(path) = flag_string("--bench-out", &arg, &mut iter)? {
-                parsed.bench_out = Some(path);
-            } else if let Some(path) = flag_string("--bench-floors", &arg, &mut iter)? {
-                parsed.bench_floors = Some(path);
             } else {
                 return Err(format!("unknown argument `{arg}`"));
             }
@@ -343,7 +334,6 @@ impl BenchArgs {
             result.profile.requests_per_sec(),
             result.profile.events_per_sec()
         );
-        print_alloc_profile();
         Ok(())
     }
 }
@@ -371,25 +361,6 @@ pub fn export_default_observability(args: &BenchArgs, figure: &str) {
     println!("traced run (default protocol): LearnedFTL, FIO randread, closed loop");
     args.export_observability(figure, &traced)
         .expect("writing observability output failed");
-}
-
-/// Prints the per-phase allocation profile when the harness was built with
-/// the `alloc-profile` feature (`cargo run --features bench/alloc-profile`);
-/// silent otherwise, so untraced output is byte-identical.
-pub fn print_alloc_profile() {
-    use harness::alloc_profile::{self, Phase};
-    if !alloc_profile::enabled() {
-        return;
-    }
-    for phase in Phase::ALL {
-        let stats = alloc_profile::phase_stats(phase);
-        println!(
-            "alloc-profile: {:>6}: {:>12} allocations {:>14} bytes",
-            phase.label(),
-            stats.allocations,
-            stats.bytes
-        );
-    }
 }
 
 /// Prints the standard experiment header.
@@ -424,8 +395,13 @@ mod tests {
 
     #[test]
     fn scale_selection_defaults_to_standard() {
-        std::env::remove_var("LEARNEDFTL_SCALE");
-        assert_eq!(Scale::from_env(), Scale::Standard);
+        assert_eq!(Scale::parse(""), Ok(Scale::Standard));
+        assert_eq!(Scale::parse("Standard"), Ok(Scale::Standard));
+        assert_eq!(Scale::parse("QUICK"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("paper"), Ok(Scale::Paper));
+        // A typo is refused, not run at the standard scale.
+        let err = Scale::parse("quik").unwrap_err();
+        assert!(err.contains("\"quik\""), "{err}");
         assert_eq!(Scale::Quick.device(), SsdConfig::tiny());
         assert_eq!(Scale::Paper.device(), SsdConfig::paper());
         assert!(Scale::Standard.describe().contains("scale=Standard"));
@@ -505,23 +481,11 @@ mod tests {
         assert!(args(&["--metrics-interval", "0"]).is_err());
         assert!(args(&["--metrics-interval", "x"]).is_err());
 
-        // --analyze-out enables tracing on its own; --bench-out does not
-        // (wall-clock benchmarks time untraced runs too).
+        // --analyze-out enables tracing on its own.
         let analyze = args(&["--analyze-out", "a.json"]).unwrap();
         assert_eq!(analyze.analyze_out.as_deref(), Some("a.json"));
         assert!(analyze.tracing());
-        let bench = args(&["--bench-out=BENCH_fig27.json"]).unwrap();
-        assert_eq!(bench.bench_out.as_deref(), Some("BENCH_fig27.json"));
-        assert!(!bench.tracing());
-        let floors = args(&["--bench-floors", "BENCH_floors_fig27.json"]).unwrap();
-        assert_eq!(
-            floors.bench_floors.as_deref(),
-            Some("BENCH_floors_fig27.json")
-        );
-        assert!(!floors.tracing());
         assert!(args(&["--analyze-out"]).is_err());
-        assert!(args(&["--bench-out"]).is_err());
-        assert!(args(&["--bench-floors"]).is_err());
     }
 
     #[test]

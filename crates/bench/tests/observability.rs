@@ -1,15 +1,23 @@
 //! The figure binaries' observability path: the shared `BenchArgs` export
 //! helper must write a schema-valid Chrome trace and a well-formed metrics
 //! CSV, and the GC-interference protocol's traced variant must surface the
-//! scheduler's GC activity in the trace.
+//! scheduler's GC activity in the trace. Both traced runs' self-profiles must
+//! count the trace and the requests they returned.
 
 use bench::{BenchArgs, Scale};
 use ftl_base::GcMode;
 use harness::experiments::{fio_gc_interference_traced_run, fio_read_traced_run};
-use harness::FtlKind;
+use harness::{FtlKind, RunResult};
 use metrics::{chrome_trace_json, validate_analysis_json, validate_chrome_trace};
 use ssd_sim::{Duration, SsdConfig};
 use workloads::FioPattern;
+
+/// The self-profile the export line prints counts what the run returned,
+/// including GC instants a post-run drain appended to the trace.
+fn assert_profile_counts_trace(result: &RunResult) {
+    assert_eq!(result.profile.trace_events, result.trace.len() as u64);
+    assert_eq!(result.profile.requests, result.requests);
+}
 
 #[test]
 fn export_helper_writes_valid_artifacts() {
@@ -35,6 +43,7 @@ fn export_helper_writes_valid_artifacts() {
     );
     assert!(result.profile.trace_events > 0);
     assert!(result.profile.requests_per_sec() > 0.0);
+    assert_profile_counts_trace(&result);
     args.export_observability("observability-test", &result)
         .expect("export must succeed");
 
@@ -91,6 +100,7 @@ fn traced_gc_interference_surfaces_gc_activity() {
         result.stats.gc_count > 0,
         "the write-heavy point must collect"
     );
+    assert_profile_counts_trace(&result);
     let summary = validate_chrome_trace(&chrome_trace_json(&result.trace))
         .expect("traced GC run must validate");
     assert!(summary.gc_events > 0, "no GC events in the trace");

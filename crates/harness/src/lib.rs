@@ -28,7 +28,6 @@
 //! assert!(result.throughput().mib_per_sec() > 0.0);
 //! ```
 
-pub mod alloc_profile;
 pub mod experiments;
 mod kind;
 mod result;

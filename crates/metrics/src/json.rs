@@ -1,7 +1,6 @@
 //! A minimal recursive-descent JSON parser shared by this crate's artifact
 //! validators ([`crate::validate_chrome_trace`],
-//! [`crate::analysis::validate_analysis_json`],
-//! [`crate::bench_artifact::validate_bench_artifact`]).
+//! [`crate::analysis::validate_analysis_json`]).
 //!
 //! No dependencies, strict enough to reject the malformed output a broken
 //! exporter would produce. Parses into [`Json`], a just-enough value tree for
@@ -12,7 +11,7 @@ pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` or `false` (the checkers don't care which).
-    Bool(bool),
+    Bool,
     /// Any number, as `f64`.
     Number(f64),
     /// A string.
@@ -52,14 +51,6 @@ impl Json {
     pub(crate) fn as_number(&self) -> Option<f64> {
         match self {
             Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, or `None`.
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -130,8 +121,8 @@ impl<'a> JsonParser<'a> {
             b'{' => self.parse_object(),
             b'[' => self.parse_array(),
             b'"' => Ok(Json::String(self.parse_string()?)),
-            b't' => self.parse_keyword("true", Json::Bool(true)),
-            b'f' => self.parse_keyword("false", Json::Bool(false)),
+            b't' => self.parse_keyword("true", Json::Bool),
+            b'f' => self.parse_keyword("false", Json::Bool),
             b'n' => self.parse_keyword("null", Json::Null),
             _ => self.parse_number(),
         }
@@ -260,14 +251,15 @@ mod tests {
 
     #[test]
     fn parses_and_navigates() {
-        let v = JsonParser::new("{\"a\":[1,true,\"x\"],\"b\":{\"c\":null}}")
+        let v = JsonParser::new("{\"a\":[1,true,\"x\",false],\"b\":{\"c\":null}}")
             .parse_document()
             .unwrap();
         let a = v.get("a").unwrap().as_array().unwrap();
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.len(), 4);
         assert_eq!(a[0].as_number(), Some(1.0));
-        assert_eq!(a[1].as_bool(), Some(true));
+        assert!(matches!(a[1], Json::Bool));
         assert_eq!(a[2].as_str(), Some("x"));
+        assert!(matches!(a[3], Json::Bool));
         assert!(matches!(v.get("b").unwrap().get("c"), Some(Json::Null)));
         assert!(v.get("missing").is_none());
     }

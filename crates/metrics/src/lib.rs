@@ -16,12 +16,9 @@
 //! * [`analysis`] — the in-memory trace analysis engine: per-request latency
 //!   decomposition, GC-interference attribution, utilisation/idle-gap
 //!   accounting, tail exemplars, and the deterministic `analysis.json`
-//!   artifact,
-//! * [`bench_artifact`] — a schema checker for the machine-readable
-//!   `BENCH_*.json` wall-clock benchmark artifacts.
+//!   artifact.
 
 pub mod analysis;
-pub mod bench_artifact;
 mod energy;
 mod gc_timeline;
 mod histogram;
@@ -31,9 +28,6 @@ mod table;
 mod throughput;
 
 pub use analysis::{analysis_json, analyze, validate_analysis_json, TraceAnalysis};
-pub use bench_artifact::{
-    check_bench_floors, validate_bench_artifact, BenchArtifactSummary, BenchFloorSummary,
-};
 pub use energy::EnergyModel;
 pub use gc_timeline::GcTimeline;
 pub use histogram::LatencyHistogram;

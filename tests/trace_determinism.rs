@@ -14,6 +14,9 @@
 //! * **zero observer effect** — enabling tracing changes nothing the run
 //!   measures: simulated time, latency distributions, flash work and FTL
 //!   statistics are bit-for-bit those of the untraced run.
+//!
+//! Every traced run also checks that its self-profile counts what the run
+//! returned: one trace event per recorded event, one request per request.
 
 use harness::experiments::{
     fio_qd_sharded_run, fio_qd_sharded_traced_run, fio_qd_threaded_traced_run, ExperimentScale,
@@ -41,8 +44,24 @@ fn device(kind: FtlKind) -> SsdConfig {
         .with_op_ratio(0.4)
 }
 
+/// Asserts that `run`'s self-profile counts the trace and the requests it
+/// returned, and hands the run back.
+fn profile_counts_trace(run: ShardedRunResult, context: &str) -> ShardedRunResult {
+    let r = &run.result;
+    assert_eq!(
+        r.profile.trace_events,
+        r.trace.len() as u64,
+        "{context}: profiled trace events"
+    );
+    assert_eq!(
+        r.profile.requests, r.requests,
+        "{context}: profiled requests"
+    );
+    run
+}
+
 fn traced_sim(kind: FtlKind, shards: usize) -> ShardedRunResult {
-    fio_qd_sharded_traced_run(
+    let run = fio_qd_sharded_traced_run(
         kind,
         FioPattern::RandRead,
         4,
@@ -50,7 +69,8 @@ fn traced_sim(kind: FtlKind, shards: usize) -> ShardedRunResult {
         shards,
         device(kind),
         ExperimentScale::quick(),
-    )
+    );
+    profile_counts_trace(run, &format!("{kind} shards={shards} simulated"))
 }
 
 #[test]
@@ -90,7 +110,7 @@ fn same_seed_produces_byte_identical_artifacts() {
 }
 
 fn traced_threaded(kind: FtlKind, shards: usize) -> ShardedRunResult {
-    fio_qd_threaded_traced_run(
+    let run = fio_qd_threaded_traced_run(
         kind,
         FioPattern::RandRead,
         4,
@@ -99,7 +119,8 @@ fn traced_threaded(kind: FtlKind, shards: usize) -> ShardedRunResult {
         shards.clamp(2, 4),
         device(kind),
         ExperimentScale::quick(),
-    )
+    );
+    profile_counts_trace(run, &format!("{kind} shards={shards} threaded"))
 }
 
 /// Drops the threaded backend's `RingBatch` counters: they describe the
