@@ -38,9 +38,9 @@
 //! for CI.
 
 use crate::json::{Json, JsonParser};
-use crate::sim_trace::shard_epochs;
+use crate::sim_trace::{shard_epochs, Slots};
 use ssd_sim::{FlashOp, TraceData, TraceEvent};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 use std::fmt::Write as _;
 
 /// How many slowest-request exemplars [`analyze`] keeps.
@@ -111,7 +111,26 @@ impl RequestBreakdown {
     /// Sum of the five components; equals [`Self::latency_ns`] by
     /// construction (the property test pins this).
     pub fn components_sum_ns(&self) -> u64 {
-        self.queue_wait_ns + self.translation_ns + self.nand_ns + self.bus_ns + self.gc_ns
+        self.components().iter().sum()
+    }
+
+    /// `[queue_wait, translation, nand, bus, gc]` nanoseconds.
+    fn components(&self) -> [u64; 5] {
+        [
+            self.queue_wait_ns,
+            self.translation_ns,
+            self.nand_ns,
+            self.bus_ns,
+            self.gc_ns,
+        ]
+    }
+}
+
+/// Nearest-rank p99 of `latencies` (0 when empty); reorders them.
+fn nearest_rank_p99(latencies: &mut [u64]) -> u64 {
+    match (latencies.len() * 99).div_ceil(100).checked_sub(1) {
+        Some(rank) => *latencies.select_nth_unstable(rank).1,
+        None => 0,
     }
 }
 
@@ -403,43 +422,41 @@ struct Segment {
     charge: Charge,
 }
 
-/// Builds the disjoint charged segments of one shard's timeline from its
-/// class intervals via a boundary sweep: at every instant the active charge
-/// is the highest-precedence class with a live interval.
-fn charged_segments(intervals: &[(u64, u64, Charge)]) -> Vec<Segment> {
-    // (time, class index, +1/-1), processed in time order with all deltas at
-    // one instant applied before emitting the next segment.
-    let mut bounds: Vec<(u64, usize, i64)> = Vec::with_capacity(intervals.len() * 2);
-    for &(s, e, c) in intervals {
-        if e > s {
-            bounds.push((s, c as usize, 1));
-            bounds.push((e, c as usize, -1));
-        }
+/// Sweep bounds are packed `u64`s, so the sweep sorts plain integers: time
+/// in the high 61 bits, saturating here (73 years of simulated time), then
+/// the charge class and whether the bound closes its interval.
+const SWEEP_TIME_MAX: u64 = (1 << 61) - 1;
+
+/// Appends `[start, end)` charged to `charge` to a shard's sweep bounds;
+/// empty intervals charge nothing.
+fn push_interval(bounds: &mut Vec<u64>, start: u64, end: u64, charge: Charge) {
+    if end > start {
+        let class = (charge as u64) << 1;
+        bounds.push(start.min(SWEEP_TIME_MAX) << 3 | class);
+        bounds.push(end.min(SWEEP_TIME_MAX) << 3 | class | 1);
     }
-    bounds.sort_unstable_by_key(|&(t, _, _)| t);
+}
+
+/// Builds the disjoint charged segments of one shard's timeline from its
+/// packed bounds via a boundary sweep: at every instant the active charge is
+/// the highest-precedence class with a live interval.
+fn charged_segments(bounds: &mut [u64]) -> Vec<Segment> {
+    bounds.sort_unstable();
     let mut segments: Vec<Segment> = Vec::new();
     let mut live = [0i64; 3];
     let mut cursor = 0u64;
-    let mut i = 0;
-    while i < bounds.len() {
-        let t = bounds[i].0;
-        let active = if live[Charge::Gc as usize] > 0 {
-            Some(Charge::Gc)
-        } else if live[Charge::Bus as usize] > 0 {
-            Some(Charge::Bus)
-        } else if live[Charge::Nand as usize] > 0 {
-            Some(Charge::Nand)
-        } else {
-            None
-        };
-        if let Some(charge) = active {
-            if t > cursor {
+    for &bound in bounds.iter() {
+        let t = bound >> 3;
+        // Every bound at `cursor` is applied: charge `[cursor, t)`.
+        if t > cursor {
+            let active = [Charge::Gc, Charge::Bus, Charge::Nand]
+                .into_iter()
+                .find(|&c| live[c as usize] > 0);
+            if let Some(charge) = active {
                 // Coalesce with the previous segment when the boundary only
                 // changed an inactive class.
                 match segments.last_mut() {
-                    Some(last) if last.end_ns == cursor && last.charge == charge => {
-                        last.end_ns = t;
-                    }
+                    Some(last) if last.end_ns == cursor && last.charge == charge => last.end_ns = t,
                     _ => segments.push(Segment {
                         start_ns: cursor,
                         end_ns: t,
@@ -447,12 +464,9 @@ fn charged_segments(intervals: &[(u64, u64, Charge)]) -> Vec<Segment> {
                     }),
                 }
             }
+            cursor = t;
         }
-        while i < bounds.len() && bounds[i].0 == t {
-            live[bounds[i].1] += bounds[i].2;
-            i += 1;
-        }
-        cursor = t;
+        live[(bound >> 1 & 3) as usize] += if bound & 1 == 0 { 1 } else { -1 };
     }
     segments
 }
@@ -478,107 +492,152 @@ fn window_charges(segments: &[Segment], start: u64, end: u64) -> [u64; 3] {
     sums
 }
 
-/// Per-unit busy/idle accumulator shared by plane and channel accounting.
-#[derive(Default)]
+/// Per-unit busy/idle accumulator shared by plane and channel accounting,
+/// kept in [`PlaneUse`]'s shape (a channel's index sits in `chip`).
+#[derive(Clone, Default)]
 struct UnitAcc {
-    ops: u64,
-    busy_ns: u64,
-    gc_ns: u64,
-    idle_gaps: u64,
-    idle_ns: u64,
-    max_idle_ns: u64,
+    row: PlaneUse,
     prev_end: Option<u64>,
 }
 
 impl UnitAcc {
-    fn record(&mut self, start: u64, end: u64, gc: bool) {
-        self.ops += 1;
+    /// Records one operation of `(shard, chip, plane)`; returns its busy time.
+    fn record(
+        &mut self,
+        (shard, chip, plane): (u32, u32, u32),
+        start: u64,
+        end: u64,
+        gc: bool,
+    ) -> u64 {
+        let row = &mut self.row;
+        (row.shard, row.chip, row.plane) = (shard, chip, plane);
+        row.ops += 1;
         let dur = end.saturating_sub(start);
-        self.busy_ns += dur;
+        row.busy_ns += dur;
         if gc {
-            self.gc_ns += dur;
+            row.gc_ns += dur;
         }
         if let Some(prev) = self.prev_end {
             if start > prev {
                 let gap = start - prev;
-                self.idle_gaps += 1;
-                self.idle_ns += gap;
-                self.max_idle_ns = self.max_idle_ns.max(gap);
+                row.idle_gaps += 1;
+                row.idle_ns += gap;
+                row.max_idle_ns = row.max_idle_ns.max(gap);
             }
         }
         self.prev_end = Some(self.prev_end.unwrap_or(0).max(end));
+        dur
     }
+}
+
+/// A plane's table key, ordered by (shard, chip, plane).
+fn plane_key(shard: u32, chip: u32, plane: u32) -> u128 {
+    u128::from(shard) << 64 | u128::from(chip) << 32 | u128::from(plane)
+}
+
+/// A channel's table key, ordered by (shard, channel).
+fn channel_key(shard: u32, channel: u32) -> u64 {
+    u64::from(shard) << 32 | u64::from(channel)
 }
 
 /// Runs the analysis engine over a merged trace.
 ///
-/// A pure function of the event stream (sorted maps, integer arithmetic, no
-/// clocks): identical streams analyse to identical reports, which is what
-/// makes `analysis.json` byte-stable across runs and backends.
+/// A pure function of the event stream (dense tables in key order, integer
+/// arithmetic, no clocks): identical streams analyse to identical reports,
+/// which is what makes `analysis.json` byte-stable across runs and backends.
+///
+/// Every table is indexed by the slots of the shard, plane, channel and
+/// tenant keys the trace contains; then one accounting pass with the top-K
+/// selection, and one pass for the decompositions and exemplars.
 pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
     let epochs = shard_epochs(events);
-    let rebase = |t: ssd_sim::SimTime, shard: u32| t.as_nanos().saturating_sub(epochs[&shard]);
-
-    // Pass 1: per-shard charged intervals, unit accounting, shard windows.
-    let mut intervals: BTreeMap<u32, Vec<(u64, u64, Charge)>> = BTreeMap::new();
-    let mut planes: BTreeMap<(u32, u32, u32), UnitAcc> = BTreeMap::new();
-    let mut channels: BTreeMap<(u32, u32), UnitAcc> = BTreeMap::new();
-    let mut shard_end: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut rings: BTreeMap<u32, RingUse> = BTreeMap::new();
+    let shard_count = epochs.slots.len();
+    let (mut plane_slots, mut channel_slots, mut tenant_slots) =
+        (Slots::new(), Slots::new(), Slots::new());
     for e in events {
+        match e.data {
+            TraceData::PlaneOp { chip, plane, .. } => {
+                plane_slots.insert(plane_key(e.shard, chip, plane))
+            }
+            TraceData::BusXfer { channel, .. } => {
+                channel_slots.insert(channel_key(e.shard, channel))
+            }
+            TraceData::HostRequest { tenant, .. } => tenant_slots.insert(tenant),
+            _ => {}
+        }
+    }
+    let (plane_slots, channel_slots, tenant_slots) = (
+        plane_slots.sealed(),
+        channel_slots.sealed(),
+        tenant_slots.sealed(),
+    );
+
+    // Accounting: charged intervals as packed sweep bounds, unit accounting,
+    // shard windows, ring batches, and the K slowest requests as (latency
+    // descending, request index, event index).
+    let mut shards: Vec<Option<ShardReport>> = vec![None; shard_count];
+    let mut bounds: Vec<Vec<u64>> = vec![Vec::new(); shard_count];
+    let mut rings = vec![RingUse::default(); shard_count];
+    let mut planes = vec![UnitAcc::default(); plane_slots.len()];
+    let mut units = vec![UnitAcc::default(); channel_slots.len()];
+    let mut slowest: Vec<(Reverse<u64>, u64, usize)> = Vec::with_capacity(EXEMPLAR_TOP_K + 1);
+    let mut host_requests = 0;
+    for (i, e) in events.iter().enumerate() {
+        let slot = epochs.slot(e.shard);
         // Ring-batch counters are backend bookkeeping, not device activity:
         // they feed the ring section only and never touch shard windows or
         // charge intervals, so every other section of the report is
         // unchanged by their presence.
         if let TraceData::RingBatch { entries } = e.data {
-            let ring = rings.entry(e.shard).or_insert(RingUse {
-                shard: e.shard,
-                ..RingUse::default()
-            });
+            let ring = &mut rings[slot];
+            ring.shard = e.shard;
             ring.batches += 1;
             ring.entries += u64::from(entries);
             ring.max_entries = ring.max_entries.max(entries);
             continue;
         }
-        let (start, end) = (rebase(e.start, e.shard), rebase(e.end, e.shard));
-        let shard_max = shard_end.entry(e.shard).or_insert(0);
-        *shard_max = (*shard_max).max(end);
+        let epoch = epochs.epoch(slot);
+        let (start, end) = (
+            e.start.as_nanos().saturating_sub(epoch),
+            e.end.as_nanos().saturating_sub(epoch),
+        );
+        let report = shards[slot].get_or_insert(ShardReport {
+            shard: e.shard,
+            ..ShardReport::default()
+        });
+        report.span_ns = report.span_ns.max(end);
         match e.data {
             TraceData::PlaneOp {
                 chip, plane, gc, ..
             } => {
                 let charge = if gc { Charge::Gc } else { Charge::Nand };
-                intervals
-                    .entry(e.shard)
-                    .or_default()
-                    .push((start, end, charge));
-                planes
-                    .entry((e.shard, chip, plane))
-                    .or_default()
-                    .record(start, end, gc);
+                push_interval(&mut bounds[slot], start, end, charge);
+                let unit = &mut planes[plane_slots.slot(plane_key(e.shard, chip, plane))];
+                report.planes += u64::from(unit.row.ops == 0);
+                let busy = unit.record((e.shard, chip, plane), start, end, gc);
+                report.plane_busy_ns += busy;
+                report.gc_tax.gc_plane_busy_ns += if gc { busy } else { 0 };
             }
             TraceData::BusXfer { channel, gc, .. } => {
                 let charge = if gc { Charge::Gc } else { Charge::Bus };
-                intervals
-                    .entry(e.shard)
-                    .or_default()
-                    .push((start, end, charge));
-                channels
-                    .entry((e.shard, channel))
-                    .or_default()
-                    .record(start, end, gc);
+                push_interval(&mut bounds[slot], start, end, charge);
+                let unit = &mut units[channel_slots.slot(channel_key(e.shard, channel))];
+                report.channels += u64::from(unit.row.ops == 0);
+                let busy = unit.record((e.shard, channel, 0), start, end, gc);
+                report.bus_busy_ns += busy;
+                report.gc_tax.gc_bus_busy_ns += if gc { busy } else { 0 };
+            }
+            TraceData::HostRequest { req, .. } => {
+                host_requests += 1;
+                let rank = (Reverse(end - start), req, i);
+                slowest.insert(slowest.partition_point(|r| *r < rank), rank);
+                slowest.truncate(EXEMPLAR_TOP_K);
             }
             _ => {}
         }
     }
-    let segments: BTreeMap<u32, Vec<Segment>> = intervals
-        .iter()
-        .map(|(&shard, iv)| (shard, charged_segments(iv)))
-        .collect();
-
-    // Pass 2: host-request decomposition against the shard segments.
-    let mut requests: Vec<RequestBreakdown> = Vec::new();
-    for e in events {
+    let segments: Vec<Vec<Segment>> = bounds.iter_mut().map(|b| charged_segments(b)).collect();
+    let decompose = |e: &TraceEvent| {
         let TraceData::HostRequest {
             req,
             lane,
@@ -588,16 +647,14 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
             issue,
         } = e.data
         else {
-            continue;
+            return None;
         };
-        let arrival_ns = rebase(e.start, e.shard);
-        let completion_ns = rebase(e.end, e.shard);
-        let issue_ns = rebase(issue, e.shard).clamp(arrival_ns, completion_ns);
-        let empty: &[Segment] = &[];
-        let segs = segments.get(&e.shard).map_or(empty, Vec::as_slice);
-        let [nand_ns, bus_ns, gc_ns] = window_charges(segs, issue_ns, completion_ns);
-        let covered = nand_ns + bus_ns + gc_ns;
-        requests.push(RequestBreakdown {
+        let slot = epochs.slot(e.shard);
+        let rebase = |t: ssd_sim::SimTime| t.as_nanos().saturating_sub(epochs.epoch(slot));
+        let (arrival_ns, completion_ns) = (rebase(e.start), rebase(e.end));
+        let issue_ns = rebase(issue).clamp(arrival_ns, completion_ns);
+        let [nand_ns, bus_ns, gc_ns] = window_charges(&segments[slot], issue_ns, completion_ns);
+        Some(RequestBreakdown {
             req,
             shard: e.shard,
             lane,
@@ -608,120 +665,81 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
             issue_ns,
             completion_ns,
             queue_wait_ns: issue_ns - arrival_ns,
-            translation_ns: (completion_ns - issue_ns) - covered,
+            translation_ns: (completion_ns - issue_ns) - (nand_ns + bus_ns + gc_ns),
             nand_ns,
             bus_ns,
             gc_ns,
-        });
-    }
-    requests.sort_by_key(|r| r.req);
+        })
+    };
 
-    // Pass 3: shard rollups.
-    let mut shards: BTreeMap<u32, ShardReport> = BTreeMap::new();
-    for (&shard, &end) in &shard_end {
-        shards.insert(
-            shard,
-            ShardReport {
-                shard,
-                span_ns: end,
-                ..ShardReport::default()
+    // Host-request decomposition against the shard segments, with the shard
+    // and tenant rollups, and the exemplars' span trees, in one pass.
+    let mut exemplars: Vec<ExemplarBuild> = slowest
+        .iter()
+        .map(|&(_, _, i)| ExemplarBuild {
+            exemplar: Exemplar {
+                breakdown: decompose(&events[i]).expect("a host request"),
+                spans: Vec::new(),
+                truncated_spans: 0,
             },
-        );
-    }
-    for r in &requests {
-        let report = shards.entry(r.shard).or_default();
-        report.requests += 1;
-        report.gc_tax.host_wait_ns += r.gc_ns;
-        if r.gc_ns > 0 {
-            report.gc_tax.affected_requests += 1;
+            loose_planes: Vec::new(),
+        })
+        .collect();
+    let mut requests: Vec<RequestBreakdown> = Vec::with_capacity(host_requests);
+    let mut tenant_reports = vec![TenantReport::default(); tenant_slots.len()];
+    let mut tenant_latencies: Vec<Vec<u64>> = vec![Vec::new(); tenant_slots.len()];
+    for e in events {
+        let slot = epochs.slot(e.shard);
+        let Some(r) = decompose(e) else {
+            for x in &mut exemplars {
+                x.add(e, epochs.epoch(slot));
+            }
+            continue;
+        };
+        if let Some(report) = &mut shards[slot] {
+            report.requests += 1;
+            report.gc_tax.host_wait_ns += r.gc_ns;
+            report.gc_tax.affected_requests += u64::from(r.gc_ns > 0);
             report.gc_tax.max_request_ns = report.gc_tax.max_request_ns.max(r.gc_ns);
         }
-    }
-    for (&(shard, _, _), acc) in &planes {
-        let report = shards.entry(shard).or_default();
-        report.planes += 1;
-        report.plane_busy_ns += acc.busy_ns;
-        report.gc_tax.gc_plane_busy_ns += acc.gc_ns;
-    }
-    for (&(shard, _), acc) in &channels {
-        let report = shards.entry(shard).or_default();
-        report.channels += 1;
-        report.bus_busy_ns += acc.busy_ns;
-        report.gc_tax.gc_bus_busy_ns += acc.gc_ns;
-    }
-
-    // Pass 3.5: per-tenant rollups.
-    let mut tenant_latencies: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    let mut tenants_map: BTreeMap<u32, TenantReport> = BTreeMap::new();
-    for r in &requests {
-        let report = tenants_map.entry(r.tenant).or_insert_with(|| TenantReport {
-            tenant: r.tenant,
-            ..TenantReport::default()
-        });
+        let t = tenant_slots.slot(r.tenant);
+        let report = &mut tenant_reports[t];
+        report.tenant = r.tenant;
         report.requests += 1;
-        if r.write {
-            report.writes += 1;
-        } else {
-            report.reads += 1;
-        }
+        report.writes += u64::from(r.write);
+        report.reads += u64::from(!r.write);
         let latency = r.latency_ns();
         report.total_latency_ns += latency;
         report.max_latency_ns = report.max_latency_ns.max(latency);
-        for (slot, v) in report.components_ns.iter_mut().zip([
-            r.queue_wait_ns,
-            r.translation_ns,
-            r.nand_ns,
-            r.bus_ns,
-            r.gc_ns,
-        ]) {
-            *slot += v;
+        for (total, v) in report.components_ns.iter_mut().zip(r.components()) {
+            *total += v;
         }
-        tenant_latencies.entry(r.tenant).or_default().push(latency);
+        tenant_latencies[t].push(latency);
+        requests.push(r);
     }
-    for (tenant, lat) in &mut tenant_latencies {
-        lat.sort_unstable();
-        let report = tenants_map.get_mut(tenant).expect("tenant seen above");
-        report.p99_latency_ns = lat[((lat.len() * 99).div_ceil(100)).clamp(1, lat.len()) - 1];
+    requests.sort_by_key(|r| r.req);
+    for (report, lat) in tenant_reports.iter_mut().zip(&mut tenant_latencies) {
+        report.p99_latency_ns = nearest_rank_p99(lat);
     }
-
-    // Pass 4: top-K exemplars with span trees.
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by(|&a, &b| {
-        requests[b]
-            .latency_ns()
-            .cmp(&requests[a].latency_ns())
-            .then(requests[a].req.cmp(&requests[b].req))
-    });
-    let exemplars = order
-        .iter()
-        .take(EXEMPLAR_TOP_K)
-        .map(|&i| build_exemplar(&requests[i], events, &rebase))
-        .collect();
 
     TraceAnalysis {
         events: events.len() as u64,
         requests,
-        shards: shards.into_values().collect(),
-        tenants: tenants_map.into_values().collect(),
+        shards: shards.into_iter().flatten().collect(),
+        tenants: tenant_reports
+            .into_iter()
+            .filter(|t| t.requests > 0)
+            .collect(),
         planes: planes
             .into_iter()
-            .map(|((shard, chip, plane), a)| PlaneUse {
-                shard,
-                chip,
-                plane,
-                ops: a.ops,
-                busy_ns: a.busy_ns,
-                gc_ns: a.gc_ns,
-                idle_gaps: a.idle_gaps,
-                idle_ns: a.idle_ns,
-                max_idle_ns: a.max_idle_ns,
-            })
+            .filter_map(|a| (a.row.ops > 0).then_some(a.row))
             .collect(),
-        channels: channels
+        channels: units
             .into_iter()
-            .map(|((shard, channel), a)| ChannelUse {
-                shard,
-                channel,
+            .filter(|a| a.row.ops > 0)
+            .map(|UnitAcc { row: a, .. }| ChannelUse {
+                shard: a.shard,
+                channel: a.chip,
                 xfers: a.ops,
                 busy_ns: a.busy_ns,
                 gc_ns: a.gc_ns,
@@ -730,123 +748,104 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
                 max_idle_ns: a.max_idle_ns,
             })
             .collect(),
-        rings: rings.into_values().collect(),
-        exemplars,
+        rings: rings.into_iter().filter(|r| r.batches > 0).collect(),
+        exemplars: exemplars.into_iter().map(ExemplarBuild::finish).collect(),
     }
 }
 
-/// Reconstructs one tail request's span tree: the shard's command / plane /
-/// bus spans overlapping its service window, plane spans nested under the
-/// first command (in start order) on their chip whose dispatch window
-/// contains them.
-fn build_exemplar(
-    breakdown: &RequestBreakdown,
-    events: &[TraceEvent],
-    rebase: &dyn Fn(ssd_sim::SimTime, u32) -> u64,
-) -> Exemplar {
-    let (win_start, win_end) = (breakdown.issue_ns, breakdown.completion_ns);
-    let overlaps = |s: u64, e: u64| s < win_end && e > win_start;
-    let mut spans: Vec<ExemplarSpan> = Vec::new();
-    let mut loose_planes: Vec<(u32, ExemplarPlane)> = Vec::new();
-    let mut total_nodes = 0usize;
-    let mut truncated = 0u64;
-    for e in events {
-        if e.shard != breakdown.shard {
-            continue;
+/// One tail request's span tree under construction: the shard's command /
+/// plane / bus spans overlapping its service window, in event order, with
+/// plane spans held loose until [`ExemplarBuild::finish`] nests them.
+struct ExemplarBuild {
+    exemplar: Exemplar,
+    loose_planes: Vec<(u32, ExemplarPlane)>,
+}
+
+impl ExemplarBuild {
+    /// Takes one event, whose shard's timeline starts at `epoch`.
+    fn add(&mut self, e: &TraceEvent, epoch: u64) {
+        let rebase = |t: ssd_sim::SimTime| t.as_nanos().saturating_sub(epoch);
+        let (start, end) = (rebase(e.start), rebase(e.end));
+        let b = &self.exemplar.breakdown;
+        if e.shard != b.shard || start >= b.completion_ns || end <= b.issue_ns {
+            return;
         }
-        let (start, end) = (rebase(e.start, e.shard), rebase(e.end, e.shard));
+        let full = self.exemplar.spans.len() + self.loose_planes.len() >= EXEMPLAR_SPAN_CAP;
         match e.data {
+            TraceData::CmdLifecycle { .. }
+            | TraceData::PlaneOp { .. }
+            | TraceData::BusXfer { .. }
+                if full =>
+            {
+                self.exemplar.truncated_spans += 1
+            }
             TraceData::CmdLifecycle {
                 chip,
                 op,
                 gc,
                 issued,
-            } if overlaps(start, end) => {
-                if total_nodes >= EXEMPLAR_SPAN_CAP {
-                    truncated += 1;
-                    continue;
-                }
-                total_nodes += 1;
-                spans.push(ExemplarSpan::Cmd {
-                    chip,
-                    op,
-                    gc,
-                    start_ns: start,
-                    issued_ns: rebase(issued, e.shard),
-                    end_ns: end,
-                    planes: Vec::new(),
-                });
-            }
+            } => self.exemplar.spans.push(ExemplarSpan::Cmd {
+                chip,
+                op,
+                gc,
+                start_ns: start,
+                issued_ns: rebase(issued),
+                end_ns: end,
+                planes: Vec::new(),
+            }),
             TraceData::PlaneOp {
                 chip,
                 plane,
                 op,
                 gc,
-            } if overlaps(start, end) => {
-                if total_nodes >= EXEMPLAR_SPAN_CAP {
-                    truncated += 1;
-                    continue;
-                }
-                total_nodes += 1;
-                loose_planes.push((
-                    chip,
-                    ExemplarPlane {
-                        plane,
-                        op,
-                        gc,
-                        start_ns: start,
-                        end_ns: end,
-                    },
-                ));
-            }
-            TraceData::BusXfer { channel, op, gc } if overlaps(start, end) => {
-                if total_nodes >= EXEMPLAR_SPAN_CAP {
-                    truncated += 1;
-                    continue;
-                }
-                total_nodes += 1;
-                spans.push(ExemplarSpan::Bus {
-                    channel,
+            } => self.loose_planes.push((
+                chip,
+                ExemplarPlane {
+                    plane,
                     op,
                     gc,
                     start_ns: start,
                     end_ns: end,
-                });
-            }
+                },
+            )),
+            TraceData::BusXfer { channel, op, gc } => self.exemplar.spans.push(ExemplarSpan::Bus {
+                channel,
+                op,
+                gc,
+                start_ns: start,
+                end_ns: end,
+            }),
             _ => {}
         }
     }
-    // Nest plane spans under the first command on their chip whose dispatch
-    // window contains their start. A plane span whose owning command lies
-    // outside the window (or past the cap) has nowhere to hang and is
-    // counted as truncated.
-    for (chip, plane_span) in loose_planes {
-        let mut placed = false;
-        for span in spans.iter_mut() {
-            if let ExemplarSpan::Cmd {
-                chip: c,
-                issued_ns,
-                end_ns,
-                planes,
-                ..
-            } = span
-            {
-                if *c == chip && *issued_ns <= plane_span.start_ns && plane_span.start_ns < *end_ns
+
+    /// Nests plane spans under the first command on their chip whose
+    /// dispatch window contains their start. A plane span whose owning
+    /// command lies outside the window (or past the cap) has nowhere to hang
+    /// and is counted as truncated.
+    fn finish(mut self) -> Exemplar {
+        for (chip, plane_span) in self.loose_planes {
+            let owner = self.exemplar.spans.iter_mut().find_map(|span| match span {
+                ExemplarSpan::Cmd {
+                    chip: c,
+                    issued_ns,
+                    end_ns,
+                    planes,
+                    ..
+                } if *c == chip
+                    && *issued_ns <= plane_span.start_ns
+                    && plane_span.start_ns < *end_ns =>
                 {
-                    planes.push(plane_span);
-                    placed = true;
-                    break;
+                    Some(planes)
                 }
+                _ => None,
+            });
+            match owner {
+                Some(planes) => planes.push(plane_span),
+                None => self.exemplar.truncated_spans += 1,
             }
         }
-        if !placed {
-            truncated += 1;
-        }
-    }
-    Exemplar {
-        breakdown: *breakdown,
-        spans,
-        truncated_spans: truncated,
+        self.exemplar
     }
 }
 
@@ -877,11 +876,9 @@ impl TraceAnalysis {
     pub fn component_totals_ns(&self) -> [u64; 5] {
         let mut t = [0u64; 5];
         for r in &self.requests {
-            t[0] += r.queue_wait_ns;
-            t[1] += r.translation_ns;
-            t[2] += r.nand_ns;
-            t[3] += r.bus_ns;
-            t[4] += r.gc_ns;
+            for (total, v) in t.iter_mut().zip(r.components()) {
+                *total += v;
+            }
         }
         t
     }
@@ -911,16 +908,8 @@ impl TraceAnalysis {
             .map(|r| r.latency_ns())
             .max()
             .unwrap_or(0);
-        let p99_latency = {
-            let mut lat: Vec<u64> = self.requests.iter().map(|r| r.latency_ns()).collect();
-            lat.sort_unstable();
-            if lat.is_empty() {
-                0
-            } else {
-                // Nearest-rank p99 on the sorted latencies.
-                lat[((lat.len() * 99).div_ceil(100)).clamp(1, lat.len()) - 1]
-            }
-        };
+        let mut latencies: Vec<u64> = self.requests.iter().map(|r| r.latency_ns()).collect();
+        let p99_latency = nearest_rank_p99(&mut latencies);
         let totals = self.component_totals_ns();
         let share = |v: u64| {
             if total_latency == 0 {
@@ -1336,6 +1325,7 @@ pub fn validate_analysis_json(json: &str) -> Result<AnalysisSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ssd_sim::{SimTime, TraceBuffer, TraceSink};
 
     fn at(us: u64) -> SimTime {
@@ -1611,11 +1601,11 @@ mod tests {
     #[test]
     fn charged_segments_respect_precedence() {
         // gc [10,30) over bus [0,20) over nand [0,40).
-        let segs = charged_segments(&[
-            (0, 40, Charge::Nand),
-            (0, 20, Charge::Bus),
-            (10, 30, Charge::Gc),
-        ]);
+        let mut bounds = Vec::new();
+        push_interval(&mut bounds, 0, 40, Charge::Nand);
+        push_interval(&mut bounds, 0, 20, Charge::Bus);
+        push_interval(&mut bounds, 10, 30, Charge::Gc);
+        let segs = charged_segments(&mut bounds);
         let shape: Vec<(u64, u64, Charge)> = segs
             .iter()
             .map(|s| (s.start_ns, s.end_ns, s.charge))
@@ -1630,5 +1620,193 @@ mod tests {
         );
         let [nand, bus, gc] = window_charges(&segs, 5, 35);
         assert_eq!((nand, bus, gc), (5, 5, 20));
+    }
+
+    /// A trace whose indices are sparse and huge: a table indexed directly
+    /// by any of them would need gigabytes.
+    fn hostile_events() -> Vec<TraceEvent> {
+        let event = |shard: u32, start: u64, end: u64, data: TraceData| TraceEvent {
+            start: at(start),
+            end: at(end),
+            shard,
+            data,
+        };
+        let plane = |chip: u32, plane: u32, gc: bool| TraceData::PlaneOp {
+            chip,
+            plane,
+            op: FlashOp::Read,
+            gc,
+        };
+        let bus = |channel: u32| TraceData::BusXfer {
+            channel,
+            op: FlashOp::Read,
+            gc: false,
+        };
+        let host = |req: u64, tenant: u32, issue: u64| TraceData::HostRequest {
+            req,
+            lane: 0,
+            write: req % 2 == 1,
+            pages: 1,
+            tenant,
+            issue: at(issue),
+        };
+        const BIG: u32 = 1_000_000;
+        vec![
+            event(0, 0, 30, plane(0, 0, false)),
+            event(0, 25, 35, bus(0)),
+            event(0, 0, 50, host(0, 0, 5)),
+            event(BIG, 100, 140, plane(u32::MAX, 0, false)),
+            event(BIG, 120, 130, bus(u32::MAX)),
+            event(BIG, 150, 170, plane(u32::MAX, 0, true)),
+            event(
+                BIG,
+                100,
+                175,
+                TraceData::CmdLifecycle {
+                    chip: u32::MAX,
+                    op: FlashOp::Read,
+                    gc: false,
+                    issued: at(100),
+                },
+            ),
+            event(BIG, 110, 110, TraceData::RingBatch { entries: 3 }),
+            event(BIG, 90, 180, host(1, 70_000, 95)),
+            event(BIG, 90, 160, host(2, u32::MAX, 100)),
+            event(u32::MAX, 7, 19, plane(5, u32::MAX, false)),
+            event(u32::MAX, 8, 12, bus(3)),
+            event(u32::MAX, 6, 20, host(3, 70_000, 7)),
+        ]
+    }
+
+    #[test]
+    fn hostile_indices_get_their_rows_in_memory_bounded_by_the_trace() {
+        let events = hostile_events();
+        // One epoch slot per distinct shard, not one per shard index below
+        // the largest; a direct plane or channel table would need 2^32 rows
+        // and abort on allocation.
+        assert_eq!(shard_epochs(&events).slots.len(), 3);
+        let analysis = analyze(&events);
+        let rows = |v: Vec<(u32, u32, u32)>| v;
+        assert_eq!(
+            rows(
+                analysis
+                    .shards
+                    .iter()
+                    .map(|s| (s.shard, s.planes as u32, s.channels as u32))
+                    .collect()
+            ),
+            vec![(0, 1, 1), (1_000_000, 1, 1), (u32::MAX, 1, 1)]
+        );
+        assert_eq!(
+            rows(
+                analysis
+                    .planes
+                    .iter()
+                    .map(|p| (p.shard, p.chip, p.plane))
+                    .collect()
+            ),
+            vec![(0, 0, 0), (1_000_000, u32::MAX, 0), (u32::MAX, 5, u32::MAX)]
+        );
+        assert_eq!(
+            rows(
+                analysis
+                    .channels
+                    .iter()
+                    .map(|c| (c.shard, c.channel, c.xfers as u32))
+                    .collect()
+            ),
+            vec![(0, 0, 1), (1_000_000, u32::MAX, 1), (u32::MAX, 3, 1)]
+        );
+        assert_eq!(
+            rows(
+                analysis
+                    .tenants
+                    .iter()
+                    .map(|t| (t.tenant, t.requests as u32, t.writes as u32))
+                    .collect()
+            ),
+            vec![(0, 1, 0), (70_000, 2, 2), (u32::MAX, 1, 0)]
+        );
+        assert_eq!(
+            analysis.rings,
+            vec![RingUse {
+                shard: 1_000_000,
+                batches: 1,
+                entries: 3,
+                max_entries: 3,
+            }]
+        );
+        // The whole report, byte for byte, as the ordered-map engine
+        // rendered it (FNV-1a of the JSON).
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in analysis.to_json("hostile").bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(hash, 0x95de_0004_693d_7adf);
+    }
+
+    /// Which charge a brute-force classifier gives each nanosecond of
+    /// `[0, 256)`: the highest-precedence class (gc > bus > nand) of any
+    /// interval covering it, decided per instant, with no sweep.
+    fn charge_per_nanosecond(intervals: &[(u64, u64, Charge)]) -> Vec<Option<Charge>> {
+        (0..256)
+            .map(|t| {
+                [Charge::Gc, Charge::Bus, Charge::Nand]
+                    .into_iter()
+                    .find(|&c| intervals.iter().any(|&(s, e, k)| k == c && s <= t && t < e))
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The packed-key sweep plus `window_charges` against the
+        /// per-nanosecond classifier, on timelines of at most 256 ns. Every
+        /// case also carries a duplicate, a zero-length and a nested
+        /// interval; windows may be empty or reversed.
+        #[test]
+        fn prop_sweep_matches_a_per_nanosecond_oracle(
+            raw in collection::vec((0u64..256, 0u64..96, 0usize..3), 1..24),
+            windows in collection::vec((0u64..257, 0u64..257), 1..24),
+        ) {
+            let charges = [Charge::Nand, Charge::Bus, Charge::Gc];
+            let mut intervals: Vec<(u64, u64, Charge)> = raw
+                .iter()
+                .map(|&(s, len, c)| (s, (s + len).min(256), charges[c]))
+                .collect();
+            let (s, e, c) = intervals[0];
+            intervals.push((s, e, c));
+            intervals.push((s, s, Charge::Gc));
+            intervals.push((s + (e - s) / 4, e - (e - s) / 4, charges[(c as usize + 1) % 3]));
+            let mut bounds = Vec::new();
+            for &(s, e, c) in &intervals {
+                push_interval(&mut bounds, s, e, c);
+            }
+            let segments = charged_segments(&mut bounds);
+            for pair in segments.windows(2) {
+                prop_assert!(pair[0].end_ns <= pair[1].start_ns, "segments overlap");
+                prop_assert!(
+                    pair[0].end_ns < pair[1].start_ns || pair[0].charge != pair[1].charge,
+                    "touching segments of one charge are not coalesced"
+                );
+            }
+            prop_assert!(segments.iter().all(|s| s.start_ns < s.end_ns), "empty segment");
+            let oracle = charge_per_nanosecond(&intervals);
+            for &(start, end) in windows.iter().chain([&(0, 256)]) {
+                let mut want = [0u64; 3];
+                for t in start..end {
+                    if let Some(charge) = oracle[t as usize] {
+                        want[charge as usize] += 1;
+                    }
+                }
+                prop_assert_eq!(
+                    window_charges(&segments, start, end),
+                    want,
+                    "window [{}, {}) over {:?}",
+                    start,
+                    end,
+                    intervals
+                );
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::json::{Json, JsonParser};
 use ssd_sim::{Duration, FlashOp, SimTime, TraceData, TraceEvent};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Thread-id namespaces inside a shard's process, chosen so every track of a
@@ -57,7 +57,66 @@ fn dur_us(start: SimTime, end: SimTime) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-/// Each shard's timeline origin: the start of its earliest traced event.
+/// Dense table slots for the keys one trace contains: its sorted distinct
+/// keys, a key's slot being its position (found by binary search). A table
+/// of [`Slots::len`] entries grows with the trace, never with an index
+/// value: a sparse or hostile index such as shard 1 000 000 in a ten-event
+/// trace takes one slot like any other, and tables stay in key order.
+///
+/// Built by [`Slots::insert`]ing every key, then [`Slots::sealed`]. Until
+/// then the keys are the sorted distinct ones found so far followed by the
+/// newcomers, folded in whenever they outnumber them: a key already seen
+/// costs one binary search, and memory stays within about twice the
+/// distinct keys however many events repeat them.
+pub(crate) struct Slots<K> {
+    keys: Vec<K>,
+    sorted: usize,
+}
+
+impl<K: Ord> Slots<K> {
+    pub(crate) fn new() -> Slots<K> {
+        Slots {
+            keys: Vec::new(),
+            sorted: 0,
+        }
+    }
+
+    pub(crate) fn insert(&mut self, key: K) {
+        if self.keys[..self.sorted].binary_search(&key).is_err() {
+            self.keys.push(key);
+            if self.keys.len() > 2 * self.sorted + 64 {
+                self.fold();
+            }
+        }
+    }
+
+    fn fold(&mut self) {
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        self.sorted = self.keys.len();
+    }
+
+    /// The slots, every key inserted.
+    pub(crate) fn sealed(mut self) -> Slots<K> {
+        self.fold();
+        self
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    #[inline]
+    pub(crate) fn slot(&self, key: K) -> usize {
+        debug_assert_eq!(self.sorted, self.keys.len(), "slots are sealed");
+        self.keys
+            .binary_search(&key)
+            .expect("every key the trace contains has a slot")
+    }
+}
+
+/// Each shard's timeline origin, the start of its earliest traced event, in
+/// a dense per-shard table.
 ///
 /// Shards are independent devices with independent clocks, and those clocks
 /// can drift apart before tracing starts (LearnedFTL's default config bills
@@ -66,16 +125,42 @@ fn dur_us(start: SimTime, end: SimTime) -> String {
 /// a pure function of the *relative* event stream — byte-identical across
 /// runs and backends whenever the measured phase is deterministic — and
 /// aligns the shards' measured-phase starts for side-by-side viewing.
-pub(crate) fn shard_epochs(events: &[TraceEvent]) -> BTreeMap<u32, u64> {
-    let mut epochs: BTreeMap<u32, u64> = BTreeMap::new();
-    for e in events {
-        let ns = e.start.as_nanos();
-        epochs
-            .entry(e.shard)
-            .and_modify(|m| *m = (*m).min(ns))
-            .or_insert(ns);
+pub(crate) struct ShardEpochs {
+    /// The shard indices the trace contains.
+    pub(crate) slots: Slots<u32>,
+    epochs: Vec<u64>,
+}
+
+impl ShardEpochs {
+    #[inline]
+    pub(crate) fn slot(&self, shard: u32) -> usize {
+        self.slots.slot(shard)
     }
-    epochs
+
+    /// The epoch of the shard in `slot`.
+    #[inline]
+    pub(crate) fn epoch(&self, slot: usize) -> u64 {
+        self.epochs[slot]
+    }
+
+    /// `t` in nanoseconds on `shard`'s own timeline.
+    pub(crate) fn rebase(&self, t: SimTime, shard: u32) -> u64 {
+        t.as_nanos().saturating_sub(self.epoch(self.slot(shard)))
+    }
+}
+
+pub(crate) fn shard_epochs(events: &[TraceEvent]) -> ShardEpochs {
+    let mut slots = Slots::new();
+    for e in events {
+        slots.insert(e.shard);
+    }
+    let slots = slots.sealed();
+    let mut epochs = vec![u64::MAX; slots.len()];
+    for e in events {
+        let epoch = &mut epochs[slots.slot(e.shard)];
+        *epoch = (*epoch).min(e.start.as_nanos());
+    }
+    ShardEpochs { slots, epochs }
 }
 
 /// The (pid, tid) track of one event. Processes are shards (pid = shard + 1;
@@ -168,7 +253,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     }
     for e in events {
         let (pid, tid) = track_of(e);
-        let epoch = epochs[&e.shard];
+        let epoch = epochs.epoch(epochs.slot(e.shard));
         let ts = ts_us(e.start, epoch);
         let mut s = String::new();
         match e.data {
@@ -343,7 +428,7 @@ pub fn metrics_csv(events: &[TraceEvent], interval: Duration) -> String {
     let epochs = shard_epochs(events);
     // Rebased onto the event's shard epoch (see [`shard_epochs`]), matching
     // the Chrome trace exporter's timeline.
-    let rebase = |t: SimTime, shard: u32| t.as_nanos().saturating_sub(epochs[&shard]);
+    let rebase = |t: SimTime, shard: u32| epochs.rebase(t, shard);
     let mut planes: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
     let mut channels: BTreeSet<(u32, u32)> = BTreeSet::new();
     let mut horizon: u64 = 0;

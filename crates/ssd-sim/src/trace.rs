@@ -17,9 +17,13 @@
 //! order — identical streams on the simulated and thread-parallel backends.
 //!
 //! [`TraceSink`] is the seam: [`TraceBuffer`] is the recording sink used
-//! everywhere today, [`NullSink`] is the explicit no-op, and a future
-//! allocation-free hot path can implement the trait over a preallocated ring
-//! or a streaming encoder without touching any emission site.
+//! everywhere today and [`NullSink`] is the explicit no-op. The buffer is a
+//! plain `Vec` of events that grows by doubling: `set_tracing(true)` installs
+//! it empty, and [`crate::FlashDevice::take_trace`] hands the whole `Vec` to
+//! the caller, who owns it from then on (the harness appends its
+//! host-request spans and sorts it in place). A bounded sink — a reused
+//! ring, a 1-in-N sampler or a streaming encoder — can implement the trait
+//! without touching any emission site.
 
 use crate::clock::SimTime;
 use crate::stats::FlashOp;
