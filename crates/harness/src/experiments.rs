@@ -57,8 +57,8 @@ impl ExperimentScale {
 
 /// Warm-up seed shared by every FIO protocol. Kept in one place (with
 /// [`FIO_WORKLOAD_SEED`]) because the cross-protocol bit-for-bit comparisons
-/// — QD1 vs legacy, sharded shards=1 vs plain — require identically prepared
-/// devices and identical request streams.
+/// — sharded shards=1 vs plain, threaded vs simulated — require identically
+/// prepared devices and identical request streams.
 const FIO_WARMUP_SEED: u64 = 0xFEED;
 /// Measured-phase workload seed shared by every FIO protocol.
 const FIO_WORKLOAD_SEED: u64 = 0xBEEF;
@@ -136,10 +136,9 @@ pub fn fio_read_run(
 
 /// The shared warm-up and workload construction behind [`fio_read_run`] and
 /// [`fio_qd_run`]. Kept in one place so the queue-depth sweep always measures
-/// the identically warmed device with the identical request stream — the
-/// QD-vs-legacy comparisons depend on it. Public so callers that drive the
-/// measured phase themselves (e.g. to enable tracing on the warmed FTL
-/// first) prepare identically to the canned runs.
+/// the identically warmed device with the identical request stream. Public
+/// so callers that drive the measured phase themselves (e.g. to enable
+/// tracing on the warmed FTL first) prepare identically to the canned runs.
 pub fn warmed_fio_read_setup(
     kind: FtlKind,
     pattern: FioPattern,
@@ -685,18 +684,10 @@ pub fn rocksdb_run(
     // fillseq until the DB footprint is written once.
     let fill_ops = (db_pages / u64::from(RocksDbWorkload::SSTABLE_PAGES)).max(1);
     let mut fill = RocksDbWorkload::new(RocksDbPhase::FillSeq, db_pages, fill_ops, 1);
-    Runner::with_config(crate::runner::RunnerConfig {
-        reset_stats_before_run: false,
-        start: ssd_sim::SimTime::ZERO,
-    })
-    .run(ftl.as_mut(), &mut fill);
+    Runner::new().run(ftl.as_mut(), &mut fill);
     // overwrite pass: compaction-shaped churn.
     let mut over = RocksDbWorkload::new(RocksDbPhase::Overwrite, db_pages, fill_ops / 2 + 1, 2);
-    Runner::with_config(crate::runner::RunnerConfig {
-        reset_stats_before_run: false,
-        start: ssd_sim::SimTime::ZERO,
-    })
-    .run(ftl.as_mut(), &mut over);
+    Runner::new().run(ftl.as_mut(), &mut over);
     // Measured phase.
     let ops = match phase {
         RocksDbPhase::ReadSeq => scale.single_stream_ops / 8,

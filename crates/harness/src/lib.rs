@@ -6,10 +6,11 @@
 //! * [`FtlKind`] — the five FTL designs under comparison, buildable by name,
 //!   plain or sharded across per-channel-group partitions
 //!   ([`FtlKind::build_sharded`]),
-//! * [`Runner`] — the host models: the closed-loop reference (`run`), the
-//!   queue-depth-bounded NVMe model (`run_qd`), the shard-aware variant with
-//!   per-shard lanes (`run_sharded_qd`) and open-loop Poisson arrivals
-//!   (`run_open_loop`),
+//! * [`Runner`] — the host models: one closed loop behind a bounded host
+//!   queue (`run_qd`; `run` is it at a depth no stream waits for), with
+//!   per-shard lanes on a sharded frontend (`run_sharded_qd`), open-loop
+//!   Poisson arrivals (`run_open_loop`) and multi-tenant admission
+//!   (`run_tenants`),
 //! * [`RunResult`] — throughput, latency percentiles, hit ratios, multi-read
 //!   breakdown, write amplification, GC and energy inputs for one run
 //!   ([`ShardedRunResult`] adds the per-shard breakdown),
@@ -38,7 +39,7 @@ pub use kind::FtlKind;
 pub use result::{
     RunResult, SelfProfile, ShardLane, ShardedRunResult, TenantLane, TenantRunResult,
 };
-pub use runner::{Runner, RunnerConfig};
+pub use runner::Runner;
 // Re-exported so harness callers (the figure binaries) can name the sharded
 // frontend returned by `experiments::warmed_sharded_fio_setup` without
 // depending on ftl-shard directly.

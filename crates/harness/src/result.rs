@@ -21,9 +21,12 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Per-request latency samples (arrival to completion).
     pub latencies: LatencyHistogram,
-    /// Per-request queueing delay (arrival to issue). Only the queue-depth
-    /// runner ([`crate::Runner::run_qd`]) models a bounded host queue, so the
-    /// closed-loop [`crate::Runner::run`] leaves this histogram empty.
+    /// Per-request queueing delay (arrival to issue), one sample per request
+    /// on every runner. It is nonzero only where requests wait: behind a
+    /// full host queue ([`crate::Runner::run_qd`] and its sharded and
+    /// threaded forms) or in a tenant backlog ([`crate::Runner::run_tenants`]).
+    /// [`crate::Runner::run`] and the open-loop runners issue every request
+    /// on arrival and record zeros.
     pub queueing: LatencyHistogram,
     /// FTL-level statistics accumulated during the run (hit ratios, multi-read
     /// breakdown, GC, write amplification inputs).
@@ -276,7 +279,7 @@ mod tests {
     #[test]
     fn self_profile_rates_guard_against_zero_wall() {
         // An instantaneous (or clock-glitched) run must report zero rates,
-        // not NaN/inf — BENCH artifact consumers divide and compare these.
+        // not NaN/inf, so callers can print and compare them as they are.
         let instant = SelfProfile {
             wall: std::time::Duration::ZERO,
             requests: 1_000,

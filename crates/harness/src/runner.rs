@@ -1,32 +1,34 @@
-//! The closed-loop host model.
+//! The host models: closed-loop streams behind a bounded host queue,
+//! open-loop Poisson arrivals and multi-tenant admission, on the simulated
+//! and the thread-parallel backend. Every entry point starts with
+//! [`Tally::begin`] and accounts each request through [`Tally::record`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ftl_base::{Ftl, HostOp, HostRequest};
-use ftl_shard::{ReqId, ShardedFtl, ThreadedDispatcher};
+use ftl_shard::{ReqId, ShardMap, ShardedFtl, ThreadedDispatcher};
 use metrics::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssd_sched::{TenantArbiter, TenantClass, TenantPolicy};
+use ssd_sched::{QueuePair, TenantArbiter, TenantClass, TenantPolicy};
 use ssd_sim::{Duration, SimTime, TraceData, TraceEvent};
 use workloads::{TenantSet, Workload};
 
 use crate::result::{
     RunResult, SelfProfile, ShardLane, ShardedRunResult, TenantLane, TenantRunResult,
 };
+use crate::wallclock::WallTimer;
 
-/// Per-request bookkeeping of the threaded runners, indexed by [`ReqId`]
+/// Per-request bookkeeping of the threaded closed loop, indexed by [`ReqId`]
 /// (dispatch order — identical to the simulated runner's pop order, so
 /// replaying this log in index order reproduces its recording order).
 struct ThreadedRecord {
+    req: HostRequest,
     arrival: SimTime,
     issue: SimTime,
     lane: usize,
     completion: SimTime,
-    write: bool,
-    pages: u32,
-    tenant: u32,
 }
 
 /// One host request's trace bookkeeping, recorded (only while tracing) in
@@ -52,7 +54,7 @@ struct HostSpan {
 /// (sorted by time so backend-dependent merge order cannot leak in), and one
 /// flow-linked host-request span per popped request — stably sorted by start
 /// time, so identical inputs produce byte-identical traces.
-fn assemble_trace(ftl: &mut dyn Ftl, host: &[HostSpan]) -> Vec<TraceEvent> {
+fn assemble_trace<F: Ftl + ?Sized>(ftl: &mut F, host: &[HostSpan]) -> Vec<TraceEvent> {
     let mut trace = ftl.take_trace();
     let instant = |at: SimTime, data: TraceData| TraceEvent {
         start: at,
@@ -94,6 +96,195 @@ fn assemble_trace(ftl: &mut dyn Ftl, host: &[HostSpan]) -> Vec<TraceEvent> {
     trace
 }
 
+/// The accounting every runner shares: request, page and byte counts, the
+/// latency (arrival → completion) and queueing (arrival → issue)
+/// distributions, an optional per-shard or per-tenant breakdown and, while
+/// tracing, one host span per request.
+struct Tally {
+    start: SimTime,
+    wall: WallTimer,
+    page_size: u32,
+    tracing: bool,
+    requests: u64,
+    read_pages: u64,
+    write_pages: u64,
+    bytes: u64,
+    last_completion: SimTime,
+    /// Every request's latency when no breakdown is kept; otherwise the
+    /// lanes record them and [`Tally::finish`] merges the sorted lanes here.
+    latencies: LatencyHistogram,
+    queueing: LatencyHistogram,
+    host_spans: Vec<HostSpan>,
+    /// One lane per shard, indexed by shard, or empty.
+    shards: Vec<ShardLane>,
+    /// One lane per tenant, indexed by [`HostRequest::tenant`], or empty.
+    tenants: Vec<TenantLane>,
+}
+
+impl Tally {
+    /// The prologue of every run: resets the FTL and device statistics, so
+    /// the result covers only the measured phase, and starts the run once the
+    /// device has drained earlier traffic — issuing the first requests "in
+    /// the past" of a busy device would bill warm-up queueing to the measured
+    /// phase. Keeps a lane per shard and per tenant as asked.
+    fn begin<F: Ftl + ?Sized>(ftl: &mut F, shards: usize, tenants: usize) -> Tally {
+        ftl.reset_stats();
+        ftl.reset_device_stats();
+        let start = ftl.drain_time();
+        Tally {
+            start,
+            page_size: ftl.device().geometry().page_size,
+            tracing: ftl.tracing(),
+            requests: 0,
+            read_pages: 0,
+            write_pages: 0,
+            bytes: 0,
+            last_completion: start,
+            latencies: LatencyHistogram::new(),
+            queueing: LatencyHistogram::new(),
+            host_spans: Vec::new(),
+            shards: (0..shards)
+                .map(|shard| ShardLane {
+                    shard,
+                    requests: 0,
+                    latencies: LatencyHistogram::new(),
+                })
+                .collect(),
+            tenants: (0..tenants)
+                .map(|t| TenantLane {
+                    tenant: t as u32,
+                    requests: 0,
+                    read_pages: 0,
+                    write_pages: 0,
+                    latencies: LatencyHistogram::new(),
+                })
+                .collect(),
+            wall: WallTimer::start(),
+        }
+    }
+
+    /// Accounts one request that arrived at `arrival`, issued at `issue` and
+    /// completed at `completion`; its span is drawn on host lane `lane` in
+    /// shard `shard`'s clock domain.
+    fn record(
+        &mut self,
+        req: &HostRequest,
+        arrival: SimTime,
+        issue: SimTime,
+        completion: SimTime,
+        lane: usize,
+        shard: usize,
+    ) {
+        let latency = completion - arrival;
+        let pages = u64::from(req.pages);
+        let write = req.op == HostOp::Write;
+        if let Some(t) = self.tenants.get_mut(req.tenant as usize) {
+            t.requests += 1;
+            if write {
+                t.write_pages += pages;
+            } else {
+                t.read_pages += pages;
+            }
+            t.latencies.record(latency);
+        } else if let Some(s) = self.shards.get_mut(shard) {
+            s.requests += 1;
+            s.latencies.record(latency);
+        } else {
+            self.latencies.record(latency);
+        }
+        self.queueing.record(issue - arrival);
+        self.requests += 1;
+        self.bytes += req.bytes(self.page_size);
+        if write {
+            self.write_pages += pages;
+        } else {
+            self.read_pages += pages;
+        }
+        if self.tracing {
+            self.host_spans.push(HostSpan {
+                arrival,
+                issue,
+                completion,
+                lane: lane as u32,
+                shard: shard as u32,
+                write,
+                pages: req.pages,
+                tenant: req.tenant,
+            });
+        }
+        self.last_completion = self.last_completion.max(completion);
+    }
+
+    /// Closes the run: stops the wall timer, merges the lanes into the
+    /// aggregate histogram (each sorted first, so the merge stays linear),
+    /// assembles the trace and folds in the FTL's statistics. Returns the
+    /// result with the shard and tenant lanes.
+    fn finish<F: Ftl + ?Sized>(
+        mut self,
+        ftl: &mut F,
+    ) -> (RunResult, Vec<ShardLane>, Vec<TenantLane>) {
+        let wall = self.wall.elapsed();
+        let lanes = (self.shards.iter_mut().map(|l| &mut l.latencies))
+            .chain(self.tenants.iter_mut().map(|l| &mut l.latencies));
+        for lane in lanes {
+            lane.finalize();
+            self.latencies.merge(lane);
+        }
+        let trace = if self.tracing {
+            assemble_trace(ftl, &self.host_spans)
+        } else {
+            Vec::new()
+        };
+        let result = RunResult {
+            ftl_name: ftl.name().to_string(),
+            requests: self.requests,
+            read_pages: self.read_pages,
+            write_pages: self.write_pages,
+            bytes: self.bytes,
+            elapsed: self.last_completion - self.start,
+            latencies: self.latencies,
+            queueing: self.queueing,
+            stats: ftl.stats().clone(),
+            device: ftl.device_stats(),
+            profile: SelfProfile {
+                wall,
+                requests: self.requests,
+                trace_events: trace.len() as u64,
+            },
+            trace,
+        };
+        (result, self.shards, self.tenants)
+    }
+}
+
+/// The closed loop behind [`Runner::run`], [`Runner::run_qd`] and
+/// [`Runner::run_sharded_qd`]: every stream issues its next request when its
+/// previous one completes, the stream whose previous request finished
+/// earliest goes first, and at most `depth` requests are in flight against
+/// the FTL ([`QueuePair`]). `route` names a request's host lane and shard
+/// from its stream.
+fn closed_loop<F: Ftl + ?Sized>(
+    ftl: &mut F,
+    workload: &mut dyn Workload,
+    depth: usize,
+    tally: &mut Tally,
+    route: impl Fn(usize, &HostRequest) -> (usize, usize),
+) {
+    let mut queue = QueuePair::new(depth);
+    let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
+        .map(|s| Reverse((tally.start, s)))
+        .collect();
+    while let Some(Reverse((arrival, stream))) = ready.pop() {
+        let Some(req) = workload.next_request(stream) else {
+            continue; // stream exhausted; do not re-queue
+        };
+        let (issue, completion) = queue.submit(arrival, |issue| ftl.submit(req, issue));
+        let (lane, shard) = route(stream, &req);
+        tally.record(&req, arrival, issue, completion, lane, shard);
+        ready.push(Reverse((completion, stream)));
+    }
+}
+
 /// One stream of the threaded closed-loop host model.
 #[derive(Clone, Copy)]
 enum StreamSlot {
@@ -106,7 +297,7 @@ enum StreamSlot {
     Done,
 }
 
-/// One occupied slot of the threaded [`ssd_sched::QueuePair`] emulation.
+/// One occupied slot of the threaded [`QueuePair`] emulation.
 #[derive(Clone, Copy)]
 enum FlightSlot {
     Resolved(SimTime),
@@ -142,19 +333,6 @@ fn absorb_resolution(
     }
 }
 
-/// Everything the tenant admission loop measures; the tenant runners wrap
-/// this into a [`TenantRunResult`] after adding the FTL-side statistics.
-struct TenantAdmission {
-    lanes: Vec<TenantLane>,
-    host_spans: Vec<HostSpan>,
-    queueing: LatencyHistogram,
-    requests: u64,
-    read_pages: u64,
-    write_pages: u64,
-    bytes: u64,
-    last_completion: SimTime,
-}
-
 /// The weighted-arbitration policy a [`TenantSet`] implies: one foreground
 /// class per tenant (carrying the spec's weight and starvation bound) plus
 /// the mandatory background GC class, which the admission loop never
@@ -187,38 +365,19 @@ fn tenant_policy(tenants: &TenantSet) -> TenantPolicy {
 /// isolation pays off. The shard pacing clock is the FTL's completion time
 /// for the previous request, which both variants share, keeping the
 /// isolated-vs-FIFO comparison apples-to-apples.
-#[allow(clippy::too_many_arguments)]
 fn run_tenant_admission(
     tenants: &mut TenantSet,
-    start: SimTime,
-    shards: usize,
-    shard_of: impl Fn(u64) -> usize,
+    tally: &mut Tally,
+    map: ShardMap,
     mut submit: impl FnMut(HostRequest, SimTime) -> SimTime,
     policy: Option<&TenantPolicy>,
-    tracing: bool,
-    page_size: u32,
-) -> TenantAdmission {
+) {
     let n = tenants.num_tenants();
-    let mut lanes: Vec<TenantLane> = (0..n)
-        .map(|t| TenantLane {
-            tenant: t as u32,
-            requests: 0,
-            read_pages: 0,
-            write_pages: 0,
-            latencies: LatencyHistogram::new(),
-        })
-        .collect();
-    let mut host_spans: Vec<HostSpan> = Vec::new();
-    let mut queueing = LatencyHistogram::new();
-    let mut requests = 0u64;
-    let mut read_pages = 0u64;
-    let mut write_pages = 0u64;
-    let mut bytes = 0u64;
-    let mut last_completion = start;
+    let shards = map.shards();
 
     // Per-tenant arrival clocks and the next pending (not yet enqueued)
     // arrival of each tenant.
-    let mut clocks: Vec<SimTime> = vec![start; n];
+    let mut clocks: Vec<SimTime> = vec![tally.start; n];
     let advance = |tenants: &mut TenantSet, t: usize, clocks: &mut Vec<SimTime>| {
         tenants.next_request(t).map(|(gap, req)| {
             clocks[t] += gap;
@@ -233,7 +392,7 @@ fn run_tenant_admission(
     let mut backlog: Vec<Vec<VecDeque<(SimTime, HostRequest)>>> =
         (0..shards).map(|_| vec![VecDeque::new(); n]).collect();
     let mut queued: Vec<usize> = vec![0; shards];
-    let mut free_at: Vec<SimTime> = vec![start; shards];
+    let mut free_at: Vec<SimTime> = vec![tally.start; shards];
     let mut arbiters: Vec<TenantArbiter> = policy
         .map(|p| (0..shards).map(|_| TenantArbiter::new(p)).collect())
         .unwrap_or_default();
@@ -270,7 +429,7 @@ fn run_tenant_admission(
             // time the pick happens.
             (Some((at, t)), d) if d.is_none_or(|(dd, _)| at <= dd) => {
                 let (_, req) = next[t].take().expect("arrival slot is present");
-                let s = shard_of(req.lpn);
+                let s = map.shard_of(req.lpn);
                 backlog[s][t].push_back((at, req));
                 queued[s] += 1;
                 next[t] = advance(tenants, t, &mut clocks);
@@ -302,68 +461,9 @@ fn run_tenant_admission(
                 queued[s] -= 1;
                 let completion = submit(req, d);
                 free_at[s] = completion;
-
-                lanes[winner].requests += 1;
-                lanes[winner].latencies.record(completion - arrived);
-                queueing.record(d - arrived);
-                requests += 1;
-                bytes += req.bytes(page_size);
-                match req.op {
-                    HostOp::Read => {
-                        read_pages += u64::from(req.pages);
-                        lanes[winner].read_pages += u64::from(req.pages);
-                    }
-                    HostOp::Write => {
-                        write_pages += u64::from(req.pages);
-                        lanes[winner].write_pages += u64::from(req.pages);
-                    }
-                }
-                if tracing {
-                    host_spans.push(HostSpan {
-                        arrival: arrived,
-                        issue: d,
-                        completion,
-                        lane: s as u32,
-                        shard: s as u32,
-                        write: req.op == HostOp::Write,
-                        pages: req.pages,
-                        tenant: req.tenant,
-                    });
-                }
-                last_completion = last_completion.max(completion);
+                tally.record(&req, arrived, d, completion, s, s);
             }
             (Some(_), None) => unreachable!("an unguarded arrival always wins"),
-        }
-    }
-
-    TenantAdmission {
-        lanes,
-        host_spans,
-        queueing,
-        requests,
-        read_pages,
-        write_pages,
-        bytes,
-        last_completion,
-    }
-}
-
-/// Options for a measurement run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunnerConfig {
-    /// Reset the FTL and device statistics before the measured run (so the
-    /// result reflects only the measured phase, not the warm-up).
-    pub reset_stats_before_run: bool,
-    /// The simulated time at which the run starts. Using the warm-up's
-    /// completion time keeps the device timelines realistic.
-    pub start: SimTime,
-}
-
-impl Default for RunnerConfig {
-    fn default() -> Self {
-        RunnerConfig {
-            reset_stats_before_run: true,
-            start: SimTime::ZERO,
         }
     }
 }
@@ -372,107 +472,24 @@ impl Default for RunnerConfig {
 /// throughout the paper's evaluation: every stream (FIO thread) issues its
 /// next request as soon as its previous request completes, and the runner
 /// always advances the stream whose previous request finished earliest.
-#[derive(Debug, Clone, Default)]
-pub struct Runner {
-    config: RunnerConfig,
-}
+///
+/// Every run resets the FTL and device statistics first and starts when the
+/// device has drained earlier traffic, so its result covers the measured
+/// phase only.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Runner;
 
 impl Runner {
-    /// Creates a runner with default options.
+    /// Creates a runner.
     pub fn new() -> Self {
-        Self::default()
+        Runner
     }
 
-    /// Creates a runner with explicit options.
-    pub fn with_config(config: RunnerConfig) -> Self {
-        Runner { config }
-    }
-
-    /// Runs the workload to completion and collects the measurements.
-    ///
-    /// Deliberately *not* implemented as `run_qd(depth = streams)`, although
-    /// the results are identical then: this is the reference closed-loop
-    /// model the queue-depth runner is validated against (see the
-    /// `qd1_single_stream_matches_legacy_run_bit_for_bit` and
-    /// `qd_equal_to_streams_matches_unbounded_run` tests), so the two paths
-    /// must stay independent. Behavioral changes to the accounting here must
-    /// be mirrored in [`Runner::run_qd`].
+    /// Runs the workload to completion with every stream's request in flight
+    /// at once: [`Runner::run_qd`] at a depth no stream ever waits for.
     pub fn run(&self, ftl: &mut dyn Ftl, workload: &mut dyn Workload) -> RunResult {
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        // Never issue the first requests "in the past" of a device that is
-        // still draining warm-up traffic: that would bill warm-up queueing to
-        // the measured phase.
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
-            .map(|s| Reverse((start, s)))
-            .collect();
-        let mut latencies = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut last_completion = start;
-
-        while let Some(Reverse((issue, stream))) = ready.pop() {
-            let Some(req) = workload.next_request(stream) else {
-                continue; // stream exhausted; do not re-queue
-            };
-            let completion = ftl.submit(req, issue);
-            latencies.record(completion - issue);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival: issue,
-                    issue,
-                    completion,
-                    lane: stream as u32,
-                    shard: 0,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            ready.push(Reverse((completion, stream)));
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing: LatencyHistogram::new(),
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
+        let depth = workload.streams().max(1);
+        self.run_qd(ftl, workload, depth)
     }
 
     /// Runs the workload with a bounded host queue of `depth` slots, the
@@ -480,15 +497,12 @@ impl Runner {
     /// its next request when its previous one completes (closed loop), but at
     /// most `depth` requests are in flight against the FTL at once. A request
     /// that arrives while every slot is busy queues until the earliest
-    /// in-flight request completes ([`ssd_sched::QueuePair`]).
+    /// in-flight request completes ([`QueuePair`]).
     ///
     /// Each request records two latencies: total (arrival → completion, into
     /// [`RunResult::latencies`]) and queueing (arrival → issue, into
     /// [`RunResult::queueing`]). With `depth >= workload.streams()` no request
-    /// ever queues and the results match [`Runner::run`] exactly; with
-    /// `depth == 1` every request serialises through a single slot, which
-    /// reproduces the legacy blocking path bit for bit on a single-stream
-    /// workload.
+    /// ever queues.
     ///
     /// # Panics
     ///
@@ -499,103 +513,22 @@ impl Runner {
         workload: &mut dyn Workload,
         depth: usize,
     ) -> RunResult {
-        assert!(depth > 0, "queue depth must be at least 1");
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut queue = ssd_sched::QueuePair::new(depth);
-        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
-            .map(|s| Reverse((start, s)))
-            .collect();
-        let mut latencies = LatencyHistogram::new();
-        let mut queueing = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut last_completion = start;
-
-        while let Some(Reverse((arrival, stream))) = ready.pop() {
-            let Some(req) = workload.next_request(stream) else {
-                continue; // stream exhausted; do not re-queue
-            };
-            let (issue, completion) = queue.submit(arrival, |issue| ftl.submit(req, issue));
-            latencies.record(completion - arrival);
-            queueing.record(issue - arrival);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival,
-                    issue,
-                    completion,
-                    lane: stream as u32,
-                    shard: 0,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            ready.push(Reverse((completion, stream)));
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing,
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
+        let mut tally = Tally::begin(ftl, 0, 0);
+        closed_loop(ftl, workload, depth, &mut tally, |stream, _| (stream, 0));
+        tally.finish(ftl).0
     }
 
     /// Runs the workload through a sharded FTL frontend with a bounded host
     /// queue, recording a per-shard breakdown on top of everything
     /// [`Runner::run_qd`] measures.
     ///
-    /// The host model is identical to [`Runner::run_qd`] — `depth` slots
-    /// shared by all streams, recycled at the earliest completion — but each
-    /// request is also attributed to the shard that owns its first LPN, so
-    /// the result exposes per-shard request counts and latency distributions
-    /// (the aggregate histogram is their merge, which stays sorted and cheap
-    /// because each lane records in completion order). Shard imbalance and
-    /// per-engine queueing are exactly what the shard-scaling experiment
+    /// The host model is [`Runner::run_qd`]'s — `depth` slots shared by all
+    /// streams, recycled at the earliest completion — but each request is
+    /// also attributed to the shard that owns its first LPN, so the result
+    /// exposes per-shard request counts and latency distributions (the
+    /// aggregate histogram is their merge). Shard imbalance and per-engine
+    /// queueing are exactly what the shard-scaling experiment
     /// (`fig23_shard_scaling`) needs to explain its curves.
-    ///
-    /// Like [`Runner::run`] vs [`Runner::run_qd`], this deliberately repeats
-    /// the bounded-queue loop rather than sharing it: the two paths must
-    /// stay independently auditable, and the
-    /// `run_sharded_qd_agrees_with_run_qd_on_the_same_frontend` test pins
-    /// them together. Behavioral changes to the accounting in either must be
-    /// mirrored in the other.
     ///
     /// # Panics
     ///
@@ -606,98 +539,15 @@ impl Runner {
         workload: &mut dyn Workload,
         depth: usize,
     ) -> ShardedRunResult {
-        assert!(depth > 0, "queue depth must be at least 1");
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut queue = ssd_sched::QueuePair::new(depth);
-        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
-            .map(|s| Reverse((start, s)))
-            .collect();
-        let mut lanes: Vec<ShardLane> = (0..ftl.shard_count())
-            .map(|shard| ShardLane {
-                shard,
-                requests: 0,
-                latencies: LatencyHistogram::new(),
-            })
-            .collect();
-        let mut queueing = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut last_completion = start;
-
-        while let Some(Reverse((arrival, stream))) = ready.pop() {
-            let Some(req) = workload.next_request(stream) else {
-                continue; // stream exhausted; do not re-queue
-            };
-            let (issue, completion) = queue.submit(arrival, |issue| ftl.submit(req, issue));
-            let lane = ftl.map().shard_of(req.lpn);
-            lanes[lane].requests += 1;
-            lanes[lane].latencies.record(completion - arrival);
-            queueing.record(issue - arrival);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival,
-                    issue,
-                    completion,
-                    lane: lane as u32,
-                    shard: lane as u32,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            ready.push(Reverse((completion, stream)));
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        for lane in &mut lanes {
-            lane.latencies.finalize();
-            latencies.merge(&lane.latencies);
-        }
-        ShardedRunResult {
-            result: RunResult {
-                ftl_name: ftl.name().to_string(),
-                requests,
-                read_pages,
-                write_pages,
-                bytes,
-                elapsed: last_completion - start,
-                latencies,
-                queueing,
-                stats: ftl.stats().clone(),
-                device: ftl.device_stats(),
-                profile: SelfProfile {
-                    wall,
-                    requests,
-                    trace_events: trace.len() as u64,
-                },
-                trace,
-            },
-            lanes,
-        }
+        let shards = ftl.shard_count();
+        let mut tally = Tally::begin(ftl, shards, 0);
+        let map = *ftl.map();
+        closed_loop(ftl, workload, depth, &mut tally, |_, req| {
+            let shard = map.shard_of(req.lpn);
+            (shard, shard)
+        });
+        let (result, lanes, _) = tally.finish(ftl);
+        ShardedRunResult { result, lanes }
     }
 
     /// [`Runner::run_sharded_qd`] on the thread-parallel backend: the same
@@ -740,21 +590,10 @@ impl Runner {
         workers: usize,
     ) -> ShardedRunResult {
         assert!(depth > 0, "queue depth must be at least 1");
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let shard_count = ftl.shard_count();
+        let shards = ftl.shard_count();
+        let mut tally = Tally::begin(ftl, shards, 0);
+        let start = tally.start;
         let streams = workload.streams();
-        let tracing = ftl.tracing();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
 
         let records = ftl.run_threaded(workers, |dispatcher| {
             let mut slots: Vec<StreamSlot> = vec![StreamSlot::Ready(start); streams];
@@ -881,23 +720,15 @@ impl Runner {
                 let rid = dispatcher.dispatch(req, issue);
                 debug_assert_eq!(rid, records.len());
                 records.push(ThreadedRecord {
+                    req,
                     arrival,
                     issue,
                     lane,
                     completion: SimTime::ZERO,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
                 });
                 req_stream.push(stream);
                 slots[stream] = StreamSlot::Waiting(rid);
                 in_flight.push(FlightSlot::Pending(rid));
-                requests += 1;
-                bytes += req.bytes(page_size);
-                match req.op {
-                    HostOp::Read => read_pages += u64::from(req.pages),
-                    HostOp::Write => write_pages += u64::from(req.pages),
-                }
             }
 
             // Every stream went Done through a Ready state, so its last
@@ -914,73 +745,13 @@ impl Runner {
             records
         });
 
-        // Replay the per-request log in pop order: this reproduces the
-        // simulated runner's recording order for the lanes and the queueing
-        // histogram exactly.
-        let mut lanes: Vec<ShardLane> = (0..shard_count)
-            .map(|shard| ShardLane {
-                shard,
-                requests: 0,
-                latencies: LatencyHistogram::new(),
-            })
-            .collect();
-        let mut queueing = LatencyHistogram::new();
-        let mut last_completion = start;
-        for record in &records {
-            lanes[record.lane].requests += 1;
-            lanes[record.lane]
-                .latencies
-                .record(record.completion - record.arrival);
-            queueing.record(record.issue - record.arrival);
-            last_completion = last_completion.max(record.completion);
+        // Replaying the log in dispatch order reproduces the simulated
+        // runner's recording order, so lanes, queueing and spans match it.
+        for r in &records {
+            tally.record(&r.req, r.arrival, r.issue, r.completion, r.lane, r.lane);
         }
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            // Replaying the dispatch-order log reproduces the simulated
-            // runner's recording order, so the host spans are identical.
-            let host_spans: Vec<HostSpan> = records
-                .iter()
-                .map(|r| HostSpan {
-                    arrival: r.arrival,
-                    issue: r.issue,
-                    completion: r.completion,
-                    lane: r.lane as u32,
-                    shard: r.lane as u32,
-                    write: r.write,
-                    pages: r.pages,
-                    tenant: r.tenant,
-                })
-                .collect();
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        for lane in &mut lanes {
-            lane.latencies.finalize();
-            latencies.merge(&lane.latencies);
-        }
-        ShardedRunResult {
-            result: RunResult {
-                ftl_name: ftl.name().to_string(),
-                requests,
-                read_pages,
-                write_pages,
-                bytes,
-                elapsed: last_completion - start,
-                latencies,
-                queueing,
-                stats: ftl.stats().clone(),
-                device: ftl.device_stats(),
-                profile: SelfProfile {
-                    wall,
-                    requests,
-                    trace_events: trace.len() as u64,
-                },
-                trace,
-            },
-            lanes,
-        }
+        let (result, lanes, _) = tally.finish(ftl);
+        ShardedRunResult { result, lanes }
     }
 
     /// Runs the workload with *open-loop* arrivals: requests arrive on a
@@ -993,9 +764,8 @@ impl Runner {
     /// requests per second): below saturation latencies sit near service
     /// time, and as the offered load approaches the device's capacity the
     /// queueing in the device and the FTL frontend blows the tail up. There
-    /// is no host queue bound — arrivals are exogenous — so
-    /// [`RunResult::queueing`] stays empty; frontend waiting is part of each
-    /// request's latency.
+    /// is no host queue bound — arrivals are exogenous, every request issues
+    /// on arrival — so frontend waiting is part of each request's latency.
     ///
     /// The arrival process is deterministic for a given `seed`.
     ///
@@ -1013,25 +783,10 @@ impl Runner {
             mean_interarrival > Duration::ZERO,
             "mean inter-arrival time must be positive"
         );
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
+        let mut tally = Tally::begin(ftl, 0, 0);
         let streams = workload.streams();
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut latencies = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut arrival = start;
-        let mut last_completion = start;
+        let mut arrival = tally.start;
         let mut exhausted = 0usize;
         let mut stream = 0usize;
 
@@ -1042,56 +797,12 @@ impl Runner {
                 continue;
             };
             exhausted = 0;
-            let issuing_stream = stream;
-            stream = (stream + 1) % streams;
             let completion = ftl.submit(req, arrival);
-            latencies.record(completion - arrival);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival,
-                    issue: arrival,
-                    completion,
-                    lane: issuing_stream as u32,
-                    shard: 0,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
+            tally.record(&req, arrival, arrival, completion, stream, 0);
+            stream = (stream + 1) % streams;
             arrival += exponential(&mut rng, mean_interarrival);
         }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing: LatencyHistogram::new(),
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
+        tally.finish(ftl).0
     }
 
     /// [`Runner::run_open_loop`] on the thread-parallel backend
@@ -1124,28 +835,16 @@ impl Runner {
             mean_interarrival > Duration::ZERO,
             "mean inter-arrival time must be positive"
         );
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
+        let mut tally = Tally::begin(ftl, 0, 0);
+        let start = tally.start;
         let streams = workload.streams();
-        let tracing = ftl.tracing();
-        let wall = crate::wallclock::WallTimer::start();
 
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-
-        let (arrivals, completions, meta) = ftl.run_threaded(workers, |dispatcher| {
+        // (arrival, request, stream) per request, and its completion, in
+        // dispatch order.
+        let (sent, completions) = ftl.run_threaded(workers, |dispatcher| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut arrivals: Vec<SimTime> = Vec::new();
+            let mut sent: Vec<(SimTime, HostRequest, usize)> = Vec::new();
             let mut completions: Vec<SimTime> = Vec::new();
-            // (stream, write, pages, tenant) per request, dispatch order;
-            // only filled while tracing.
-            let mut meta: Vec<(u32, bool, u32, u32)> = Vec::new();
             let mut arrival = start;
             let mut exhausted = 0usize;
             let mut stream = 0usize;
@@ -1157,26 +856,11 @@ impl Runner {
                     continue;
                 };
                 exhausted = 0;
-                let issuing_stream = stream;
-                stream = (stream + 1) % streams;
                 let rid = dispatcher.dispatch(req, arrival);
-                debug_assert_eq!(rid, arrivals.len());
-                arrivals.push(arrival);
+                debug_assert_eq!(rid, sent.len());
+                sent.push((arrival, req, stream));
                 completions.push(SimTime::ZERO);
-                if tracing {
-                    meta.push((
-                        issuing_stream as u32,
-                        req.op == HostOp::Write,
-                        req.pages,
-                        req.tenant,
-                    ));
-                }
-                requests += 1;
-                bytes += req.bytes(page_size);
-                match req.op {
-                    HostOp::Read => read_pages += u64::from(req.pages),
-                    HostOp::Write => write_pages += u64::from(req.pages),
-                }
+                stream = (stream + 1) % streams;
                 arrival += exponential(&mut rng, mean_interarrival);
                 // Gather opportunistically so the reply queue stays short.
                 while let Some((req, completion)) = dispatcher.try_resolved() {
@@ -1187,56 +871,13 @@ impl Runner {
                 let (req, completion) = dispatcher.wait_resolved();
                 completions[req] = completion;
             }
-            (arrivals, completions, meta)
+            (sent, completions)
         });
 
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            let host_spans: Vec<HostSpan> = arrivals
-                .iter()
-                .zip(&completions)
-                .zip(&meta)
-                .map(
-                    |((&arrival, &completion), &(lane, write, pages, tenant))| HostSpan {
-                        arrival,
-                        issue: arrival,
-                        completion,
-                        lane,
-                        shard: 0,
-                        write,
-                        pages,
-                        tenant,
-                    },
-                )
-                .collect();
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        let mut last_completion = start;
-        for (arrival, completion) in arrivals.iter().zip(&completions) {
-            latencies.record(*completion - *arrival);
-            last_completion = last_completion.max(*completion);
+        for (&(arrival, req, stream), &completion) in sent.iter().zip(&completions) {
+            tally.record(&req, arrival, arrival, completion, stream, 0);
         }
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing: LatencyHistogram::new(),
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
+        tally.finish(ftl).0
     }
 
     /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with the
@@ -1258,30 +899,21 @@ impl Runner {
         tenants: &mut TenantSet,
         isolate: bool,
     ) -> TenantRunResult {
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let shards = ftl.map().shards();
         let policy = isolate.then(|| tenant_policy(tenants));
+        let mut tally = Tally::begin(ftl, 0, tenants.num_tenants());
         let map = *ftl.map();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let admission = run_tenant_admission(
+        run_tenant_admission(
             tenants,
-            start,
-            shards,
-            |lpn| map.shard_of(lpn),
+            &mut tally,
+            map,
             |req, at| ftl.submit(req, at),
             policy.as_ref(),
-            tracing,
-            page_size,
         );
-
-        self.finish_tenants(ftl, admission, start, wall.elapsed())
+        let (result, _, lanes) = tally.finish(ftl);
+        TenantRunResult {
+            result,
+            tenants: lanes,
+        }
     }
 
     /// [`Runner::run_tenants`] on the thread-parallel backend
@@ -1301,24 +933,14 @@ impl Runner {
         isolate: bool,
         workers: usize,
     ) -> TenantRunResult {
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let shards = ftl.map().shards();
         let policy = isolate.then(|| tenant_policy(tenants));
-        let wall = crate::wallclock::WallTimer::start();
-
-        let admission = ftl.run_threaded(workers, |dispatcher| {
+        let mut tally = Tally::begin(ftl, 0, tenants.num_tenants());
+        ftl.run_threaded(workers, |dispatcher| {
             let map = *dispatcher.map();
             run_tenant_admission(
                 tenants,
-                start,
-                shards,
-                |lpn| map.shard_of(lpn),
+                &mut tally,
+                map,
                 |req, at| {
                     let rid = dispatcher.dispatch(req, at);
                     loop {
@@ -1329,62 +951,11 @@ impl Runner {
                     }
                 },
                 policy.as_ref(),
-                tracing,
-                page_size,
             )
         });
-
-        self.finish_tenants(ftl, admission, start, wall.elapsed())
-    }
-
-    /// Folds a finished admission loop and the FTL's statistics into the
-    /// [`TenantRunResult`] both tenant runners return.
-    fn finish_tenants<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        admission: TenantAdmission,
-        start: SimTime,
-        wall: std::time::Duration,
-    ) -> TenantRunResult {
-        let TenantAdmission {
-            mut lanes,
-            host_spans,
-            queueing,
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            last_completion,
-        } = admission;
-        let trace = if ftl.tracing() {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        for lane in &mut lanes {
-            lane.latencies.finalize();
-            latencies.merge(&lane.latencies);
-        }
+        let (result, _, lanes) = tally.finish(ftl);
         TenantRunResult {
-            result: RunResult {
-                ftl_name: ftl.name().to_string(),
-                requests,
-                read_pages,
-                write_pages,
-                bytes,
-                elapsed: last_completion - start,
-                latencies,
-                queueing,
-                stats: ftl.stats().clone(),
-                device: ftl.device_stats(),
-                profile: SelfProfile {
-                    wall,
-                    requests,
-                    trace_events: trace.len() as u64,
-                },
-                trace,
-            },
+            result,
             tenants: lanes,
         }
     }
@@ -1466,35 +1037,19 @@ mod tests {
     }
 
     #[test]
-    fn qd1_single_stream_matches_legacy_run_bit_for_bit() {
-        let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 1, 1, 300, 11);
-        let mut legacy_ftl = warmed_ftl(FtlKind::Dftl);
-        let legacy = Runner::new().run(legacy_ftl.as_mut(), &mut wl());
-        let mut qd_ftl = warmed_ftl(FtlKind::Dftl);
-        let qd = Runner::new().run_qd(qd_ftl.as_mut(), &mut wl(), 1);
-        assert_eq!(qd.requests, legacy.requests);
-        assert_eq!(qd.elapsed, legacy.elapsed);
-        assert_eq!(qd.latencies.mean(), legacy.latencies.mean());
-        assert_eq!(qd.latencies.max(), legacy.latencies.max());
-        assert_eq!(qd.stats.host_read_pages, legacy.stats.host_read_pages);
-        assert_eq!(qd.device.reads, legacy.device.reads);
-        assert_eq!(
-            qd.queueing.max(),
-            ssd_sim::Duration::ZERO,
-            "QD1/1-stream never queues"
-        );
-    }
-
-    #[test]
-    fn qd_equal_to_streams_matches_unbounded_run() {
-        let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 100, 13);
-        let mut a = warmed_ftl(FtlKind::Ideal);
-        let unbounded = Runner::new().run(a.as_mut(), &mut wl());
-        let mut b = warmed_ftl(FtlKind::Ideal);
-        let qd = Runner::new().run_qd(b.as_mut(), &mut wl(), 4);
-        assert_eq!(qd.elapsed, unbounded.elapsed);
-        assert_eq!(qd.latencies.mean(), unbounded.latencies.mean());
-        assert_eq!(qd.queueing.max(), ssd_sim::Duration::ZERO);
+    fn depth_at_least_streams_never_queues() {
+        for (streams, depth) in [(1, 1), (4, 4), (4, 16)] {
+            let mut ftl = warmed_ftl(FtlKind::Dftl);
+            let mut wl = FioWorkload::new(FioPattern::RandRead, 4000, streams, 1, 100, 13);
+            let r = Runner::new().run_qd(ftl.as_mut(), &mut wl, depth);
+            assert_eq!(r.requests, 100 * streams as u64);
+            assert_eq!(r.queueing.count(), r.latencies.count());
+            assert_eq!(
+                r.queueing.max(),
+                ssd_sim::Duration::ZERO,
+                "{streams} streams at depth {depth} never queue"
+            );
+        }
     }
 
     #[test]
@@ -1547,9 +1102,9 @@ mod tests {
 
     #[test]
     fn sharded_qd1_single_stream_matches_legacy_bit_for_bit() {
-        // The shards=1 mirror of qd1_single_stream_matches_legacy_run: one
-        // shard, one stream, depth 1 must reproduce the plain FTL's blocking
-        // closed loop exactly — the sharding layer adds no distortion.
+        // One shard, one stream, depth 1 must reproduce the plain FTL's
+        // blocking closed loop exactly — the sharding layer adds no
+        // distortion.
         let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 1, 1, 300, 11);
         let mut legacy_ftl = warmed_ftl(FtlKind::Dftl);
         let legacy = Runner::new().run(legacy_ftl.as_mut(), &mut wl());
@@ -1569,32 +1124,18 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_qd_agrees_with_run_qd_on_the_same_frontend() {
-        // run_sharded_qd is run_qd plus lane bookkeeping: driving identical
-        // sharded frontends through both paths must measure the same run.
-        // Regression (PR 4): this used to cover only DFTL, which let the
-        // other designs' sharded accounting drift unnoticed — loop over
-        // every FtlKind.
+    fn run_sharded_qd_lanes_account_for_every_request() {
+        // Every design's sharded accounting: the lanes partition the run's
+        // requests and latency samples.
         for kind in FtlKind::all() {
-            let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 100, 13);
-            let mut a = warmed_sharded_on(shard_friendly_device(), kind, 2);
-            let plain = Runner::new().run_qd(&mut a, &mut wl(), 4);
-            let mut b = warmed_sharded_on(shard_friendly_device(), kind, 2);
-            let sharded = Runner::new().run_sharded_qd(&mut b, &mut wl(), 4);
-            assert_eq!(sharded.result.requests, plain.requests, "{kind}");
-            assert_eq!(sharded.result.elapsed, plain.elapsed, "{kind}");
-            assert_eq!(
-                sharded.result.latencies.mean(),
-                plain.latencies.mean(),
-                "{kind}"
-            );
-            assert_eq!(
-                sharded.result.latencies.max(),
-                plain.latencies.max(),
-                "{kind}"
-            );
+            let mut ftl = warmed_sharded_on(shard_friendly_device(), kind, 2);
+            let mut wl = FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 100, 13);
+            let sharded = Runner::new().run_sharded_qd(&mut ftl, &mut wl, 4);
+            assert_eq!(sharded.result.requests, 400, "{kind}");
             let lane_total: u64 = sharded.lanes.iter().map(|l| l.requests).sum();
-            assert_eq!(lane_total, plain.requests, "{kind}");
+            assert_eq!(lane_total, sharded.result.requests, "{kind}");
+            let samples: usize = sharded.lanes.iter().map(|l| l.latencies.count()).sum();
+            assert_eq!(samples, sharded.result.latencies.count(), "{kind}");
             assert!(sharded.lane_imbalance() >= 1.0, "{kind}");
         }
     }
@@ -1701,7 +1242,11 @@ mod tests {
         assert_eq!(threaded.elapsed, simulated.elapsed);
         assert_eq!(threaded.latencies.mean(), simulated.latencies.mean());
         assert_eq!(threaded.latencies.max(), simulated.latencies.max());
-        assert_eq!(threaded.queueing.count(), 0, "open loop has no host queue");
+        assert_eq!(
+            threaded.queueing.max(),
+            Duration::ZERO,
+            "open loop issues on arrival"
+        );
         assert_eq!(
             threaded.stats.host_read_pages,
             simulated.stats.host_read_pages
@@ -1765,7 +1310,11 @@ mod tests {
             "light load must stay near service time, saw {}",
             light.latencies.max()
         );
-        assert_eq!(light.queueing.count(), 0, "open loop has no host queue");
+        assert_eq!(
+            light.queueing.max(),
+            Duration::ZERO,
+            "open loop issues on arrival"
+        );
     }
 
     #[test]
@@ -1924,22 +1473,5 @@ mod tests {
             );
             assert_eq!(threaded.result.device.reads, simulated.result.device.reads);
         }
-    }
-
-    #[test]
-    fn keep_stats_option_accumulates() {
-        let mut ftl = FtlKind::Dftl.build(SsdConfig::tiny());
-        let mut fill = FioWorkload::new(FioPattern::SeqWrite, 400, 1, 8, 50, 1);
-        Runner::new().run(ftl.as_mut(), &mut fill);
-        let mut more = FioWorkload::new(FioPattern::SeqWrite, 400, 1, 8, 50, 1);
-        let cfg = RunnerConfig {
-            reset_stats_before_run: false,
-            start: SimTime::ZERO,
-        };
-        let result = Runner::with_config(cfg).run(ftl.as_mut(), &mut more);
-        assert_eq!(
-            result.stats.host_write_pages, 800,
-            "stats accumulate when not reset"
-        );
     }
 }

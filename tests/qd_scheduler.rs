@@ -1,7 +1,6 @@
 //! Cross-crate integration tests for the queue-depth path: the bounded-queue
-//! runner against every FTL design, and the acceptance anchors of the
-//! `ssd-sched` subsystem (QD16 beats QD1 on random reads; QD1 equals the
-//! legacy blocking runner).
+//! runner against every FTL design, and the acceptance anchor of the
+//! `ssd-sched` subsystem (QD16 beats QD1 on random reads).
 
 use learnedftl_suite::prelude::*;
 use workloads::{warmup, FioPattern, FioWorkload};
@@ -35,39 +34,6 @@ fn qd16_beats_qd1_for_every_ftl_on_randread() {
         assert!(
             qd1.mean_queueing() > qd16.mean_queueing(),
             "{kind}: the shallow queue must accumulate more queueing delay"
-        );
-    }
-}
-
-#[test]
-fn qd1_matches_legacy_runner_for_every_ftl() {
-    for kind in FtlKind::all() {
-        let wl = |pages: u64| FioWorkload::new(FioPattern::RandRead, pages, 1, 1, 200, 11);
-
-        let mut legacy_ftl = warmed(kind);
-        let pages = legacy_ftl.logical_pages();
-        let legacy = Runner::new().run(legacy_ftl.as_mut(), &mut wl(pages));
-        let mut qd_ftl = warmed(kind);
-        let qd = Runner::new().run_qd(qd_ftl.as_mut(), &mut wl(pages), 1);
-
-        assert_eq!(qd.requests, legacy.requests, "{kind}");
-        assert_eq!(
-            qd.elapsed, legacy.elapsed,
-            "{kind}: elapsed must match exactly"
-        );
-        assert_eq!(
-            qd.latencies.mean(),
-            legacy.latencies.mean(),
-            "{kind}: mean latency must match exactly"
-        );
-        assert_eq!(
-            qd.latencies.max(),
-            legacy.latencies.max(),
-            "{kind}: max latency must match exactly"
-        );
-        assert_eq!(
-            qd.device.reads, legacy.device.reads,
-            "{kind}: same flash traffic"
         );
     }
 }
