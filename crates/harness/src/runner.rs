@@ -38,11 +38,10 @@ struct HostSpan {
     issue: SimTime,
     completion: SimTime,
     lane: u32,
-    /// The clock domain the span's times belong to: the serving shard where
-    /// lanes are shards (the sharded queue-depth runners), shard 0 otherwise
-    /// (single-device runners and the stream-lane open-loop runners). The
-    /// exporters rebase each shard's timeline onto its own epoch, so every
-    /// event must declare which timeline it rides.
+    /// The clock domain the span's times belong to: the shard that served
+    /// the request on a sharded frontend (whatever its lane is), shard 0 on
+    /// a single device. The exporters rebase each shard's timeline onto its
+    /// own epoch, so every event must declare which timeline it rides.
     shard: u32,
     write: bool,
     pages: u32,
@@ -766,15 +765,18 @@ impl Runner {
     /// queueing in the device and the FTL frontend blows the tail up. There
     /// is no host queue bound — arrivals are exogenous, every request issues
     /// on arrival — so frontend waiting is part of each request's latency.
+    /// The frontend is sharded (one shard stands for a plain device); a
+    /// request's lane is its stream, and its span rides the clock of the
+    /// shard that served it.
     ///
     /// The arrival process is deterministic for a given `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `mean_interarrival` is zero.
-    pub fn run_open_loop(
+    pub fn run_open_loop<F: Ftl>(
         &self,
-        ftl: &mut dyn Ftl,
+        ftl: &mut ShardedFtl<F>,
         workload: &mut dyn Workload,
         mean_interarrival: Duration,
         seed: u64,
@@ -784,6 +786,7 @@ impl Runner {
             "mean inter-arrival time must be positive"
         );
         let mut tally = Tally::begin(ftl, 0, 0);
+        let map = *ftl.map();
         let streams = workload.streams();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut arrival = tally.start;
@@ -798,7 +801,8 @@ impl Runner {
             };
             exhausted = 0;
             let completion = ftl.submit(req, arrival);
-            tally.record(&req, arrival, arrival, completion, stream, 0);
+            let shard = map.shard_of(req.lpn);
+            tally.record(&req, arrival, arrival, completion, stream, shard);
             stream = (stream + 1) % streams;
             arrival += exponential(&mut rng, mean_interarrival);
         }
@@ -874,8 +878,10 @@ impl Runner {
             (sent, completions)
         });
 
+        let map = *ftl.map();
         for (&(arrival, req, stream), &completion) in sent.iter().zip(&completions) {
-            tally.record(&req, arrival, arrival, completion, stream, 0);
+            let shard = map.shard_of(req.lpn);
+            tally.record(&req, arrival, arrival, completion, stream, shard);
         }
         tally.finish(ftl).0
     }
@@ -1290,9 +1296,9 @@ mod tests {
     #[test]
     fn open_loop_latency_grows_with_offered_load() {
         let run = |mean_us: u64| {
-            let mut ftl = warmed_ftl(FtlKind::Ideal);
+            let mut ftl = warmed_sharded(FtlKind::Ideal, 1);
             let mut wl = FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 250, 23);
-            Runner::new().run_open_loop(ftl.as_mut(), &mut wl, Duration::from_micros(mean_us), 42)
+            Runner::new().run_open_loop(&mut ftl, &mut wl, Duration::from_micros(mean_us), 42)
         };
         // 1 request per 400us is far below tiny's capacity; 1 per 5us is far
         // above it (a 4-chip device serves roughly one read per 10us).
@@ -1353,9 +1359,9 @@ mod tests {
     #[test]
     fn open_loop_arrivals_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut ftl = warmed_ftl(FtlKind::Ideal);
+            let mut ftl = warmed_sharded(FtlKind::Ideal, 1);
             let mut wl = FioWorkload::new(FioPattern::RandRead, 4000, 2, 1, 200, 29);
-            Runner::new().run_open_loop(ftl.as_mut(), &mut wl, Duration::from_micros(50), seed)
+            Runner::new().run_open_loop(&mut ftl, &mut wl, Duration::from_micros(50), seed)
         };
         let a = run(7);
         let b = run(7);

@@ -16,9 +16,10 @@
 //! the analysis.
 //!
 //! The constants were recorded before the analysis engine moved from ordered
-//! maps to dense per-shard tables. A speed-only change to trace recording,
-//! assembly or analysis must leave them alone; a failure prints the new
-//! table.
+//! maps to dense per-shard tables; `gc_scheduled`'s were re-recorded when
+//! open-loop host spans began to name the shard that served them instead of
+//! shard 0. A speed-only change to trace recording, assembly or analysis must
+//! leave them alone; a failure prints the new table.
 
 use ftl_base::{Ftl, GcMode};
 use harness::experiments::{
@@ -274,6 +275,19 @@ fn covers(name: &str, trace: &[TraceEvent], analysis: &TraceAnalysis) {
                 analysis.exemplars.iter().any(|x| x.truncated_spans > 0),
                 "{name}: a truncated exemplar"
             );
+            // Each host span rides the clock of the shard that served it.
+            let served: u64 = analysis.shards.iter().map(|s| s.requests).sum();
+            assert_eq!(served, 800, "{name}: every request counted once");
+            for e in trace {
+                if matches!(e.data, TraceData::PlaneOp { .. }) {
+                    let shard = analysis.shards.iter().find(|s| s.shard == e.shard);
+                    assert!(
+                        shard.is_some_and(|s| s.requests > 0),
+                        "{name}: shard {} has device events but no requests",
+                        e.shard
+                    );
+                }
+            }
         }
         "tenants_weighted" => assert_eq!(analysis.tenants.len(), 4, "{name}: four tenants"),
         _ => {}
@@ -322,9 +336,9 @@ const GOLDEN: [(&str, [u64; 4]); 5] = [
     (
         "gc_scheduled",
         [
-            0x321d_c3cc_44d2_f6f8,
-            0x3ec5_d5c1_5ee6_c37c,
-            0x3dd4_b2e1_9982_b208,
+            0x4b58_bccc_9642_aa3e,
+            0x8118_4109_46a7_61ad,
+            0x24ef_aaa3_63d9_d756,
             0x387c_8a1e_edfa_f151,
         ],
     ),
