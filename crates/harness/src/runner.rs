@@ -125,7 +125,8 @@ impl Tally {
     /// the result covers only the measured phase, and starts the run once the
     /// device has drained earlier traffic — issuing the first requests "in
     /// the past" of a busy device would bill warm-up queueing to the measured
-    /// phase. Keeps a lane per shard and per tenant as asked.
+    /// phase. `shards` and `tenants` are how many shard and tenant lanes to
+    /// keep (zero: none).
     fn begin<F: Ftl + ?Sized>(ftl: &mut F, shards: usize, tenants: usize) -> Tally {
         ftl.reset_stats();
         ftl.reset_device_stats();
@@ -165,6 +166,9 @@ impl Tally {
     /// Accounts one request that arrived at `arrival`, issued at `issue` and
     /// completed at `completion`; its span is drawn on host lane `lane` in
     /// shard `shard`'s clock domain.
+    // Inlined into each loop: this is run_qd's per-request path, which
+    // `harness.loop_ns_per_req` measures.
+    #[inline(always)]
     fn record(
         &mut self,
         req: &HostRequest,
@@ -266,9 +270,9 @@ fn closed_loop<F: Ftl + ?Sized>(
     ftl: &mut F,
     workload: &mut dyn Workload,
     depth: usize,
-    tally: &mut Tally,
+    mut tally: Tally,
     route: impl Fn(usize, &HostRequest) -> (usize, usize),
-) {
+) -> Tally {
     let mut queue = QueuePair::new(depth);
     let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
         .map(|s| Reverse((tally.start, s)))
@@ -282,6 +286,7 @@ fn closed_loop<F: Ftl + ?Sized>(
         tally.record(&req, arrival, issue, completion, lane, shard);
         ready.push(Reverse((completion, stream)));
     }
+    tally
 }
 
 /// One stream of the threaded closed-loop host model.
@@ -512,8 +517,8 @@ impl Runner {
         workload: &mut dyn Workload,
         depth: usize,
     ) -> RunResult {
-        let mut tally = Tally::begin(ftl, 0, 0);
-        closed_loop(ftl, workload, depth, &mut tally, |stream, _| (stream, 0));
+        let tally = Tally::begin(ftl, 0, 0);
+        let tally = closed_loop(ftl, workload, depth, tally, |stream, _| (stream, 0));
         tally.finish(ftl).0
     }
 
@@ -539,9 +544,9 @@ impl Runner {
         depth: usize,
     ) -> ShardedRunResult {
         let shards = ftl.shard_count();
-        let mut tally = Tally::begin(ftl, shards, 0);
+        let tally = Tally::begin(ftl, shards, 0);
         let map = *ftl.map();
-        closed_loop(ftl, workload, depth, &mut tally, |_, req| {
+        let tally = closed_loop(ftl, workload, depth, tally, |_, req| {
             let shard = map.shard_of(req.lpn);
             (shard, shard)
         });
