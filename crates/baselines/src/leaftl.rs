@@ -1,7 +1,6 @@
 //! LeaFTL: a purely learned-index address mapping (Sun et al., ASPLOS'23).
 
-// simlint: allow(unordered-collection, reason = "import for the sorted-on-drain write buffer below")
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use ftl_base::{DynamicDataPool, Ftl, FtlCore, FtlStats, GcMode, Lpn, LruCache, ReadClass};
 use learned_index::{GreedyPlr, LogStructuredSegments, Point};
@@ -31,9 +30,8 @@ use crate::util::gc_until_headroom;
 pub struct LeaFtl {
     core: FtlCore,
     pool: DynamicDataPool,
-    /// Buffered (not yet flushed) logical pages.
-    // simlint: allow(unordered-collection, reason = "membership tests are keyed; flush_buffer drains into a Vec and sorts by LPN before any order-dependent use")
-    buffer: HashSet<Lpn>,
+    /// Buffered (not yet flushed) logical pages, in LPN order.
+    buffer: BTreeSet<Lpn>,
     buffer_capacity: usize,
     /// Authoritative learned segments per translation page (flash content).
     segments: Vec<LogStructuredSegments>,
@@ -64,8 +62,7 @@ impl LeaFtl {
         LeaFtl {
             core,
             pool,
-            // simlint: allow(unordered-collection, reason = "see the field declaration: drained and sorted before use")
-            buffer: HashSet::new(),
+            buffer: BTreeSet::new(),
             buffer_capacity,
             segments: vec![LogStructuredSegments::new(); entries],
             model_cache: LruCache::new(entries.max(1)),
@@ -118,8 +115,7 @@ impl LeaFtl {
         if self.buffer.is_empty() {
             return now;
         }
-        let mut lpns: Vec<Lpn> = self.buffer.drain().collect();
-        lpns.sort_unstable();
+        let mut lpns: Vec<Lpn> = std::mem::take(&mut self.buffer).into_iter().collect();
 
         // Make room first.
         let mut barrier = self.collect_garbage(now);

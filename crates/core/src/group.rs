@@ -368,7 +368,7 @@ mod tests {
                 ssd_sim::PhysAddr::from_ppn(slot.ppn, &g).chip_index(&g)
             })
             .collect();
-        let distinct: std::collections::HashSet<_> = chips.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = chips.iter().collect();
         assert_eq!(
             distinct.len() as u64,
             g.total_chips(),

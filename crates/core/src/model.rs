@@ -292,7 +292,7 @@ impl InPlaceModel {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn points(pairs: &[(u64, u64)]) -> Vec<Point> {
         pairs.iter().map(|&(k, v)| Point::new(k, v)).collect()
@@ -415,7 +415,7 @@ mod tests {
             )
         ) {
             let mut model = InPlaceModel::new(0, 64, 4);
-            let mut truth: HashMap<u64, u64> = HashMap::new();
+            let mut truth: BTreeMap<u64, u64> = BTreeMap::new();
             for (op, start, len, base) in ops {
                 match op {
                     0 => {

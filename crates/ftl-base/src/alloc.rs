@@ -390,7 +390,7 @@ mod tests {
         // With all chips idle, consecutive allocations should not all land on
         // one chip (ties are broken by free space, which decreases as a chip
         // is used).
-        let mut chips_hit = std::collections::HashSet::new();
+        let mut chips_hit = std::collections::BTreeSet::new();
         for _ in 0..8 {
             let ppn = pool.allocate(&dev).unwrap();
             let g = *dev.geometry();
@@ -436,7 +436,7 @@ mod tests {
         let part = BlockPartition::for_config(&cfg, 512);
         let mut pool = DynamicDataPool::new(&part, cfg.geometry.pages_per_block, 2);
         let capacity = part.data_page_count();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..capacity {
             let got = pool
                 .allocate_stripe(&dev, 2)

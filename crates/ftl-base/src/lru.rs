@@ -1,6 +1,10 @@
 //! A small, dependency-free LRU cache used by the cached mapping tables.
 
-// simlint: allow-file(unordered-collection, reason = "the hash map is a key->slot index with O(1) lookups on the CMT hot path; every ordered walk (recency, eviction, iter) follows the intrusive list through the entries Vec, so hash iteration order never reaches results")
+#![expect(
+    clippy::disallowed_types,
+    reason = "the hash map is a key->slot index with O(1) lookups on the CMT hot path; every ordered walk (recency, eviction, iter) follows the intrusive list through the entries Vec, so hash iteration order never reaches results"
+)]
+
 use std::collections::HashMap;
 use std::hash::Hash;
 

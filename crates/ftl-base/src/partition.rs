@@ -181,8 +181,8 @@ mod tests {
         let cfg = SsdConfig::tiny();
         let part = BlockPartition::for_config(&cfg, 512);
         let total = cfg.geometry.total_blocks();
-        let data: std::collections::HashSet<u64> = part.data_blocks().collect();
-        let trans: std::collections::HashSet<u64> = part.translation_blocks().collect();
+        let data: std::collections::BTreeSet<u64> = part.data_blocks().collect();
+        let trans: std::collections::BTreeSet<u64> = part.translation_blocks().collect();
         assert_eq!(data.len() as u64 + trans.len() as u64, total);
         assert!(data.is_disjoint(&trans));
         for b in 0..total {
@@ -196,8 +196,8 @@ mod tests {
         let part = BlockPartition::for_config(&cfg, 512);
         let g = cfg.geometry;
         let total = g.total_blocks();
-        let data: std::collections::HashSet<u64> = part.data_blocks().collect();
-        let trans: std::collections::HashSet<u64> = part.translation_blocks().collect();
+        let data: std::collections::BTreeSet<u64> = part.data_blocks().collect();
+        let trans: std::collections::BTreeSet<u64> = part.translation_blocks().collect();
         assert_eq!(data.len() as u64 + trans.len() as u64, total);
         assert!(data.is_disjoint(&trans));
         for b in 0..total {
@@ -251,7 +251,7 @@ mod tests {
     fn translation_blocks_spread_across_chips() {
         let cfg = SsdConfig::small();
         let part = BlockPartition::for_config(&cfg, 512);
-        let chips_with_trans: std::collections::HashSet<u64> = part
+        let chips_with_trans: std::collections::BTreeSet<u64> = part
             .translation_blocks()
             .map(|b| part.chip_of_block(b))
             .collect();

@@ -8,8 +8,12 @@
 //! the device, and cleans up stale translation-page versions when the region
 //! runs out of space.
 
-// simlint: allow(unordered-collection, reason = "import for the keyed-only reverse map below")
-use std::collections::{HashMap, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "import for the keyed-only reverse map below"
+)]
+use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use crate::gtd::Gtd;
 use crate::partition::BlockPartition;
@@ -28,18 +32,24 @@ pub struct TransPageStore {
     free: VecDeque<u64>,
     active: Option<u64>,
     used: Vec<u64>,
-    // simlint: allow(unordered-collection, reason = "ppn->tpn reverse map is keyed get/insert/remove only; cleaning scans the `used` Vec and block pages in address order, never this map")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ppn->tpn reverse map is keyed get/insert/remove only; cleaning scans the `used` Vec and block pages in address order, never this map"
+    )]
     tpn_of_ppn: HashMap<Ppn, usize>,
 }
 
 impl TransPageStore {
     /// Creates a store owning the translation blocks of `partition`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "see the field declaration: keyed access only"
+    )]
     pub fn new(partition: &BlockPartition) -> Self {
         TransPageStore {
             free: partition.translation_blocks().collect(),
             active: None,
             used: Vec::new(),
-            // simlint: allow(unordered-collection, reason = "see the field declaration: keyed access only")
             tpn_of_ppn: HashMap::new(),
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! `RunResult::profile` timing, the figure binaries' wall-clock loops and
 //! LearnedFTL's `charge_training_time` all measure host time through this
-//! one module instead of calling `Instant::now` inline — simlint's
-//! `wall-clock` rule denies direct host-clock reads everywhere else.
+//! one module instead of calling `Instant::now` inline, which `clippy.toml`
+//! disallows everywhere but the seam itself.
 //!
 //! The implementation lives in [`ssd_sim::wallclock`] (the one crate every
 //! sim-path crate can reach, so `learnedftl`'s trainer can share the same

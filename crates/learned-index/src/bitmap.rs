@@ -188,7 +188,7 @@ mod tests {
         #[test]
         fn prop_count_matches_model(ops in proptest::collection::vec((0usize..512, any::<bool>()), 0..300)) {
             let mut bm = BitmapFilter::new(512);
-            let mut model = std::collections::HashSet::new();
+            let mut model = std::collections::BTreeSet::new();
             for (idx, set) in ops {
                 if set {
                     bm.set(idx);

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use ssd_sched::{CmdKind, Completion, IoScheduler, Priority, SchedConfig};
 use ssd_sim::{FlashDevice, OobData, SimTime, SsdConfig};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One generated command: a read of a populated page or a program of a fresh
 /// page, host or GC class, submitted `delay_us` after the previous command.
@@ -94,7 +94,7 @@ proptest! {
         let (mut dev, t0) = populated_device();
         let mut sched = IoScheduler::new(*dev.geometry(), SchedConfig::default());
         let cmds = materialise(&ops, &dev, t0);
-        let mut submitted_ids = HashSet::new();
+        let mut submitted_ids = BTreeSet::new();
         let mut completions: Vec<Completion> = Vec::new();
         for (kind, priority, at) in cmds {
             loop {
@@ -116,7 +116,7 @@ proptest! {
 
         // Every submitted command completed exactly once.
         prop_assert_eq!(completions.len(), submitted_ids.len());
-        let completed_ids: HashSet<_> = completions.iter().map(|c| c.id).collect();
+        let completed_ids: BTreeSet<_> = completions.iter().map(|c| c.id).collect();
         prop_assert_eq!(completed_ids.len(), completions.len(), "no duplicate completions");
         prop_assert_eq!(completed_ids, submitted_ids);
 
@@ -127,7 +127,7 @@ proptest! {
         }
 
         // Per chip, completions are monotone in SimTime.
-        let chips: HashSet<u64> = completions.iter().map(|c| c.chip).collect();
+        let chips: BTreeSet<u64> = completions.iter().map(|c| c.chip).collect();
         for chip in chips {
             let times: Vec<SimTime> = completions
                 .iter()

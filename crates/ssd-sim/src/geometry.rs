@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn chip_index_is_dense_and_unique() {
         let g = Geometry::new(2, 3, 1, 4, 8, 4096);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for ch in 0..2 {
             for chip in 0..3 {
                 let idx = g.chip_index(ch, chip);

@@ -4,8 +4,9 @@
 //! backend, the ring dispatcher and the trace artifacts are all gated on
 //! bit-for-bit equality, so a stray `Instant::now()` in sim-path code is a
 //! determinism bug waiting to happen. This module is the single place the
-//! workspace reads the host clock — simlint's `wall-clock` rule denies
-//! `Instant::now`/`SystemTime` everywhere else (see `crates/simlint`), and
+//! workspace reads the host clock: `clippy.toml` disallows
+//! `Instant::now`/`SystemTime::now` everywhere, and [`WallTimer::start`] is
+//! the one call site that carries an `#[expect]` for it.
 //! `harness::wallclock` re-exports it as the profiling seam the runners and
 //! figure binaries use.
 //!
@@ -36,6 +37,10 @@ pub struct WallTimer {
 
 impl WallTimer {
     /// Starts a stopwatch at the current host time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one host-clock seam: it measures the simulator and never feeds simulation state"
+    )]
     pub fn start() -> WallTimer {
         WallTimer {
             started: std::time::Instant::now(),

@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn popular_files_are_reaccessed() {
         let mut wl = FilebenchWorkload::new(FilebenchPreset::Webserver, 100_000, 2000, 4);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..2000 {
             let req = wl.next_request(0).unwrap();
             *counts.entry(req.lpn).or_insert(0u64) += 1;

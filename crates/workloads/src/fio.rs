@@ -208,7 +208,7 @@ mod tests {
         let a = collect();
         let b = collect();
         assert_eq!(a, b, "same seed must reproduce the same request stream");
-        let distinct: std::collections::HashSet<_> = a.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = a.iter().collect();
         assert!(distinct.len() > 300, "random reads must be spread out");
         assert!(a.iter().all(|&l| l < 100_000));
     }

@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn readrandom_is_single_page_and_in_range() {
         let mut wl = RocksDbWorkload::new(RocksDbPhase::ReadRandom, 5000, 200, 3);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let req = wl.next_request(0).unwrap();
             assert_eq!(req.op, HostOp::Read);

@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn generated_trace_has_locality() {
         let trace = SyntheticTrace::generate(TraceKind::WebSearch2, 1_000_000, 20_000, 9);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for r in trace.records() {
             *counts.entry(r.lpn).or_insert(0u64) += 1;
         }
