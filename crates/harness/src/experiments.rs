@@ -16,7 +16,7 @@ use workloads::{
 
 use crate::kind::FtlKind;
 use crate::result::{RunResult, ShardedRunResult, TenantRunResult};
-use crate::runner::Runner;
+use crate::runner::{push_gc_instants, Runner};
 
 /// How much work each experiment does. The paper's runs write the device six
 /// times over and replay million-request traces; the scaled settings keep the
@@ -134,12 +134,11 @@ pub fn fio_read_run(
     Runner::new().run(ftl.as_mut(), &mut wl)
 }
 
-/// The shared warm-up and workload construction behind [`fio_read_run`] and
-/// [`fio_qd_run`]. Kept in one place so the queue-depth sweep always measures
-/// the identically warmed device with the identical request stream. Public
-/// so callers that drive the measured phase themselves (e.g. to enable
-/// tracing on the warmed FTL first) prepare identically to the canned runs.
-pub fn warmed_fio_read_setup(
+/// The shared warm-up and workload construction behind [`fio_read_run`],
+/// [`fio_qd_run`] and their traced twins. Kept in one place so the
+/// queue-depth sweep always measures the identically warmed device with the
+/// identical request stream.
+fn warmed_fio_read_setup(
     kind: FtlKind,
     pattern: FioPattern,
     threads: usize,
@@ -291,9 +290,10 @@ pub fn fio_qd_sharded_traced_run(
     Runner::new().run_sharded_qd(&mut ftl, &mut wl, depth)
 }
 
-/// [`fio_qd_threaded_run`] with structured tracing enabled for the measured
-/// phase: per-shard traces are recorded worker-locally and merged after the
-/// run, producing the identical stream to the simulated backend's.
+/// [`fio_qd_sharded_traced_run`] on the thread-parallel backend
+/// ([`Runner::run_threaded_qd`]): per-shard traces are recorded
+/// worker-locally and merged after the run, producing the identical stream
+/// to the simulated backend's.
 #[allow(clippy::too_many_arguments)]
 pub fn fio_qd_threaded_traced_run(
     kind: FtlKind,
@@ -308,49 +308,6 @@ pub fn fio_qd_threaded_traced_run(
     let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
     ftl.set_tracing(true);
     Runner::new().run_threaded_qd(&mut ftl, &mut wl, depth, workers)
-}
-
-/// [`fio_qd_sharded_run`] on the thread-parallel backend
-/// ([`Runner::run_threaded_qd`]): identical preparation, identical
-/// simulated-time results (the cross-backend equivalence suite pins this),
-/// host wall-clock scaled across `workers` threads.
-#[allow(clippy::too_many_arguments)]
-pub fn fio_qd_threaded_run(
-    kind: FtlKind,
-    pattern: FioPattern,
-    threads: usize,
-    depth: usize,
-    shards: usize,
-    workers: usize,
-    device: SsdConfig,
-    scale: ExperimentScale,
-) -> ShardedRunResult {
-    let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
-    Runner::new().run_threaded_qd(&mut ftl, &mut wl, depth, workers)
-}
-
-/// [`fio_open_loop_run`] on the thread-parallel backend
-/// ([`Runner::run_threaded_open_loop`]): open-loop arrivals have no host
-/// feedback, so this is the backend's best wall-clock scaling case.
-#[allow(clippy::too_many_arguments)]
-pub fn fio_open_loop_threaded_run(
-    kind: FtlKind,
-    pattern: FioPattern,
-    threads: usize,
-    shards: usize,
-    workers: usize,
-    mean_interarrival: Duration,
-    device: SsdConfig,
-    scale: ExperimentScale,
-) -> RunResult {
-    let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
-    Runner::new().run_threaded_open_loop(
-        &mut ftl,
-        &mut wl,
-        mean_interarrival,
-        OPEN_LOOP_ARRIVAL_SEED,
-        workers,
-    )
 }
 
 /// Warm-up + FIO read phase with *open-loop* Poisson arrivals
@@ -504,26 +461,7 @@ fn fold_drained_gc_trace(ftl: &mut crate::ShardedFtl<Box<dyn Ftl>>, result: &mut
     result
         .trace
         .retain(|e| !matches!(e.data, TraceData::GcTrigger | TraceData::GcComplete));
-    let instant = |at: ssd_sim::SimTime, data: TraceData| ssd_sim::TraceEvent {
-        start: at,
-        end: at,
-        shard: 0,
-        data,
-    };
-    let mut triggers = result.stats.gc_events.clone();
-    triggers.sort_unstable();
-    let mut completes = result.stats.gc_complete_events.clone();
-    completes.sort_unstable();
-    result.trace.extend(
-        triggers
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcTrigger)),
-    );
-    result.trace.extend(
-        completes
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcComplete)),
-    );
+    push_gc_instants(&mut result.trace, &result.stats);
     result.trace.sort_by_key(|e| e.start);
     result.profile.trace_events = result.trace.len() as u64;
 }

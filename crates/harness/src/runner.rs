@@ -6,7 +6,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use ftl_base::{Ftl, HostOp, HostRequest};
+use ftl_base::{Ftl, FtlStats, HostOp, HostRequest};
 use ftl_shard::{ReqId, ShardMap, ShardedFtl, ThreadedDispatcher};
 use metrics::LatencyHistogram;
 use rand::rngs::StdRng;
@@ -55,27 +55,7 @@ struct HostSpan {
 /// time, so identical inputs produce byte-identical traces.
 fn assemble_trace<F: Ftl + ?Sized>(ftl: &mut F, host: &[HostSpan]) -> Vec<TraceEvent> {
     let mut trace = ftl.take_trace();
-    let instant = |at: SimTime, data: TraceData| TraceEvent {
-        start: at,
-        end: at,
-        shard: 0,
-        data,
-    };
-    let stats = ftl.stats();
-    let mut triggers = stats.gc_events.clone();
-    triggers.sort_unstable();
-    let mut completes = stats.gc_complete_events.clone();
-    completes.sort_unstable();
-    trace.extend(
-        triggers
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcTrigger)),
-    );
-    trace.extend(
-        completes
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcComplete)),
-    );
+    push_gc_instants(&mut trace, ftl.stats());
     for (req, span) in host.iter().enumerate() {
         trace.push(TraceEvent {
             start: span.arrival,
@@ -93,6 +73,24 @@ fn assemble_trace<F: Ftl + ?Sized>(ftl: &mut F, host: &[HostSpan]) -> Vec<TraceE
     }
     trace.sort_by_key(|e| e.start);
     trace
+}
+
+/// Appends the GC trigger instants and then the GC complete instants of
+/// `stats`, each set sorted by time so backend-dependent merge order cannot
+/// leak into a trace.
+pub(crate) fn push_gc_instants(trace: &mut Vec<TraceEvent>, stats: &FtlStats) {
+    let instants = |times: &[SimTime], data: TraceData| {
+        let mut times = times.to_vec();
+        times.sort_unstable();
+        times.into_iter().map(move |at| TraceEvent {
+            start: at,
+            end: at,
+            shard: 0,
+            data,
+        })
+    };
+    trace.extend(instants(&stats.gc_events, TraceData::GcTrigger));
+    trace.extend(instants(&stats.gc_complete_events, TraceData::GcComplete));
 }
 
 /// The accounting every runner shares: request, page and byte counts, the

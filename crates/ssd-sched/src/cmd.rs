@@ -1,7 +1,7 @@
 //! Flash commands as their submitter sees them: identity, payload, priority
 //! class and the completion record handed back.
 
-use ssd_sim::{DeviceError, Duration, FlashOp, OobData, Ppn, SimTime};
+use ssd_sim::{Duration, FlashOp, SimTime};
 
 use crate::tenant::TenantId;
 
@@ -28,26 +28,11 @@ pub enum Priority {
     Gc,
 }
 
-/// The operation a command performs, with its target.
+/// The operation a command performs, with its target. Every command replays
+/// timing only: page state is applied when the operation is staged, so the
+/// scheduler never changes it and a command cannot be rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CmdKind {
-    /// Read one physical page.
-    Read {
-        /// The page to read.
-        ppn: Ppn,
-    },
-    /// Program one physical page.
-    Program {
-        /// The page to program.
-        ppn: Ppn,
-        /// OOB metadata stored alongside the data.
-        oob: OobData,
-    },
-    /// Erase one block (flat device-wide index).
-    Erase {
-        /// The block to erase.
-        flat_block: u64,
-    },
     /// Charge the flash *time* of an operation whose state effects were
     /// already applied under [`ssd_sim::FlashDevice::begin_staging`]. This is
     /// how scheduled garbage collection replays a staged collection's page
@@ -97,11 +82,8 @@ pub struct Completion {
     pub submitted: SimTime,
     /// When the scheduler issued the command to the device.
     pub issued: SimTime,
-    /// When the device completed the command. Equals `issued` when `error`
-    /// is set (the device rejected the command without executing it).
+    /// When the device completed the command.
     pub completed: SimTime,
-    /// The device's rejection, if the command failed validation.
-    pub error: Option<DeviceError>,
 }
 
 impl Completion {
@@ -120,11 +102,6 @@ impl Completion {
     pub fn total(&self) -> Duration {
         self.completed - self.submitted
     }
-
-    /// Whether the command executed successfully.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -135,19 +112,22 @@ mod tests {
     fn completion_latency_decomposes() {
         let c = Completion {
             id: CmdId(3),
-            kind: CmdKind::Read { ppn: 7 },
+            kind: CmdKind::Charge {
+                op: FlashOp::Read,
+                chip: 1,
+                channel: 0,
+                planes: 1,
+            },
             priority: Priority::Host,
             tenant: TenantId(0),
             chip: 1,
             submitted: SimTime::from_micros(10),
             issued: SimTime::from_micros(25),
             completed: SimTime::from_micros(70),
-            error: None,
         };
         assert_eq!(c.queueing(), Duration::from_micros(15));
         assert_eq!(c.service(), Duration::from_micros(45));
         assert_eq!(c.total(), Duration::from_micros(60));
-        assert!(c.is_ok());
         assert_eq!(c.id.to_string(), "cmd#3");
     }
 }

@@ -35,10 +35,11 @@
 //!   timestamps (submitted, issued, completed) that tail-latency analysis
 //!   needs, split into queueing and service components.
 //!
-//! The scheduler issues commands through [`ssd_sim::FlashDevice`]'s
-//! enqueue/poll interface, so its timing model is *identical* to the blocking
-//! calls: at queue depth 1 the scheduled path reproduces the legacy blocking
-//! path bit for bit (see this crate's property tests).
+//! A command replays the flash time of an operation whose state was applied
+//! under [`ssd_sim::FlashDevice::begin_staging`], through
+//! [`ssd_sim::FlashDevice::charge_op`], so its timing model is *identical* to
+//! the blocking calls: at queue depth 1 the scheduled path reproduces the
+//! blocking path bit for bit (see this crate's property tests).
 //!
 //! ## Example
 //!
@@ -48,14 +49,18 @@
 //!
 //! let mut dev = FlashDevice::new(SsdConfig::tiny());
 //! let mut sched = IoScheduler::new(*dev.geometry(), SchedConfig::with_queue_depth(16));
+//! // Apply four programs' state now; their flash time is charged below.
+//! dev.begin_staging();
 //! for ppn in 0..4 {
-//!     let oob = OobData::mapped(ppn);
-//!     sched.submit(CmdKind::Program { ppn, oob }, Priority::Host, SimTime::ZERO).unwrap();
+//!     dev.program_page(ppn, OobData::mapped(ppn), SimTime::ZERO).unwrap();
+//! }
+//! for op in dev.end_staging() {
+//!     sched.submit(CmdKind::charge(op), Priority::Host, SimTime::ZERO).unwrap();
 //! }
 //! sched.drain(&mut dev);
 //! let done = sched.pop_completions();
 //! assert_eq!(done.len(), 4);
-//! assert!(done.iter().all(|c| c.is_ok()));
+//! assert!(done.windows(2).all(|w| w[0].completed < w[1].completed));
 //! ```
 
 mod cmd;

@@ -1,16 +1,17 @@
 //! The event-driven multi-queue I/O scheduler.
 //!
 //! [`IoScheduler`] sits between command submitters (an FTL's host path and
-//! its garbage collector) and a [`FlashDevice`]. Commands are queued per
-//! chip, issued through the device's enqueue/poll interface, and completed
-//! out of order through a binary-heap event loop on [`SimTime`]: an issued
-//! command's completion record waits in the in-flight slot of its plane, and
-//! the heap orders 32-byte (time, slot) entries. Dispatch is
-//! **plane-aware**: a chip is issuable whenever any of its planes is free,
-//! and each queue is drained in per-plane FIFO order — a command may only
-//! bypass earlier queued commands of its class that target *other* planes
-//! (the die-interleave conflict rule: same-plane commands never reorder,
-//! cross-plane commands overlap).
+//! its garbage collector) and a [`FlashDevice`]. Every command replays the
+//! flash time of an operation whose state was applied when it was staged:
+//! commands are queued per chip, issued as [`FlashDevice::charge_op`] calls,
+//! and completed out of order through a binary-heap event loop on
+//! [`SimTime`]: an issued command's completion record waits in the in-flight
+//! slot of its plane, and the heap orders 32-byte (time, slot) entries.
+//! Dispatch is **plane-aware**: a chip is issuable whenever any of its planes
+//! is free, and each queue is drained in per-plane FIFO order — a command may
+//! only bypass earlier queued commands of its class that target *other*
+//! planes (the die-interleave conflict rule: same-plane commands never
+//! reorder, cross-plane commands overlap).
 //!
 //! Arbitration between queues is the weighted per-tenant scheme of
 //! [`TenantPolicy`]: host tenant classes share contended slots by weighted
@@ -23,9 +24,7 @@
 
 use std::collections::VecDeque;
 
-use ssd_sim::{
-    Duration, FlashDevice, FlashOp, Geometry, PhysAddr, SimTime, StagedOp, TraceData, TraceSink,
-};
+use ssd_sim::{Duration, FlashDevice, Geometry, SimTime, StagedOp, TraceData, TraceSink};
 
 use crate::cmd::{CmdId, CmdKind, Completion, Priority};
 use crate::event::EventQueue;
@@ -110,10 +109,8 @@ impl DurationSummary {
 pub struct SchedStats {
     /// Commands accepted by [`IoScheduler::submit`].
     pub submitted: u64,
-    /// Commands completed (including device rejections).
+    /// Commands completed.
     pub completed: u64,
-    /// Commands the device rejected.
-    pub errors: u64,
     /// Times a GC command was bypassed in favour of a host command.
     pub gc_yields: u64,
     /// Times a GC command was forced through by the starvation bound.
@@ -139,24 +136,13 @@ pub struct ClassStats {
 }
 
 /// A command waiting in a chip queue. Its arbitration class is the queue it
-/// sits in, and the planes it will occupy are worked out once, at submit.
+/// sits in.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     id: CmdId,
     kind: CmdKind,
     submitted: SimTime,
     tenant: TenantId,
-    /// Bitmask of the planes the command occupies on its chip.
-    planes: u32,
-}
-
-/// A command issued to the device: its finished completion record (the
-/// device reports the completion time at issue) and the planes to release
-/// when the completion event fires.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    record: Completion,
-    planes: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -206,14 +192,19 @@ enum Event {
 ///
 /// let mut dev = FlashDevice::new(SsdConfig::tiny());
 /// let mut sched = IoScheduler::new(*dev.geometry(), SchedConfig::default());
+/// // Apply a program's state now, and charge its flash time through the
+/// // scheduler.
+/// dev.begin_staging();
+/// dev.program_page(0, OobData::mapped(7), SimTime::ZERO).unwrap();
+/// let staged = dev.end_staging();
 /// sched
-///     .submit(CmdKind::Program { ppn: 0, oob: OobData::mapped(7) }, Priority::Host, SimTime::ZERO)
+///     .submit(CmdKind::charge(staged[0]), Priority::Host, SimTime::ZERO)
 ///     .unwrap();
 /// let end = sched.drain(&mut dev);
 /// let done = sched.pop_completions();
 /// assert_eq!(done.len(), 1);
-/// assert!(done[0].is_ok());
 /// assert_eq!(done[0].completed, end);
+/// assert!(end > SimTime::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IoScheduler {
@@ -224,10 +215,11 @@ pub struct IoScheduler {
     all_planes: u32,
     now: SimTime,
     chips: Vec<ChipQueue>,
-    /// The issued commands, one slot per plane of the device: a command sits
-    /// in the slot of the lowest plane it occupies (planes are exclusive, so
-    /// at most one command per plane is in flight).
-    in_flight: Vec<Option<InFlight>>,
+    /// The finished completion records of the issued commands (the device
+    /// reports the completion time at issue), one slot per plane of the
+    /// device: a command sits in the slot of the lowest plane it occupies
+    /// (planes are exclusive, so at most one command per plane is in flight).
+    in_flight: Vec<Option<Completion>>,
     events: EventQueue<Event>,
     /// Completions recorded by the buffering entry points, until
     /// [`IoScheduler::pop_completions`] takes them.
@@ -350,9 +342,7 @@ impl IoScheduler {
     ) -> Result<CmdId, SchedError> {
         self.reserve(1)?;
         let class = self.class_of(priority, tenant);
-        let chip = self.target_chip(&kind);
-        let planes = Self::target_planes(&self.geometry, &kind);
-        Ok(self.enqueue(chip, class, kind, tenant, planes, submitted))
+        Ok(self.enqueue(class, kind, tenant, submitted))
     }
 
     /// Submits the charge commands replaying `ops` (see [`CmdKind::charge`])
@@ -377,8 +367,7 @@ impl IoScheduler {
         let tenant = TenantId(0);
         let class = self.class_of(priority, tenant);
         for &op in ops {
-            let kind = CmdKind::charge(op);
-            self.enqueue(op.chip as usize, class, kind, tenant, op.planes, submitted);
+            self.enqueue(class, CmdKind::charge(op), tenant, submitted);
         }
         Ok(first)
     }
@@ -394,22 +383,20 @@ impl IoScheduler {
 
     fn enqueue(
         &mut self,
-        chip: usize,
         class: usize,
         kind: CmdKind,
         tenant: TenantId,
-        planes: u32,
         submitted: SimTime,
     ) -> CmdId {
         let id = CmdId(self.next_id);
         self.next_id += 1;
-        let chip = &mut self.chips[chip];
+        let CmdKind::Charge { chip, .. } = kind;
+        let chip = &mut self.chips[chip as usize];
         chip.queues[class].push_back(Queued {
             id,
             kind,
             submitted,
             tenant,
-            planes,
         });
         chip.queued += 1;
         self.outstanding += 1;
@@ -450,10 +437,6 @@ impl IoScheduler {
         }
         self.completions = buffer;
         self.now = self.now.max(until);
-        // The scheduler owns the completion records, so reap the device's
-        // in-flight set as we go — otherwise it would grow for the device's
-        // lifetime and confuse any other consumer of its poll interface.
-        dev.poll_completions(self.now);
         self.now
     }
 
@@ -482,8 +465,6 @@ impl IoScheduler {
             self.handle(event, dev, &mut sink);
         }
         debug_assert_eq!(self.outstanding, 0, "drain must complete every command");
-        // See run_until: the device's in-flight records are ours to reap.
-        dev.poll_completions(self.now);
         self.now
     }
 
@@ -503,9 +484,6 @@ impl IoScheduler {
     pub fn run_until_complete(&mut self, dev: &mut FlashDevice, id: CmdId) -> Completion {
         self.dispatch_idle_chips(dev);
         if let Some(c) = self.completions.iter().find(|c| c.id == id) {
-            // The scheduler owns the completion records; reap the device's
-            // in-flight set as run_until/drain do.
-            dev.poll_completions(self.now);
             return *c;
         }
         let mut buffer = std::mem::take(&mut self.completions);
@@ -550,8 +528,6 @@ impl IoScheduler {
                 sink(c);
             });
         }
-        // See run_until: the device's in-flight records are ours to reap.
-        dev.poll_completions(self.now);
         awaited.expect("the loop ends on the awaited completion")
     }
 
@@ -569,25 +545,17 @@ impl IoScheduler {
             Event::Complete { chip, plane } => {
                 let chip_idx = chip as usize;
                 let slot = self.slot_of(chip_idx, plane);
-                let InFlight {
-                    record: completion,
-                    planes,
-                } = self.in_flight[slot]
+                let completion = self.in_flight[slot]
                     .as_ref()
                     .expect("a completion event names an occupied slot");
-                self.chips[chip_idx].busy_planes &= !*planes;
+                let CmdKind::Charge { op, planes, .. } = completion.kind;
+                self.chips[chip_idx].busy_planes &= !planes;
                 self.outstanding -= 1;
                 self.stats.completed += 1;
                 let class = self.class_of(completion.priority, completion.tenant);
                 self.class_stats[class].completed += 1;
-                if completion.error.is_some() {
-                    // Rejected commands took no device time: keep their
-                    // zero-duration samples out of the delay summaries.
-                    self.stats.errors += 1;
-                } else {
-                    self.stats.queueing.record(completion.queueing());
-                    self.stats.service.record(completion.service());
-                }
+                self.stats.queueing.record(completion.queueing());
+                self.stats.service.record(completion.service());
                 if let Some(t) = dev.trace_sink() {
                     // One lifecycle span per command, emitted at completion so
                     // it carries the full submit→issue→complete record.
@@ -596,7 +564,7 @@ impl IoScheduler {
                         completion.completed,
                         TraceData::CmdLifecycle {
                             chip,
-                            op: Self::op_of(&completion.kind),
+                            op,
                             gc: completion.priority == Priority::Gc,
                             issued: completion.issued,
                         },
@@ -639,7 +607,7 @@ impl IoScheduler {
     fn queue_candidate(queue: &VecDeque<Queued>, now: SimTime, free: u32) -> Option<(usize, u32)> {
         let mut blocked = 0u32;
         for (i, cmd) in queue.iter().enumerate() {
-            let planes = cmd.planes;
+            let CmdKind::Charge { planes, .. } = cmd.kind;
             if cmd.submitted <= now && planes & !free == 0 && planes & blocked == 0 {
                 return Some((i, planes));
             }
@@ -726,51 +694,29 @@ impl IoScheduler {
             chip.queued -= 1;
             chip.busy_planes |= planes;
             let issue = now.max(cmd.submitted);
-            let (completed, error) = match cmd.kind {
-                CmdKind::Read { ppn } => match dev.enqueue_read(ppn, issue) {
-                    Ok(q) => (q.completes_at, None),
-                    Err(e) => (issue, Some(e)),
-                },
-                CmdKind::Program { ppn, oob } => match dev.enqueue_program(ppn, oob, issue) {
-                    Ok(q) => (q.completes_at, None),
-                    Err(e) => (issue, Some(e)),
-                },
-                CmdKind::Erase { flat_block } => match dev.enqueue_erase(flat_block, issue) {
-                    Ok(q) => (q.completes_at, None),
-                    Err(e) => (issue, Some(e)),
-                },
-                // Timing replay of a staged operation: state was applied when
-                // the op was staged, so charging can never be rejected.
-                CmdKind::Charge {
-                    op,
-                    chip,
-                    channel,
-                    planes,
-                } => (dev.charge_op(op, chip, channel, planes, issue), None),
-            };
+            let CmdKind::Charge {
+                op, chip, channel, ..
+            } = cmd.kind;
+            let completed = dev.charge_op(op, chip, channel, planes, issue);
             let plane = planes.trailing_zeros();
             let slot = self.slot_of(chip_idx, plane);
             debug_assert!(
                 self.in_flight[slot].is_none(),
                 "free planes hold no command"
             );
-            self.in_flight[slot] = Some(InFlight {
-                record: Completion {
-                    id: cmd.id,
-                    kind: cmd.kind,
-                    priority: if arb.winner == gc_class {
-                        Priority::Gc
-                    } else {
-                        Priority::Host
-                    },
-                    tenant: cmd.tenant,
-                    chip: chip_idx as u64,
-                    submitted: cmd.submitted,
-                    issued: issue,
-                    completed,
-                    error,
+            self.in_flight[slot] = Some(Completion {
+                id: cmd.id,
+                kind: cmd.kind,
+                priority: if arb.winner == gc_class {
+                    Priority::Gc
+                } else {
+                    Priority::Host
                 },
-                planes,
+                tenant: cmd.tenant,
+                chip: chip_idx as u64,
+                submitted: cmd.submitted,
+                issued: issue,
+                completed,
             });
             self.events.schedule(
                 completed,
@@ -811,41 +757,6 @@ impl IoScheduler {
             }
         }
     }
-
-    /// The flash operation a command performs (a charge replays the staged
-    /// operation it carries).
-    fn op_of(kind: &CmdKind) -> FlashOp {
-        match kind {
-            CmdKind::Read { .. } => FlashOp::Read,
-            CmdKind::Program { .. } => FlashOp::Program,
-            CmdKind::Erase { .. } => FlashOp::Erase,
-            CmdKind::Charge { op, .. } => *op,
-        }
-    }
-
-    fn target_chip(&self, kind: &CmdKind) -> usize {
-        let g = &self.geometry;
-        match kind {
-            CmdKind::Read { ppn } | CmdKind::Program { ppn, .. } => {
-                PhysAddr::from_ppn(*ppn, g).chip_index(g) as usize
-            }
-            CmdKind::Erase { flat_block } => (flat_block / g.blocks_per_chip()) as usize,
-            CmdKind::Charge { chip, .. } => *chip as usize,
-        }
-    }
-
-    /// The bitmask of planes a command occupies on its chip.
-    fn target_planes(g: &Geometry, kind: &CmdKind) -> u32 {
-        match kind {
-            CmdKind::Read { ppn } | CmdKind::Program { ppn, .. } => {
-                1 << PhysAddr::from_ppn(*ppn, g).plane
-            }
-            CmdKind::Erase { flat_block } => {
-                1 << ((flat_block % g.blocks_per_chip()) / u64::from(g.blocks_per_plane))
-            }
-            CmdKind::Charge { planes, .. } => *planes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -853,7 +764,7 @@ mod tests {
     use super::*;
     use crate::cmd::{CmdKind, Priority};
     use crate::tenant::TenantClass;
-    use ssd_sim::{OobData, SsdConfig};
+    use ssd_sim::{FlashOp, OobData, PhysAddr, SsdConfig};
 
     fn setup() -> (FlashDevice, IoScheduler) {
         let dev = FlashDevice::new(SsdConfig::tiny());
@@ -861,53 +772,49 @@ mod tests {
         (dev, sched)
     }
 
-    /// Programs the first `n` pages of chip 0's block 0 so reads have targets.
-    fn populate(dev: &mut FlashDevice, n: u64) -> SimTime {
-        let mut t = SimTime::ZERO;
-        for ppn in 0..n {
-            t = dev.program_page(ppn, OobData::mapped(ppn), t).unwrap();
+    /// The charge of a single-plane `op` on the page at `ppn`.
+    fn charge(dev: &FlashDevice, op: FlashOp, ppn: u64) -> CmdKind {
+        let g = dev.geometry();
+        let a = PhysAddr::from_ppn(ppn, g);
+        CmdKind::Charge {
+            op,
+            chip: a.chip_index(g),
+            channel: a.channel,
+            planes: 1 << a.plane,
         }
-        t
+    }
+
+    fn read(dev: &FlashDevice, ppn: u64) -> CmdKind {
+        charge(dev, FlashOp::Read, ppn)
     }
 
     #[test]
     fn waiting_commands_and_heap_entries_stay_small() {
         // A heap sift moves whole entries and a deep GC backlog is all queued
         // entries: 32 bytes per pending event (time, sequence number, slot),
-        // and no more per queued command than the 56-byte `Command` the
-        // queues held before the in-flight slab (PR 16).
+        // 48 per queued command and 72 per in-flight slot (one per plane).
         assert!(EventQueue::<Event>::entry_bytes() <= 32);
-        assert!(std::mem::size_of::<Queued>() <= 56);
+        assert_eq!(std::mem::size_of::<Queued>(), 48);
+        assert_eq!(std::mem::size_of::<Completion>(), 72);
+        assert_eq!(std::mem::size_of::<Option<Completion>>(), 72);
     }
 
     #[test]
     fn commands_complete_out_of_order_across_chips() {
         let (mut dev, mut sched) = setup();
-        let g = *dev.geometry();
-        // Put readable data on chip 1 up front.
-        let chip1_ppn = g.pages_per_chip();
-        dev.program_page(chip1_ppn, OobData::mapped(1), SimTime::ZERO)
-            .unwrap();
-        let t0 = dev.drain_time();
+        let chip1_ppn = dev.geometry().pages_per_chip();
         // Submit a slow program (200us) on chip 0 first, then a fast read
         // (~40us) on chip 1: the read must complete first.
+        let t0 = SimTime::ZERO;
         sched
-            .submit(
-                CmdKind::Program {
-                    ppn: 0,
-                    oob: OobData::mapped(9),
-                },
-                Priority::Host,
-                t0,
-            )
+            .submit(charge(&dev, FlashOp::Program, 0), Priority::Host, t0)
             .unwrap();
         sched
-            .submit(CmdKind::Read { ppn: chip1_ppn }, Priority::Host, t0)
+            .submit(read(&dev, chip1_ppn), Priority::Host, t0)
             .unwrap();
         sched.drain(&mut dev);
         let done = sched.pop_completions();
         assert_eq!(done.len(), 2);
-        assert!(done.iter().all(Completion::is_ok));
         let ids: Vec<u64> = done.iter().map(|c| c.id.0).collect();
         assert_eq!(
             ids,
@@ -921,13 +828,11 @@ mod tests {
     #[test]
     fn same_chip_commands_serialise_and_record_queueing() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 2);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, t0)
-            .unwrap();
-        sched
-            .submit(CmdKind::Read { ppn: 1 }, Priority::Host, t0)
-            .unwrap();
+        for ppn in 0..2 {
+            sched
+                .submit(read(&dev, ppn), Priority::Host, SimTime::ZERO)
+                .unwrap();
+        }
         sched.drain(&mut dev);
         let done = sched.pop_completions();
         assert_eq!(done.len(), 2);
@@ -943,22 +848,17 @@ mod tests {
     fn gc_yields_to_host_until_starvation_bound() {
         let mut dev = FlashDevice::new(SsdConfig::tiny());
         let bound = 2;
-        let mut sched = IoScheduler::new(
-            *dev.geometry(),
-            SchedConfig {
-                queue_depth: 64,
-                gc_starvation_bound: bound,
-            },
-        );
-        let t0 = populate(&mut dev, 8);
-        // One GC read and a stream of host reads, all on chip 0, all at t0.
-        sched
-            .submit(CmdKind::Read { ppn: 7 }, Priority::Gc, t0)
-            .unwrap();
+        let config = SchedConfig {
+            queue_depth: 64,
+            gc_starvation_bound: bound,
+        };
+        let mut sched = IoScheduler::new(*dev.geometry(), config);
+        assert_eq!(sched.policy(), &TenantPolicy::two_class(bound));
+        // One GC read and a stream of host reads, all on chip 0, all at once.
+        let t0 = SimTime::ZERO;
+        sched.submit(read(&dev, 7), Priority::Gc, t0).unwrap();
         for ppn in 0..6 {
-            sched
-                .submit(CmdKind::Read { ppn }, Priority::Host, t0)
-                .unwrap();
+            sched.submit(read(&dev, ppn), Priority::Host, t0).unwrap();
         }
         sched.drain(&mut dev);
         let done = sched.pop_completions();
@@ -972,14 +872,22 @@ mod tests {
         );
         assert_eq!(sched.stats().gc_yields, u64::from(bound));
         assert_eq!(sched.stats().gc_forced, 1);
+        // The per-class view agrees with the GC counters.
+        let classes = sched.class_stats();
+        assert_eq!(classes.len(), 2);
+        assert_eq!(classes[1].yields, u64::from(bound));
+        assert_eq!(classes[1].forced, 1);
+        assert_eq!(classes[0].submitted, 6);
+        assert_eq!(classes[1].submitted, 1);
+        assert_eq!(classes[0].completed, 6);
+        assert_eq!(classes[1].completed, 1);
     }
 
     #[test]
     fn gc_runs_immediately_on_idle_chips() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 1);
         sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Gc, t0)
+            .submit(read(&dev, 0), Priority::Gc, SimTime::ZERO)
             .unwrap();
         sched.drain(&mut dev);
         let done = sched.pop_completions();
@@ -992,54 +900,30 @@ mod tests {
     fn queue_depth_bounds_outstanding_commands() {
         let mut dev = FlashDevice::new(SsdConfig::tiny());
         let mut sched = IoScheduler::new(*dev.geometry(), SchedConfig::with_queue_depth(2));
-        populate(&mut dev, 4);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, SimTime::ZERO)
-            .unwrap();
-        sched
-            .submit(CmdKind::Read { ppn: 1 }, Priority::Host, SimTime::ZERO)
-            .unwrap();
+        for ppn in 0..2 {
+            sched
+                .submit(read(&dev, ppn), Priority::Host, SimTime::ZERO)
+                .unwrap();
+        }
         assert_eq!(
-            sched.submit(CmdKind::Read { ppn: 2 }, Priority::Host, SimTime::ZERO),
+            sched.submit(read(&dev, 2), Priority::Host, SimTime::ZERO),
             Err(SchedError::QueueFull { queue_depth: 2 })
         );
         // Draining frees the slots.
         sched.drain(&mut dev);
         assert_eq!(sched.outstanding(), 0);
         sched
-            .submit(CmdKind::Read { ppn: 2 }, Priority::Host, sched.now())
+            .submit(read(&dev, 2), Priority::Host, sched.now())
             .unwrap();
         sched.drain(&mut dev);
         assert_eq!(sched.pop_completions().len(), 3);
     }
 
     #[test]
-    fn device_rejections_surface_as_error_completions() {
-        let (mut dev, mut sched) = setup();
-        // Read of a never-programmed page.
-        sched
-            .submit(CmdKind::Read { ppn: 3 }, Priority::Host, SimTime::ZERO)
-            .unwrap();
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        assert_eq!(done.len(), 1);
-        assert!(!done[0].is_ok());
-        assert_eq!(sched.stats().errors, 1);
-        assert_eq!(
-            done[0].completed, done[0].issued,
-            "rejected commands take no device time"
-        );
-    }
-
-    #[test]
     fn future_submissions_wait_for_their_submit_time() {
         let (mut dev, mut sched) = setup();
-        populate(&mut dev, 1);
-        let t0 = dev.drain_time();
-        let late = t0 + ssd_sim::Duration::from_millis(5);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, late)
-            .unwrap();
+        let late = SimTime::from_millis(5);
+        sched.submit(read(&dev, 0), Priority::Host, late).unwrap();
         let end = sched.drain(&mut dev);
         let done = sched.pop_completions();
         assert_eq!(
@@ -1052,15 +936,13 @@ mod tests {
     #[test]
     fn run_until_only_fires_events_in_window() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 2);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, t0)
-            .unwrap();
-        sched
-            .submit(CmdKind::Read { ppn: 1 }, Priority::Host, t0)
-            .unwrap();
+        for ppn in 0..2 {
+            sched
+                .submit(read(&dev, ppn), Priority::Host, SimTime::ZERO)
+                .unwrap();
+        }
         // One read takes ~40us NAND + transfers; cut the window mid-way.
-        let mid = t0 + ssd_sim::Duration::from_micros(60);
+        let mid = SimTime::from_micros(60);
         sched.run_until(&mut dev, mid);
         let first_batch = sched.pop_completions();
         assert_eq!(first_batch.len(), 1, "only the first read fits the window");
@@ -1070,44 +952,24 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_reaps_device_in_flight_records() {
-        let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 4);
-        for ppn in 0..4 {
-            sched
-                .submit(CmdKind::Read { ppn }, Priority::Host, t0)
-                .unwrap();
-        }
-        sched.drain(&mut dev);
-        assert_eq!(
-            dev.in_flight_commands(),
-            0,
-            "drain must reap the device's completion records"
-        );
-        assert_eq!(dev.next_completion_time(), None);
-    }
-
-    #[test]
     fn charge_commands_occupy_chips_without_state() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 1);
-        // Stage a read's state, then charge its time through the scheduler.
+        // Stage a program's state, then charge its time through the scheduler.
         dev.begin_staging();
-        dev.read_page(0, t0).unwrap();
+        dev.program_page(0, OobData::mapped(0), SimTime::ZERO)
+            .unwrap();
         let ops = dev.end_staging();
         assert_eq!(ops.len(), 1);
-        let reads_before = dev.stats().reads;
+        let programs_before = dev.stats().programs;
         sched
-            .submit(CmdKind::charge(ops[0]), Priority::Gc, t0)
+            .submit(CmdKind::charge(ops[0]), Priority::Gc, SimTime::ZERO)
             .unwrap();
         let end = sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        assert_eq!(done.len(), 1);
-        assert!(done[0].is_ok());
-        assert!(end > t0, "the charge must consume flash time");
+        assert_eq!(sched.pop_completions().len(), 1);
+        assert!(end > SimTime::ZERO, "the charge must consume flash time");
         assert_eq!(
-            dev.stats().reads,
-            reads_before,
+            dev.stats().programs,
+            programs_before,
             "charging must not re-count the staged operation"
         );
     }
@@ -1219,21 +1081,14 @@ mod tests {
     #[test]
     fn run_until_complete_returns_the_requested_completion() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 4);
+        let t0 = SimTime::ZERO;
         // Queue two GC charges ahead of a host read on the same chip.
-        dev.begin_staging();
-        dev.read_page(2, t0).unwrap();
-        dev.read_page(3, t0).unwrap();
-        let ops = dev.end_staging();
-        for &op in &ops {
-            sched.submit(CmdKind::charge(op), Priority::Gc, t0).unwrap();
+        for ppn in 2..4 {
+            sched.submit(read(&dev, ppn), Priority::Gc, t0).unwrap();
         }
-        let host = sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, t0)
-            .unwrap();
+        let host = sched.submit(read(&dev, 0), Priority::Host, t0).unwrap();
         let completion = sched.run_until_complete(&mut dev, host);
         assert_eq!(completion.id, host);
-        assert!(completion.is_ok());
         assert!(completion.completed > t0);
         // The host command bypassed the queued GC charges (gc_yields counts
         // one bypass decision per dispatch).
@@ -1249,13 +1104,11 @@ mod tests {
     #[test]
     fn submitted_equal_to_now_dispatches_without_a_wakeup() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 1);
+        let t0 = SimTime::from_micros(205);
         // Advance the scheduler's clock to exactly t0 with an empty window.
         sched.run_until(&mut dev, t0);
         assert_eq!(sched.now(), t0);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, t0)
-            .unwrap();
+        sched.submit(read(&dev, 0), Priority::Host, t0).unwrap();
         let end = sched.drain(&mut dev);
         let done = sched.pop_completions();
         assert_eq!(done.len(), 1, "submitted == now must not stall");
@@ -1266,12 +1119,8 @@ mod tests {
     #[test]
     fn run_until_exactly_at_submit_time_issues_the_command() {
         let (mut dev, mut sched) = setup();
-        populate(&mut dev, 1);
-        let t0 = dev.drain_time();
-        let late = t0 + ssd_sim::Duration::from_micros(100);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, late)
-            .unwrap();
+        let late = SimTime::from_micros(100);
+        sched.submit(read(&dev, 0), Priority::Host, late).unwrap();
         // A window ending exactly at the submit time fires the wakeup and
         // issues the command (completion lands beyond the window).
         sched.run_until(&mut dev, late);
@@ -1285,20 +1134,15 @@ mod tests {
     #[test]
     fn earlier_cross_class_arrival_supersedes_a_pending_wakeup() {
         let (mut dev, mut sched) = setup();
-        populate(&mut dev, 4);
-        let t0 = dev.drain_time();
+        let t0 = SimTime::ZERO;
         let far = t0 + ssd_sim::Duration::from_millis(2);
         let near = t0 + ssd_sim::Duration::from_micros(10);
         // A far-future host command first: run_until schedules its wakeup.
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, far)
-            .unwrap();
+        sched.submit(read(&dev, 0), Priority::Host, far).unwrap();
         sched.run_until(&mut dev, t0);
         // Then a nearer GC command on the same chip: its earlier wakeup must
         // not be suppressed by the pending far one.
-        sched
-            .submit(CmdKind::Read { ppn: 1 }, Priority::Gc, near)
-            .unwrap();
+        sched.submit(read(&dev, 1), Priority::Gc, near).unwrap();
         sched.drain(&mut dev);
         let done = sched.pop_completions();
         assert_eq!(done.len(), 2);
@@ -1320,26 +1164,11 @@ mod tests {
         let p0 = 0u64;
         let p1 = u64::from(g.blocks_per_plane) * u64::from(g.pages_per_block);
         let t0 = SimTime::ZERO;
-        sched
-            .submit(
-                CmdKind::Program {
-                    ppn: p0,
-                    oob: OobData::mapped(1),
-                },
-                Priority::Host,
-                t0,
-            )
-            .unwrap();
-        sched
-            .submit(
-                CmdKind::Program {
-                    ppn: p1,
-                    oob: OobData::mapped(2),
-                },
-                Priority::Host,
-                t0,
-            )
-            .unwrap();
+        for ppn in [p0, p1] {
+            sched
+                .submit(charge(&dev, FlashOp::Program, ppn), Priority::Host, t0)
+                .unwrap();
+        }
         sched.drain(&mut dev);
         let done = sched.pop_completions();
         assert_eq!(done.len(), 2);
@@ -1361,16 +1190,15 @@ mod tests {
             "plane NAND phases must overlap (spread {spread})"
         );
         // Same-plane follow-up stays FIFO and queues.
-        sched
-            .submit(CmdKind::Read { ppn: p0 }, Priority::Host, sched.now())
-            .unwrap();
-        sched
-            .submit(CmdKind::Read { ppn: p0 + 1 }, Priority::Host, sched.now())
-            .unwrap();
+        for ppn in [p0, p0 + 1] {
+            sched
+                .submit(read(&dev, ppn), Priority::Host, sched.now())
+                .unwrap();
+        }
         sched.drain(&mut dev);
         let reads = sched.pop_completions();
         assert_eq!(reads.len(), 2);
-        assert_eq!(reads[0].kind, CmdKind::Read { ppn: p0 });
+        assert_eq!(reads[0].kind, read(&dev, p0));
         assert!(
             reads[1].queueing() > ssd_sim::Duration::ZERO,
             "same-plane reads serialise"
@@ -1403,7 +1231,7 @@ mod tests {
         // host read against one of its planes.
         sched.run_until(&mut dev, SimTime::ZERO);
         sched
-            .submit(CmdKind::Read { ppn: p1 }, Priority::Host, SimTime::ZERO)
+            .submit(read(&dev, p1), Priority::Host, SimTime::ZERO)
             .unwrap();
         sched.drain(&mut dev);
         let done = sched.pop_completions();
@@ -1426,16 +1254,11 @@ mod tests {
                 gc_starvation_bound: bound,
             },
         );
-        let t0 = populate(&mut dev, 8);
         dev.set_tracing(true);
-        dev.take_trace(); // discard the populate spans
-        sched
-            .submit(CmdKind::Read { ppn: 7 }, Priority::Gc, t0)
-            .unwrap();
+        let t0 = SimTime::ZERO;
+        sched.submit(read(&dev, 7), Priority::Gc, t0).unwrap();
         for ppn in 0..6 {
-            sched
-                .submit(CmdKind::Read { ppn }, Priority::Host, t0)
-                .unwrap();
+            sched.submit(read(&dev, ppn), Priority::Host, t0).unwrap();
         }
         sched.drain(&mut dev);
         let events = dev.take_trace();
@@ -1467,120 +1290,6 @@ mod tests {
             .any(|e| matches!(e.data, TraceData::QueueDepth { .. })));
     }
 
-    /// The degenerate two-tenant (Host/GC) policy, constructed explicitly:
-    /// [`IoScheduler::new`] must behave as if this were passed, and this
-    /// must behave as the pre-tenant scheduler did. These regressions pin
-    /// the per-class starvation-counter reset semantics: the winner resets
-    /// *its own* counter, an uncontested host win leaves the GC counter
-    /// untouched, and plane-disjoint losers accrue nothing.
-    fn two_class_sched(dev: &FlashDevice, bound: u32) -> IoScheduler {
-        IoScheduler::with_tenants(
-            *dev.geometry(),
-            SchedConfig {
-                queue_depth: 64,
-                gc_starvation_bound: bound,
-            },
-            TenantPolicy::two_class(bound),
-        )
-    }
-
-    #[test]
-    fn degenerate_two_class_reproduces_gc_starvation_bound() {
-        // Mirror of gc_yields_to_host_until_starvation_bound through the
-        // explicit weighted-policy constructor.
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let bound = 2;
-        let mut sched = two_class_sched(&dev, bound);
-        let t0 = populate(&mut dev, 8);
-        sched
-            .submit(CmdKind::Read { ppn: 7 }, Priority::Gc, t0)
-            .unwrap();
-        for ppn in 0..6 {
-            sched
-                .submit(CmdKind::Read { ppn }, Priority::Host, t0)
-                .unwrap();
-        }
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        let gc_pos = done
-            .iter()
-            .position(|c| c.priority == Priority::Gc)
-            .unwrap();
-        assert_eq!(
-            gc_pos, bound as usize,
-            "GC must run after exactly `bound` host bypasses, ran at {gc_pos}"
-        );
-        assert_eq!(sched.stats().gc_yields, u64::from(bound));
-        assert_eq!(sched.stats().gc_forced, 1);
-        // The per-class view agrees with the legacy counters.
-        let classes = sched.class_stats();
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[1].yields, u64::from(bound));
-        assert_eq!(classes[1].forced, 1);
-        assert_eq!(classes[0].submitted, 6);
-        assert_eq!(classes[1].submitted, 1);
-        assert_eq!(classes[0].completed, 6);
-        assert_eq!(classes[1].completed, 1);
-    }
-
-    #[test]
-    fn degenerate_two_class_submitted_equal_to_now_dispatches_without_a_wakeup() {
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let mut sched = two_class_sched(&dev, 4);
-        let t0 = populate(&mut dev, 1);
-        sched.run_until(&mut dev, t0);
-        assert_eq!(sched.now(), t0);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, t0)
-            .unwrap();
-        let end = sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        assert_eq!(done.len(), 1, "submitted == now must not stall");
-        assert_eq!(done[0].issued, t0);
-        assert!(end > t0);
-    }
-
-    #[test]
-    fn degenerate_two_class_run_until_exactly_at_submit_time_issues_the_command() {
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let mut sched = two_class_sched(&dev, 4);
-        populate(&mut dev, 1);
-        let t0 = dev.drain_time();
-        let late = t0 + ssd_sim::Duration::from_micros(100);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, late)
-            .unwrap();
-        sched.run_until(&mut dev, late);
-        assert_eq!(sched.pop_completions().len(), 0);
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].issued, late);
-    }
-
-    #[test]
-    fn degenerate_two_class_earlier_cross_class_arrival_supersedes_a_pending_wakeup() {
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let mut sched = two_class_sched(&dev, 4);
-        populate(&mut dev, 4);
-        let t0 = dev.drain_time();
-        let far = t0 + ssd_sim::Duration::from_millis(2);
-        let near = t0 + ssd_sim::Duration::from_micros(10);
-        sched
-            .submit(CmdKind::Read { ppn: 0 }, Priority::Host, far)
-            .unwrap();
-        sched.run_until(&mut dev, t0);
-        sched
-            .submit(CmdKind::Read { ppn: 1 }, Priority::Gc, near)
-            .unwrap();
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[0].priority, Priority::Gc);
-        assert_eq!(done[0].issued, near, "GC command must issue at its time");
-        assert_eq!(done[1].issued, far.max(done[0].completed));
-    }
-
     #[test]
     fn weighted_tenants_share_a_contended_chip_by_weight() {
         // Two host tenant classes at weights 2:1 over one contended chip:
@@ -1593,12 +1302,11 @@ mod tests {
             TenantClass::background(4),
         ]);
         let mut sched = IoScheduler::with_tenants(*dev.geometry(), SchedConfig::default(), policy);
-        let t0 = populate(&mut dev, 12);
         // Interleave submissions B A B A ... so FIFO order would alternate.
         for ppn in 0..12 {
             let tenant = TenantId(u32::from(ppn % 2 == 0));
             sched
-                .submit_for_tenant(CmdKind::Read { ppn }, Priority::Host, tenant, t0)
+                .submit_for_tenant(read(&dev, ppn), Priority::Host, tenant, SimTime::ZERO)
                 .unwrap();
         }
         sched.drain(&mut dev);
@@ -1628,13 +1336,13 @@ mod tests {
             TenantClass::background(u32::MAX),
         ]);
         let mut sched = IoScheduler::with_tenants(*dev.geometry(), SchedConfig::default(), policy);
-        let t0 = populate(&mut dev, 8);
+        let t0 = SimTime::ZERO;
         sched
-            .submit_for_tenant(CmdKind::Read { ppn: 7 }, Priority::Host, TenantId(1), t0)
+            .submit_for_tenant(read(&dev, 7), Priority::Host, TenantId(1), t0)
             .unwrap();
         for ppn in 0..6 {
             sched
-                .submit_for_tenant(CmdKind::Read { ppn }, Priority::Host, TenantId(0), t0)
+                .submit_for_tenant(read(&dev, ppn), Priority::Host, TenantId(0), t0)
                 .unwrap();
         }
         sched.drain(&mut dev);
@@ -1654,10 +1362,9 @@ mod tests {
     #[test]
     fn stats_summaries_cover_all_completions() {
         let (mut dev, mut sched) = setup();
-        let t0 = populate(&mut dev, 4);
         for ppn in 0..4 {
             sched
-                .submit(CmdKind::Read { ppn }, Priority::Host, t0)
+                .submit(read(&dev, ppn), Priority::Host, SimTime::ZERO)
                 .unwrap();
         }
         sched.drain(&mut dev);

@@ -1,8 +1,5 @@
 //! The flash device: page/block state plus the discrete-event timing model.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::address::{AddrCodec, PhysAddr, Ppn};
 use crate::block::Block;
 use crate::chip::Chip;
@@ -59,8 +56,6 @@ pub struct FlashDevice {
     channel_busy_until: Vec<SimTime>,
     oob: OobTable,
     stats: DeviceStats,
-    next_cmd_id: u64,
-    in_flight: BinaryHeap<Reverse<QueuedCommand>>,
     staging: Option<Vec<StagedOp>>,
     /// The emptied buffer of an earlier staging window
     /// ([`FlashDevice::recycle_staged`]), which the next window records into.
@@ -91,38 +86,6 @@ pub struct StagedOp {
     pub planes: u32,
 }
 
-/// A flash command accepted by the enqueue/poll interface
-/// ([`FlashDevice::enqueue_read`] and friends): the command's identity, the
-/// parallel units it occupies and its timing.
-///
-/// Commands are totally ordered by `(completes_at, id)`, so collections of
-/// them sort into completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct QueuedCommand {
-    /// Completion time on the simulated clock (ordering field; see type docs).
-    pub completes_at: SimTime,
-    /// Device-assigned command identifier, unique for the device's lifetime.
-    pub id: u64,
-    /// The NAND operation the command performs.
-    pub op: FlashOp,
-    /// Flat index of the chip the command occupies.
-    pub chip: u64,
-    /// Channel the command's data crosses (the chip's channel for erases).
-    pub channel: u32,
-    /// Bitmask of the planes the command occupies on its chip.
-    pub planes: u32,
-    /// The time the command was enqueued.
-    pub issued: SimTime,
-}
-
-impl QueuedCommand {
-    /// The command's service time: enqueue to completion, including any time
-    /// spent queued behind other operations on the same chip or channel.
-    pub fn latency(&self) -> crate::Duration {
-        self.completes_at - self.issued
-    }
-}
-
 impl FlashDevice {
     /// Creates a fresh (fully erased) device.
     pub fn new(config: SsdConfig) -> Self {
@@ -138,8 +101,6 @@ impl FlashDevice {
             channel_busy_until: vec![SimTime::ZERO; g.channels as usize],
             oob: OobTable::new(g.total_pages() as usize),
             stats: DeviceStats::new(),
-            next_cmd_id: 0,
-            in_flight: BinaryHeap::new(),
             staging: None,
             spare_staged: Vec::new(),
             trace: None,
@@ -258,41 +219,57 @@ impl FlashDevice {
             planes != 0,
             "charge_op needs at least one plane in the mask"
         );
-        // The ascending plane indices set in the mask.
-        let mut plane_list = [0u32; u32::BITS as usize];
-        let mut count = 0;
-        let mut rest = planes;
-        while rest != 0 {
-            plane_list[count] = rest.trailing_zeros();
-            count += 1;
-            rest &= rest - 1;
-        }
-        let plane_list = &plane_list[..count];
         self.charge_replay = true;
-        let done = match op {
-            FlashOp::Read => self.time_read(chip as usize, channel, plane_list, issue),
-            FlashOp::Program => self.time_program(chip as usize, channel, plane_list, issue),
-            FlashOp::Erase => self.time_erase(chip as usize, plane_list[0], issue),
-        };
+        let done = self.time_op(
+            StagedOp {
+                op,
+                chip,
+                channel,
+                planes,
+            },
+            issue,
+        );
         self.charge_replay = false;
         done
     }
 
+    /// The one exit of every state-changing call, once its state effects and
+    /// statistics are applied: inside a staging window the operation is
+    /// recorded and takes no time (`issue` comes back), otherwise its timing
+    /// is charged now.
+    fn finish_op(&mut self, op: StagedOp, issue: SimTime) -> SimTime {
+        if let Some(staged) = &mut self.staging {
+            staged.push(op);
+            return issue;
+        }
+        self.time_op(op, issue)
+    }
+
+    /// Charges the timing of `op`, issued at `issue`.
+    fn time_op(&mut self, op: StagedOp, issue: SimTime) -> SimTime {
+        let chip = op.chip as usize;
+        match op.op {
+            FlashOp::Read => self.time_read(chip, op.channel, op.planes, issue),
+            FlashOp::Program => self.time_program(chip, op.channel, op.planes, issue),
+            FlashOp::Erase => self.time_erase(chip, op.planes.trailing_zeros(), issue),
+        }
+    }
+
     /// Charges the timing of a (possibly multi-plane) page read: one NAND
-    /// slot covering every plane in `planes`, then one channel burst per
-    /// page, with each plane held busy until its own burst completes (unless
-    /// cache-mode reads are enabled, in which case the next read on the plane
-    /// may start its NAND phase under the outgoing burst).
-    fn time_read(&mut self, chip: usize, channel: u32, planes: &[u32], issue: SimTime) -> SimTime {
+    /// slot covering every plane in the `planes` mask, then one channel
+    /// burst per page in ascending plane order, with each plane held busy
+    /// until its own burst completes (unless cache-mode reads are enabled, in
+    /// which case the next read on the plane may start its NAND phase under
+    /// the outgoing burst).
+    fn time_read(&mut self, chip: usize, channel: u32, planes: u32, issue: SimTime) -> SimTime {
         let lat = self.config.latency;
-        let nand_latency = if planes.len() == 1 {
+        let nand_latency = if planes.count_ones() == 1 {
             lat.read
         } else {
             lat.multi_plane_read
         };
-        let base = planes
-            .iter()
-            .map(|&p| {
+        let base = plane_indices(planes)
+            .map(|p| {
                 if lat.cache_read {
                     self.chips[chip].plane_nand_free(p)
                 } else {
@@ -303,7 +280,7 @@ impl FlashDevice {
         let start = issue.max(base);
         let nand_done = start + nand_latency;
         let mut done = nand_done;
-        for &p in planes {
+        for p in plane_indices(planes) {
             done = self.occupy_channel(channel, FlashOp::Read, done, lat.channel_transfer);
             self.chips[chip].reserve_plane(p, nand_done, done);
             if let Some(t) = self.trace.as_mut() {
@@ -323,25 +300,20 @@ impl FlashDevice {
     }
 
     /// Charges the timing of a (possibly multi-plane) page program: one
-    /// channel burst per page, then one NAND slot covering every plane in
-    /// `planes`. With cache-mode programs (the FEMU default) a burst crosses
-    /// the bus at channel availability even while its plane still programs a
-    /// previous page; without, the burst waits for the plane's register.
-    fn time_program(
-        &mut self,
-        chip: usize,
-        channel: u32,
-        planes: &[u32],
-        issue: SimTime,
-    ) -> SimTime {
+    /// channel burst per page in ascending plane order, then one NAND slot
+    /// covering every plane in the `planes` mask. With cache-mode programs
+    /// (the FEMU default) a burst crosses the bus at channel availability
+    /// even while its plane still programs a previous page; without, the
+    /// burst waits for the plane's register.
+    fn time_program(&mut self, chip: usize, channel: u32, planes: u32, issue: SimTime) -> SimTime {
         let lat = self.config.latency;
-        let nand_latency = if planes.len() == 1 {
+        let nand_latency = if planes.count_ones() == 1 {
             lat.program
         } else {
             lat.multi_plane_program
         };
         let mut last_bus = issue;
-        for &p in planes {
+        for p in plane_indices(planes) {
             let from = if lat.cache_program {
                 issue
             } else {
@@ -349,13 +321,12 @@ impl FlashDevice {
             };
             last_bus = self.occupy_channel(channel, FlashOp::Program, from, lat.channel_transfer);
         }
-        let planes_free = planes
-            .iter()
-            .map(|&p| self.chips[chip].plane_free(p))
+        let planes_free = plane_indices(planes)
+            .map(|p| self.chips[chip].plane_free(p))
             .fold(SimTime::ZERO, SimTime::max);
         let nand_start = last_bus.max(planes_free);
         let done = nand_start + nand_latency;
-        for &p in planes {
+        for p in plane_indices(planes) {
             self.chips[chip].reserve_plane(p, done, done);
             if let Some(t) = self.trace.as_mut() {
                 t.span(
@@ -428,21 +399,16 @@ impl FlashDevice {
         }
         let translation = self.oob.is_translation(ppn as usize);
         self.stats.record(FlashOp::Read, translation);
-        let g = self.config.geometry;
-        if let Some(staged) = &mut self.staging {
-            staged.push(StagedOp {
-                op: FlashOp::Read,
-                chip: addr.chip_index(&g),
-                channel: addr.channel,
-                planes: 1 << addr.plane,
-            });
-            return Ok(issue);
-        }
         // NAND array read on the plane, then the page crosses the channel
         // bus; the plane's register holds the page until the burst completes,
         // so the plane stays busy through its bus slot.
-        let chip = addr.chip_index(&g) as usize;
-        Ok(self.time_read(chip, addr.channel, &[addr.plane], issue))
+        let op = StagedOp {
+            op: FlashOp::Read,
+            chip: addr.chip_index(&self.config.geometry),
+            channel: addr.channel,
+            planes: 1 << addr.plane,
+        };
+        Ok(self.finish_op(op, issue))
     }
 
     /// Reads several pages of one chip as a single **multi-plane** read: the
@@ -474,20 +440,13 @@ impl FlashDevice {
             let translation = self.oob.is_translation(ppn as usize);
             self.stats.record(FlashOp::Read, translation);
         }
-        let g = self.config.geometry;
-        let first = addrs[0];
-        if let Some(staged) = &mut self.staging {
-            staged.push(StagedOp {
-                op: FlashOp::Read,
-                chip: first.chip_index(&g),
-                channel: first.channel,
-                planes: Self::group_mask(&addrs),
-            });
-            return Ok(issue);
-        }
-        let planes: Vec<u32> = addrs.iter().map(|a| a.plane).collect();
-        let chip = first.chip_index(&g) as usize;
-        Ok(self.time_read(chip, first.channel, &planes, issue))
+        let op = StagedOp {
+            op: FlashOp::Read,
+            chip: addrs[0].chip_index(&self.config.geometry),
+            channel: addrs[0].channel,
+            planes: Self::group_mask(&addrs),
+        };
+        Ok(self.finish_op(op, issue))
     }
 
     /// Programs the page at `ppn` with `oob` metadata, issued at `issue`.
@@ -516,17 +475,14 @@ impl FlashDevice {
         }
         self.oob.set(ppn as usize, oob);
         self.stats.record(FlashOp::Program, oob.is_translation);
-        if let Some(staged) = &mut self.staging {
-            staged.push(StagedOp {
-                op: FlashOp::Program,
-                chip: chip_idx as u64,
-                channel: addr.channel,
-                planes: 1 << addr.plane,
-            });
-            return Ok(issue);
-        }
         // Data crosses the channel bus first, then the NAND array programs it.
-        Ok(self.time_program(chip_idx, addr.channel, &[addr.plane], issue))
+        let op = StagedOp {
+            op: FlashOp::Program,
+            chip: chip_idx as u64,
+            channel: addr.channel,
+            planes: 1 << addr.plane,
+        };
+        Ok(self.finish_op(op, issue))
     }
 
     /// Programs several pages of one chip as a single **multi-plane**
@@ -572,19 +528,13 @@ impl FlashDevice {
             self.oob.set(ppn as usize, oob);
             self.stats.record(FlashOp::Program, oob.is_translation);
         }
-        let first = addrs[0];
-        if let Some(staged) = &mut self.staging {
-            staged.push(StagedOp {
-                op: FlashOp::Program,
-                chip: first.chip_index(&g),
-                channel: first.channel,
-                planes: Self::group_mask(&addrs),
-            });
-            return Ok(issue);
-        }
-        let planes: Vec<u32> = addrs.iter().map(|a| a.plane).collect();
-        let chip = first.chip_index(&g) as usize;
-        Ok(self.time_program(chip, first.channel, &planes, issue))
+        let op = StagedOp {
+            op: FlashOp::Program,
+            chip: addrs[0].chip_index(&g),
+            channel: addrs[0].channel,
+            planes: Self::group_mask(&addrs),
+        };
+        Ok(self.finish_op(op, issue))
     }
 
     /// Validates a multi-plane group: every page on the same chip, strictly
@@ -671,140 +621,13 @@ impl FlashDevice {
         self.oob
             .erase(first_ppn as usize, g.pages_per_block as usize);
         self.stats.record(FlashOp::Erase, false);
-        let plane = local_block / g.blocks_per_plane;
-        if let Some(staged) = &mut self.staging {
-            let channel = (chip_idx as u64 / u64::from(g.chips_per_channel)) as u32;
-            staged.push(StagedOp {
-                op: FlashOp::Erase,
-                chip: chip_idx as u64,
-                channel,
-                planes: 1 << plane,
-            });
-            return Ok(issue);
-        }
-        Ok(self.time_erase(chip_idx, plane, issue))
-    }
-
-    /// Enqueues a page read, issued at `issue`. The non-blocking twin of
-    /// [`FlashDevice::read_page`]: the command's state change and timing are
-    /// identical, but completion is delivered through
-    /// [`FlashDevice::poll_completions`] instead of the return value, so
-    /// callers can keep many commands in flight and reap them out of order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::read_page`].
-    pub fn enqueue_read(&mut self, ppn: Ppn, issue: SimTime) -> DeviceResult<QueuedCommand> {
-        let done = self.read_page(ppn, issue)?;
-        let g = self.config.geometry;
-        let addr = PhysAddr::from_ppn(ppn, &g);
-        Ok(self.track_command(
-            FlashOp::Read,
-            addr.chip_index(&g),
-            addr.channel,
-            1 << addr.plane,
-            issue,
-            done,
-        ))
-    }
-
-    /// Enqueues a page program, issued at `issue`. The non-blocking twin of
-    /// [`FlashDevice::program_page`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::program_page`].
-    pub fn enqueue_program(
-        &mut self,
-        ppn: Ppn,
-        oob: OobData,
-        issue: SimTime,
-    ) -> DeviceResult<QueuedCommand> {
-        let done = self.program_page(ppn, oob, issue)?;
-        let g = self.config.geometry;
-        let addr = PhysAddr::from_ppn(ppn, &g);
-        Ok(self.track_command(
-            FlashOp::Program,
-            addr.chip_index(&g),
-            addr.channel,
-            1 << addr.plane,
-            issue,
-            done,
-        ))
-    }
-
-    /// Enqueues a block erase, issued at `issue`. The non-blocking twin of
-    /// [`FlashDevice::erase_block`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::erase_block`].
-    pub fn enqueue_erase(
-        &mut self,
-        flat_block: u64,
-        issue: SimTime,
-    ) -> DeviceResult<QueuedCommand> {
-        let g = self.config.geometry;
-        let done = self.erase_block(flat_block, issue)?;
-        let chip = flat_block / g.blocks_per_chip();
-        let channel = (chip / u64::from(g.chips_per_channel)) as u32;
-        let plane = ((flat_block % g.blocks_per_chip()) / u64::from(g.blocks_per_plane)) as u32;
-        Ok(self.track_command(FlashOp::Erase, chip, channel, 1 << plane, issue, done))
-    }
-
-    /// Pops every enqueued command that has completed by `now`, in completion
-    /// order. Commands enqueued through the `enqueue_*` methods stay in the
-    /// device's in-flight set until reaped here.
-    pub fn poll_completions(&mut self, now: SimTime) -> Vec<QueuedCommand> {
-        let mut done = Vec::new();
-        while let Some(Reverse(cmd)) = self.in_flight.peek() {
-            if cmd.completes_at > now {
-                break;
-            }
-            let Reverse(cmd) = self.in_flight.pop().expect("peeked entry exists");
-            done.push(cmd);
-        }
-        done
-    }
-
-    /// Number of enqueued commands not yet reaped via
-    /// [`FlashDevice::poll_completions`].
-    pub fn in_flight_commands(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Completion time of the earliest unreaped command, or `None` when the
-    /// in-flight set is empty. Event loops use this to decide how far the
-    /// simulated clock may jump.
-    pub fn next_completion_time(&self) -> Option<SimTime> {
-        self.in_flight.peek().map(|Reverse(cmd)| cmd.completes_at)
-    }
-
-    fn track_command(
-        &mut self,
-        op: FlashOp,
-        chip: u64,
-        channel: u32,
-        planes: u32,
-        issued: SimTime,
-        completes_at: SimTime,
-    ) -> QueuedCommand {
-        debug_assert!(
-            self.staging.is_none(),
-            "the enqueue/poll interface must not be used inside a staging window"
-        );
-        let cmd = QueuedCommand {
-            completes_at,
-            id: self.next_cmd_id,
-            op,
-            chip,
-            channel,
-            planes,
-            issued,
+        let op = StagedOp {
+            op: FlashOp::Erase,
+            chip: chip_idx as u64,
+            channel: (chip_idx as u64 / u64::from(g.chips_per_channel)) as u32,
+            planes: 1 << (local_block / g.blocks_per_plane),
         };
-        self.next_cmd_id += 1;
-        self.in_flight.push(Reverse(cmd));
-        cmd
+        Ok(self.finish_op(op, issue))
     }
 
     /// The state of the page at `ppn`.
@@ -987,6 +810,16 @@ impl FlashDevice {
     }
 }
 
+/// The plane indices set in the bitmask `planes`, ascending.
+fn plane_indices(planes: u32) -> impl Iterator<Item = u32> {
+    let mut rest = planes;
+    std::iter::from_fn(move || {
+        let plane = (rest != 0).then(|| rest.trailing_zeros())?;
+        rest &= rest - 1;
+        Some(plane)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1134,85 +967,6 @@ mod tests {
         d.program_page(0, OobData::mapped(0), SimTime::ZERO)
             .unwrap();
         assert_eq!(d.free_block_count(), total - 1);
-    }
-
-    #[test]
-    fn enqueue_matches_blocking_timing() {
-        let mut queued = dev();
-        let mut blocking = dev();
-        let ops: &[(Ppn, u64)] = &[(0, 10), (1, 11), (2, 12)];
-        for &(ppn, lpn) in ops {
-            let c = queued
-                .enqueue_program(ppn, OobData::mapped(lpn), SimTime::ZERO)
-                .unwrap();
-            let done = blocking
-                .program_page(ppn, OobData::mapped(lpn), SimTime::ZERO)
-                .unwrap();
-            assert_eq!(
-                c.completes_at, done,
-                "enqueue and blocking paths must agree"
-            );
-        }
-        let c = queued.enqueue_read(0, SimTime::ZERO).unwrap();
-        let done = blocking.read_page(0, SimTime::ZERO).unwrap();
-        assert_eq!(c.completes_at, done);
-        assert_eq!(c.op, FlashOp::Read);
-        assert!(c.latency() > Duration::ZERO);
-    }
-
-    #[test]
-    fn poll_reaps_in_completion_order() {
-        let mut d = dev();
-        let g = *d.geometry();
-        // One program per chip: they overlap, then a second on chip 0 queues.
-        let chip0 = 0;
-        let chip1 = g.pages_per_chip();
-        d.enqueue_program(chip1, OobData::mapped(1), SimTime::ZERO)
-            .unwrap();
-        d.enqueue_program(chip0, OobData::mapped(2), SimTime::ZERO)
-            .unwrap();
-        d.enqueue_program(chip0 + 1, OobData::mapped(3), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(d.in_flight_commands(), 3);
-        let first = d.next_completion_time().expect("commands in flight");
-        assert!(
-            d.poll_completions(SimTime::ZERO).is_empty(),
-            "nothing done at t=0"
-        );
-        let done = d.poll_completions(first);
-        assert!(!done.is_empty());
-        let all = d.poll_completions(d.drain_time());
-        assert_eq!(
-            done.len() + all.len(),
-            3,
-            "every command completes exactly once"
-        );
-        let mut times: Vec<SimTime> = done
-            .iter()
-            .chain(all.iter())
-            .map(|c| c.completes_at)
-            .collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted, "completions must arrive in completion order");
-        times.dedup();
-        assert_eq!(
-            times.len(),
-            3,
-            "same-chip commands must not share completion times"
-        );
-        assert_eq!(d.in_flight_commands(), 0);
-    }
-
-    #[test]
-    fn enqueue_errors_leave_no_ghost_commands() {
-        let mut d = dev();
-        assert!(d.enqueue_read(5, SimTime::ZERO).is_err());
-        assert!(d
-            .enqueue_program(1, OobData::mapped(1), SimTime::ZERO)
-            .is_err());
-        assert_eq!(d.in_flight_commands(), 0);
-        assert_eq!(d.next_completion_time(), None);
     }
 
     #[test]

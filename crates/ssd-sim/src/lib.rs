@@ -57,7 +57,7 @@ pub use block::{Block, BlockState};
 pub use chip::Chip;
 pub use clock::{Duration, SimTime};
 pub use config::SsdConfig;
-pub use device::{FlashDevice, QueuedCommand, StagedOp};
+pub use device::{FlashDevice, StagedOp};
 pub use error::{DeviceError, DeviceResult};
 pub use geometry::Geometry;
 pub use latency::LatencyConfig;

@@ -63,26 +63,23 @@ fn scheduler_prelude_types_are_usable_end_to_end() {
         t = dev.program_page(ppn, OobData::mapped(ppn), t).unwrap();
     }
     let mut sched = IoScheduler::new(*dev.geometry(), SchedConfig::with_queue_depth(8));
-    for ppn in 0..4 {
-        sched
-            .submit(
-                ssd_sched::CmdKind::Read { ppn },
-                ssd_sched::Priority::Host,
-                t,
-            )
-            .unwrap();
+    // Apply the reads' state now; the scheduler charges their flash time.
+    dev.begin_staging();
+    for ppn in [0, 1, 2, 3, 7] {
+        dev.read_page(ppn, t).unwrap();
     }
+    let staged = dev.end_staging();
+    let (host, gc) = staged.split_at(4);
     sched
-        .submit(
-            ssd_sched::CmdKind::Read { ppn: 7 },
-            ssd_sched::Priority::Gc,
-            t,
-        )
+        .submit_charges(host, ssd_sched::Priority::Host, t)
+        .unwrap();
+    sched
+        .submit_charges(gc, ssd_sched::Priority::Gc, t)
         .unwrap();
     sched.drain(&mut dev);
     let done = sched.pop_completions();
     assert_eq!(done.len(), 5);
-    assert!(done.iter().all(|c| c.is_ok()));
+    assert!(done.iter().all(|c| c.completed > t));
 
     // And the host-side QueuePair standalone.
     let mut qp = QueuePair::new(2);
