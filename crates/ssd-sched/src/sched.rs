@@ -884,6 +884,43 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_two_class_reproduces_gc_starvation_bound() {
+        // Mirror of gc_yields_to_host_until_starvation_bound through the
+        // explicit weighted-policy constructor.
+        let mut dev = FlashDevice::new(SsdConfig::tiny());
+        let bound = 2;
+        let config = SchedConfig {
+            queue_depth: 64,
+            gc_starvation_bound: bound,
+        };
+        let mut sched =
+            IoScheduler::with_tenants(*dev.geometry(), config, TenantPolicy::two_class(bound));
+        let t0 = SimTime::ZERO;
+        sched.submit(read(&dev, 7), Priority::Gc, t0).unwrap();
+        for ppn in 0..6 {
+            sched.submit(read(&dev, ppn), Priority::Host, t0).unwrap();
+        }
+        sched.drain(&mut dev);
+        let done = sched.pop_completions();
+        let gc_pos = done
+            .iter()
+            .position(|c| c.priority == Priority::Gc)
+            .unwrap();
+        assert_eq!(
+            gc_pos, bound as usize,
+            "GC must run after exactly `bound` host bypasses, ran at {gc_pos}"
+        );
+        assert_eq!(sched.stats().gc_yields, u64::from(bound));
+        assert_eq!(sched.stats().gc_forced, 1);
+        let classes = sched.class_stats();
+        assert_eq!(classes.len(), 2);
+        assert_eq!(classes[1].yields, u64::from(bound));
+        assert_eq!(classes[1].forced, 1);
+        assert_eq!(classes[0].completed, 6);
+        assert_eq!(classes[1].completed, 1);
+    }
+
+    #[test]
     fn gc_runs_immediately_on_idle_chips() {
         let (mut dev, mut sched) = setup();
         sched
