@@ -157,20 +157,37 @@ const GOLDEN: [(&str, u32, GcMode, u64); 12] = [
     ("LeaFTL", 2, GcMode::Scheduled, 0xaf86_de51_8616_2e89),
 ];
 
-#[test]
-fn fill_and_overwrite_reproduce_the_recorded_statistics() {
-    let mut mismatches = Vec::new();
-    for (name, planes, gc_mode, want) in GOLDEN {
-        let got = run(build(name, planes, gc_mode).as_mut());
-        if got != want {
-            mismatches.push(format!(
-                "(\"{name}\", {planes}, GcMode::{gc_mode:?}, {got:#018x}),"
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "write-path statistics moved; got:\n{}",
-        mismatches.join("\n")
+/// Replays `GOLDEN[case]` and compares its hash with the recorded one.
+fn check(case: usize) {
+    let (name, planes, gc_mode, want) = GOLDEN[case];
+    let got = run(build(name, planes, gc_mode).as_mut());
+    assert_eq!(
+        got, want,
+        "write-path statistics moved; got:\n(\"{name}\", {planes}, GcMode::{gc_mode:?}, {got:#018x}),"
     );
+}
+
+/// One test per `GOLDEN` entry, so the cases run in parallel.
+macro_rules! golden_cases {
+    ($($test:ident => $case:literal,)*) => {$(
+        #[test]
+        fn $test() {
+            check($case);
+        }
+    )*};
+}
+
+golden_cases! {
+    dftl_one_plane_blocking => 0,
+    dftl_one_plane_scheduled => 1,
+    dftl_two_planes_blocking => 2,
+    dftl_two_planes_scheduled => 3,
+    tpftl_one_plane_blocking => 4,
+    tpftl_one_plane_scheduled => 5,
+    tpftl_two_planes_blocking => 6,
+    tpftl_two_planes_scheduled => 7,
+    leaftl_one_plane_blocking => 8,
+    leaftl_one_plane_scheduled => 9,
+    leaftl_two_planes_blocking => 10,
+    leaftl_two_planes_scheduled => 11,
 }
