@@ -7,7 +7,7 @@
 //! sequential reads.
 
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs, Scale};
-use harness::experiments::{fio_read_run, ExperimentScale};
+use harness::experiments::{fio_read, run, ExperimentScale};
 use harness::FtlKind;
 use metrics::Table;
 use workloads::FioPattern;
@@ -38,20 +38,13 @@ fn main() {
     let mut worst_ratio: f64 = 1.0;
     let mut last_rand_hit = 0.0;
     for &threads in threads_list {
-        let seq = fio_read_run(
-            FtlKind::Tpftl,
-            FioPattern::SeqRead,
-            threads,
-            device,
-            experiment,
-        );
-        let rand = fio_read_run(
-            FtlKind::Tpftl,
-            FioPattern::RandRead,
-            threads,
-            device,
-            experiment,
-        );
+        let read = |pattern| {
+            run(FtlKind::Tpftl, device, |ftl| {
+                fio_read(ftl, pattern, threads, experiment)
+            })
+        };
+        let seq = read(FioPattern::SeqRead);
+        let rand = read(FioPattern::RandRead);
         let ratio = if seq.mib_per_sec() > 0.0 {
             rand.mib_per_sec() / seq.mib_per_sec()
         } else {

@@ -6,7 +6,7 @@
 //! (only ~5 % are served with a single flash read).
 
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::fio_read_run;
+use harness::experiments::{fio_read, run};
 use harness::FtlKind;
 use metrics::Table;
 use workloads::FioPattern;
@@ -23,20 +23,13 @@ fn main() {
     let experiment = scale.experiment();
     let threads = scale.fio_threads();
 
-    let tpftl = fio_read_run(
-        FtlKind::Tpftl,
-        FioPattern::RandRead,
-        threads,
-        device,
-        experiment,
-    );
-    let leaftl = fio_read_run(
-        FtlKind::LeaFtl,
-        FioPattern::RandRead,
-        threads,
-        device,
-        experiment,
-    );
+    let randread = |kind| {
+        run(kind, device, |ftl| {
+            fio_read(ftl, FioPattern::RandRead, threads, experiment)
+        })
+    };
+    let tpftl = randread(FtlKind::Tpftl);
+    let leaftl = randread(FtlKind::LeaFtl);
 
     let mut table = Table::new(vec![
         "FTL",

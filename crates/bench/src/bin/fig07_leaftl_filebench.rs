@@ -6,7 +6,7 @@
 //! mispredictions and therefore double reads.
 
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::filebench_run;
+use harness::experiments::{filebench, run};
 use harness::FtlKind;
 use metrics::Table;
 use workloads::FilebenchPreset;
@@ -31,8 +31,12 @@ fn main() {
     let mut leaftl_never_better = true;
     let mut webserver_hits = (0.0, 0.0);
     for preset in FilebenchPreset::all() {
-        let tpftl = filebench_run(FtlKind::Tpftl, preset, device, experiment);
-        let leaftl = filebench_run(FtlKind::LeaFtl, preset, device, experiment);
+        let tpftl = run(FtlKind::Tpftl, device, |ftl| {
+            filebench(ftl, preset, experiment)
+        });
+        let leaftl = run(FtlKind::LeaFtl, device, |ftl| {
+            filebench(ftl, preset, experiment)
+        });
         let normalized = leaftl.normalized_throughput(&tpftl);
         if normalized > 1.10 {
             leaftl_never_better = false;

@@ -8,7 +8,7 @@
 //! the baselines'.
 
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::{fio_read_sharded_run, fio_write_sharded_run};
+use harness::experiments::{fio_read, fio_write, run};
 use harness::{FtlKind, RunResult};
 use metrics::Table;
 use workloads::FioPattern;
@@ -21,19 +21,7 @@ fn main() {
         "LearnedFTL wins random reads by 1.4-1.6x over the baselines and approaches the ideal FTL",
         scale,
     );
-    // Sharded runs use the shard-ready geometry (8 channels, shard-sized
-    // block rows) so every design builds on every channel group.
-    let device = if args.shards > 1 {
-        let device = bench::shard_scaling_device(scale);
-        println!(
-            "running sharded: {} per-channel-group FTL shards per design \
-             (closed-loop streams share the shards' serial translation engines) on {}",
-            args.shards, device.geometry
-        );
-        device
-    } else {
-        scale.device()
-    };
+    let device = scale.device();
     let experiment = scale.experiment();
     let threads = scale.fio_threads();
     let kinds = FtlKind::all();
@@ -48,12 +36,13 @@ fn main() {
     ] {
         let mut per_kind = Vec::new();
         for kind in kinds {
-            let result = if pattern.is_read() {
-                fio_read_sharded_run(kind, pattern, threads, args.shards, device, experiment)
-            } else {
-                fio_write_sharded_run(kind, pattern, threads, args.shards, device, experiment)
-            };
-            per_kind.push(result);
+            per_kind.push(run(kind, device, |ftl| {
+                if pattern.is_read() {
+                    fio_read(ftl, pattern, threads, experiment)
+                } else {
+                    fio_write(ftl, pattern, threads, 1, experiment)
+                }
+            }));
         }
         results.push((pattern, per_kind));
     }

@@ -6,7 +6,7 @@
 //! lower than DFTL/TPFTL/LeaFTL under both random and sequential writes.
 
 use bench::{print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::fio_write_run;
+use harness::experiments::{fio_write, run};
 use harness::FtlKind;
 use metrics::{GcTimeline, Table};
 use ssd_sim::Duration;
@@ -34,7 +34,9 @@ fn main() {
         let mut learned_total = 0u64;
         let mut baseline_max = 0u64;
         for kind in FtlKind::all() {
-            let result = fio_write_run(kind, pattern, threads, device, experiment);
+            let result = run(kind, device, |ftl| {
+                fio_write(ftl, pattern, threads, 1, experiment)
+            });
             let window = Duration::from_millis(100);
             let timeline = GcTimeline::from_events(&result.stats.gc_events, window);
             if kind == FtlKind::LearnedFtl {

@@ -6,7 +6,7 @@
 //! keep serving single flash reads where the baselines double-read.
 
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::rocksdb_run;
+use harness::experiments::{rocksdb, run};
 use harness::FtlKind;
 use metrics::Table;
 use workloads::RocksDbPhase;
@@ -34,7 +34,7 @@ fn main() {
         let mut learned_mibs = 0.0;
         let mut results = Vec::new();
         for kind in FtlKind::all() {
-            let result = rocksdb_run(kind, phase, device, experiment);
+            let result = run(kind, device, |ftl| rocksdb(ftl, phase, experiment));
             if kind == FtlKind::Tpftl {
                 tpftl_mibs = result.mib_per_sec();
             }

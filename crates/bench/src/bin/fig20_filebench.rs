@@ -5,7 +5,7 @@
 //! the locality while the learned models catch the reads the CMT misses.
 
 use bench::{print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::filebench_run;
+use harness::experiments::{filebench, run};
 use harness::FtlKind;
 use metrics::Table;
 use workloads::FilebenchPreset;
@@ -58,7 +58,7 @@ fn main() {
     for preset in FilebenchPreset::all() {
         let mut mibs = Vec::new();
         for kind in FtlKind::all() {
-            mibs.push(filebench_run(kind, preset, device, experiment).mib_per_sec());
+            mibs.push(run(kind, device, |ftl| filebench(ftl, preset, experiment)).mib_per_sec());
         }
         let best_baseline = mibs[0].max(mibs[1]).max(mibs[2]);
         let gain = if best_baseline > 0.0 {

@@ -10,10 +10,8 @@
 //! 16+ chips at standard scale, so a deeper queue exposes real parallelism).
 
 use bench::{print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::{
-    fio_qd_run, fio_qd_sharded_run, fio_qd_sharded_traced_run, fio_qd_traced_run,
-};
-use harness::{FtlKind, RunResult};
+use harness::experiments::fio_read;
+use harness::{FtlKind, RunResult, Runner};
 use metrics::Table;
 use workloads::FioPattern;
 
@@ -28,21 +26,16 @@ fn main() {
          latency absorbs the queueing delay; LearnedFTL holds its lead at every depth",
         scale,
     );
-    // Sharded runs use the shard-ready geometry (8 channels, shard-sized
-    // block rows) so every design builds on every channel group.
-    let device = if args.shards > 1 {
-        let device = bench::shard_scaling_device(scale);
-        println!(
-            "running sharded: {} per-channel-group FTL shards, each behind its own \
-             serial translation engine, on {}",
-            args.shards, device.geometry
-        );
-        device
-    } else {
-        scale.device()
-    };
+    let device = scale.device();
     let experiment = scale.experiment();
     let threads = scale.fio_threads();
+    // The FIO read protocol at `depth` slots, traced or not.
+    let run = |kind: FtlKind, depth: usize, traced: bool| -> RunResult {
+        let mut ftl = kind.build(device);
+        let mut wl = fio_read(ftl.as_mut(), FioPattern::RandRead, threads, experiment);
+        ftl.set_tracing(traced);
+        Runner::new().run_qd(ftl.as_mut(), &mut wl, depth)
+    };
     let kinds = [
         FtlKind::Dftl,
         FtlKind::Tpftl,
@@ -63,30 +56,7 @@ fn main() {
     for kind in kinds {
         let mut iops_at = [0.0f64; DEPTHS.len()];
         for (i, &depth) in DEPTHS.iter().enumerate() {
-            // With --shards N the sweep measures the sharded frontend (whose
-            // per-shard engines serialise translation); the default is the
-            // monolithic concurrent path, unchanged.
-            let mut r: RunResult = if args.shards > 1 {
-                fio_qd_sharded_run(
-                    kind,
-                    FioPattern::RandRead,
-                    threads,
-                    depth,
-                    args.shards,
-                    device,
-                    experiment,
-                )
-                .result
-            } else {
-                fio_qd_run(
-                    kind,
-                    FioPattern::RandRead,
-                    threads,
-                    depth,
-                    device,
-                    experiment,
-                )
-            };
+            let mut r = run(kind, depth, false);
             iops_at[i] = r.iops();
             table.add_row(vec![
                 kind.label().to_string(),
@@ -118,27 +88,7 @@ fn main() {
     // export it. The sweep above stays untraced so its numbers are the same
     // whether or not observability was requested.
     if args.tracing() {
-        let traced: RunResult = if args.shards > 1 {
-            fio_qd_sharded_traced_run(
-                FtlKind::LearnedFtl,
-                FioPattern::RandRead,
-                threads,
-                16,
-                args.shards,
-                device,
-                experiment,
-            )
-            .result
-        } else {
-            fio_qd_traced_run(
-                FtlKind::LearnedFtl,
-                FioPattern::RandRead,
-                threads,
-                16,
-                device,
-                experiment,
-            )
-        };
+        let traced = run(FtlKind::LearnedFtl, 16, true);
         println!("traced run: LearnedFTL, FIO randread, QD 16");
         args.export_observability("fig21_qd_sweep", &traced)
             .expect("writing observability output failed");

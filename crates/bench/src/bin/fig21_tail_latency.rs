@@ -6,8 +6,8 @@
 //! its models remove the sporadic double/triple reads that dominate the tail.
 
 use bench::{print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::{trace_run, trace_traced_run};
-use harness::FtlKind;
+use harness::experiments::trace_replay;
+use harness::{FtlKind, RunResult, Runner};
 use metrics::Table;
 use workloads::TraceKind;
 
@@ -29,6 +29,12 @@ fn main() {
     ];
     let trace_len = experiment.single_stream_ops;
     let streams = scale.fio_threads().min(16);
+    let run = |kind: FtlKind, trace: TraceKind, traced: bool| -> RunResult {
+        let mut ftl = kind.build(device);
+        let mut wl = trace_replay(ftl.as_mut(), trace, streams, trace_len, experiment);
+        ftl.set_tracing(traced);
+        Runner::new().run(ftl.as_mut(), &mut wl)
+    };
 
     let mut table = Table::new(vec![
         "trace",
@@ -42,7 +48,7 @@ fn main() {
     for trace in TraceKind::all() {
         let mut p99s = Vec::new();
         for kind in kinds {
-            let mut result = trace_run(kind, trace, streams, trace_len, device, experiment);
+            let mut result = run(kind, trace, false);
             let p99 = result.p99();
             let p999 = result.p999();
             p99s.push((kind, p99));
@@ -75,14 +81,7 @@ fn main() {
     // when requested; the comparison table above stays untraced.
     if args.tracing() {
         let trace = TraceKind::all()[0];
-        let traced = trace_traced_run(
-            FtlKind::LearnedFtl,
-            trace,
-            streams,
-            trace_len,
-            device,
-            experiment,
-        );
+        let traced = run(FtlKind::LearnedFtl, trace, true);
         println!("traced run: LearnedFTL, {} replay", trace.label());
         args.export_observability("fig21_tail_latency", &traced)
             .expect("writing observability output failed");

@@ -6,7 +6,7 @@
 //! and erases dominate the energy budget).
 
 use bench::{print_header, print_table_with_verdict, BenchArgs};
-use harness::experiments::trace_run;
+use harness::experiments::{run, trace_replay};
 use harness::FtlKind;
 use metrics::{EnergyModel, Table};
 use workloads::TraceKind;
@@ -38,7 +38,9 @@ fn main() {
         let mut baseline_energy = 0.0;
         let mut learned_ratio = 1.0;
         for kind in kinds {
-            let result = trace_run(kind, trace, streams, trace_len, device, experiment);
+            let result = run(kind, device, |ftl| {
+                trace_replay(ftl, trace, streams, trace_len, experiment)
+            });
             let joules = model.total_joules(&result.device);
             if kind == FtlKind::Tpftl {
                 baseline_energy = joules;

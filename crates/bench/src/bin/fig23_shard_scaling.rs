@@ -20,13 +20,11 @@
 //! arrivals ([`harness::Runner::run_open_loop`]): below saturation the
 //! sharded and unsharded frontends agree, and as the offered load climbs the
 //! single engine saturates first.
-//!
-//! Run with `--shards N` to sweep `{1, N}` instead of the default
-//! `{1, 2, 4, 8}`.
 
 use bench::{print_header, print_table_with_verdict, shard_scaling_device, BenchArgs};
-use harness::experiments::{fio_open_loop_run, fio_qd_sharded_run, fio_qd_sharded_traced_run};
-use harness::FtlKind;
+use ftl_base::Ftl;
+use harness::experiments::{fio_read, OPEN_LOOP_ARRIVAL_SEED};
+use harness::{FtlKind, Runner};
 use metrics::Table;
 use ssd_sim::Duration;
 use workloads::FioPattern;
@@ -44,16 +42,18 @@ fn main() {
         scale,
     );
     println!("shard-scaling device: {}", device.geometry);
-    let shard_counts: Vec<usize> = if args.shards == 1 {
-        vec![1, 2, 4, 8]
-    } else {
-        vec![1, args.shards]
-    };
+    let shard_counts = [1usize, 2, 4, 8];
     println!("shard counts swept: {shard_counts:?}");
     println!();
 
     let experiment = scale.experiment();
     let threads = scale.fio_threads();
+    // The FIO read protocol on a `shards`-way frontend.
+    let warmed = |kind: FtlKind, shards: usize| {
+        let mut ftl = kind.build_sharded(device, shards);
+        let wl = fio_read(&mut ftl, FioPattern::RandRead, threads, experiment);
+        (ftl, wl)
+    };
     let kinds = [
         FtlKind::Dftl,
         FtlKind::Tpftl,
@@ -77,15 +77,8 @@ fn main() {
     for (ki, &kind) in kinds.iter().enumerate() {
         for (si, &shards) in shard_counts.iter().enumerate() {
             for (qi, &depth) in QDS.iter().enumerate() {
-                let mut r = fio_qd_sharded_run(
-                    kind,
-                    FioPattern::RandRead,
-                    threads,
-                    depth,
-                    shards,
-                    device,
-                    experiment,
-                );
+                let (mut ftl, mut wl) = warmed(kind, shards);
+                let mut r = Runner::new().run_sharded_qd(&mut ftl, &mut wl, depth);
                 iops[ki][si][qi] = r.result.iops();
                 table.add_row(vec![
                     kind.label().to_string(),
@@ -152,14 +145,12 @@ fn main() {
     for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
         for &shards in &open_shards {
             for &gap in &gaps_us {
-                let mut r = fio_open_loop_run(
-                    kind,
-                    FioPattern::RandRead,
-                    threads,
-                    shards,
+                let (mut ftl, mut wl) = warmed(kind, shards);
+                let mut r = Runner::new().run_open_loop(
+                    &mut ftl,
+                    &mut wl,
                     Duration::from_micros(gap),
-                    device,
-                    experiment,
+                    OPEN_LOOP_ARRIVAL_SEED,
                 );
                 open.add_row(vec![
                     kind.label().to_string(),
@@ -184,15 +175,9 @@ fn main() {
     // on separate trace processes ("shard N" in Perfetto).
     if args.tracing() {
         let shards = shard_counts[big];
-        let traced = fio_qd_sharded_traced_run(
-            FtlKind::LearnedFtl,
-            FioPattern::RandRead,
-            threads,
-            16,
-            shards,
-            device,
-            experiment,
-        );
+        let (mut ftl, mut wl) = warmed(FtlKind::LearnedFtl, shards);
+        ftl.set_tracing(true);
+        let traced = Runner::new().run_sharded_qd(&mut ftl, &mut wl, 16);
         println!("traced run: LearnedFTL, FIO randread, QD 16, shards={shards}");
         args.export_observability("fig23_shard_scaling", &traced.result)
             .expect("writing observability output failed");

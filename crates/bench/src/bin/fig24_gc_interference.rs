@@ -33,7 +33,7 @@
 //! the timeline the tail latencies actually experience.
 
 use ftl_base::GcMode;
-use harness::experiments::{fio_gc_interference_run, fio_gc_interference_traced_run};
+use harness::experiments::fio_gc_interference_run;
 use harness::{FtlKind, RunResult};
 use metrics::{GcTimeline, Table};
 use ssd_sim::Duration;
@@ -107,6 +107,7 @@ fn main() {
                         Duration::from_micros(gap),
                         device,
                         experiment,
+                        false,
                     );
                     // Bucket scheduler-observed GC completions over the run.
                     let bucket = Duration::from_millis(100);
@@ -217,7 +218,7 @@ fn main() {
     // on and export it — the trace shows GC charge spans yielding to host
     // commands on the per-chip scheduler tracks.
     if args.tracing() {
-        let traced = fio_gc_interference_traced_run(
+        let traced = fio_gc_interference_run(
             FtlKind::LearnedFtl,
             THREADS,
             WRITE_PAGES,
@@ -226,6 +227,7 @@ fn main() {
             Duration::from_micros(gaps_us[gaps_us.len() - 1]),
             device,
             experiment,
+            true,
         );
         println!("traced run: LearnedFTL, scheduled GC, shards=4, write-heavy point");
         args.export_observability("fig24_gc_interference", &traced)

@@ -23,16 +23,13 @@
 //!   mean submission-batch size above 1 at QD16. Batch boundaries are a
 //!   pure function of dispatch history, so unlike the wall-clock criteria
 //!   this is deterministic and enforced on every host.
-//!
-//! Run with `--quick` to force the smoke-test scale regardless of
-//! `LEARNEDFTL_SCALE` (what CI does).
 
 use harness::wallclock::WallTimer;
 
+use baselines::BaselineConfig;
 use bench::{print_header, print_table_with_verdict, shard_scaling_device, BenchArgs, Scale};
-use harness::experiments::{
-    fio_qd_threaded_traced_run, warmed_sharded_fio_setup_with, ExperimentScale,
-};
+use ftl_base::Ftl;
+use harness::experiments::{fio_read, ExperimentScale, OPEN_LOOP_ARRIVAL_SEED};
 use harness::{FtlKind, Runner, ShardedRunResult};
 use learnedftl::LearnedFtlConfig;
 use metrics::Table;
@@ -69,19 +66,15 @@ fn setup(
     kind: FtlKind,
     device: ssd_sim::SsdConfig,
     experiment: ExperimentScale,
-) -> (
-    harness::ShardedFtl<Box<dyn ftl_base::Ftl>>,
-    workloads::FioWorkload,
-) {
-    warmed_sharded_fio_setup_with(
-        kind,
-        FioPattern::RandRead,
-        STREAMS,
-        SHARDS,
+) -> (harness::ShardedFtl<Box<dyn Ftl>>, workloads::FioWorkload) {
+    let mut ftl = kind.build_sharded_with(
         device,
-        experiment,
+        SHARDS,
+        BaselineConfig::default().for_shard(SHARDS),
         LearnedFtlConfig::default().with_charge_training_time(false),
-    )
+    );
+    let wl = fio_read(&mut ftl, FioPattern::RandRead, STREAMS, experiment);
+    (ftl, wl)
 }
 
 /// Timed runs on shared CI hosts are noisy; measure each backend twice on
@@ -223,9 +216,19 @@ fn main() {
                 let (mut ftl, mut wl) = setup(kind, device, experiment);
                 let clock = WallTimer::start();
                 let run = match workers {
-                    None => Runner::new().run_open_loop(&mut ftl, &mut wl, open_gap, 0xA11CE),
-                    Some(n) => Runner::new()
-                        .run_threaded_open_loop(&mut ftl, &mut wl, open_gap, 0xA11CE, n),
+                    None => Runner::new().run_open_loop(
+                        &mut ftl,
+                        &mut wl,
+                        open_gap,
+                        OPEN_LOOP_ARRIVAL_SEED,
+                    ),
+                    Some(n) => Runner::new().run_threaded_open_loop(
+                        &mut ftl,
+                        &mut wl,
+                        open_gap,
+                        OPEN_LOOP_ARRIVAL_SEED,
+                        n,
+                    ),
                 };
                 wall = wall.min(clock.elapsed().as_secs_f64() * 1_000.0);
                 measured = Some(run);
@@ -282,16 +285,9 @@ fn main() {
     // run's RingBatch counters record exactly how many requests every window
     // coalesced. DFTL is the FTL the batching exists for — its translation
     // work is so cheap that per-request channel traffic used to dominate.
-    let traced = fio_qd_threaded_traced_run(
-        FtlKind::Dftl,
-        FioPattern::RandRead,
-        STREAMS,
-        DEPTH,
-        SHARDS,
-        4,
-        device,
-        experiment,
-    );
+    let (mut ftl, mut wl) = setup(FtlKind::Dftl, device, experiment);
+    ftl.set_tracing(true);
+    let traced = Runner::new().run_threaded_qd(&mut ftl, &mut wl, DEPTH, 4);
     let analysis = metrics::analyze(&traced.result.trace);
     let ring = analysis.ring_totals();
     let mut ring_table = Table::new(vec!["shard", "batches", "entries", "mean", "max"]);

@@ -17,12 +17,10 @@
 //! * planes=1 runs the exact historical single-timeline model — the
 //!   workspace equivalence suites pin that bit-for-bit, this binary only
 //!   reports the throughput next to the multi-plane columns.
-//!
-//! Run with `--planes N` to sweep `{1, N}` instead of the default `{1, 2, 4}`.
 
 use bench::{plane_scaling_device, print_header, print_table_with_verdict, times, BenchArgs};
-use harness::experiments::fio_write_qd_run;
-use harness::FtlKind;
+use harness::experiments::fio_write;
+use harness::{FtlKind, Runner};
 use metrics::Table;
 use workloads::FioPattern;
 
@@ -46,11 +44,7 @@ fn main() {
         "base device: {} (planes swept at equal capacity)",
         base.geometry
     );
-    let plane_counts: Vec<u32> = if args.planes == 1 {
-        vec![1, 2, 4]
-    } else {
-        vec![1, args.planes]
-    };
+    let plane_counts = [1u32, 2, 4];
     println!("plane counts swept: {plane_counts:?}");
     println!();
 
@@ -75,16 +69,15 @@ fn main() {
     let mut mibs = vec![vec![0.0f64; plane_counts.len()]; kinds.len()];
     for (ki, &kind) in kinds.iter().enumerate() {
         for (pi, &planes) in plane_counts.iter().enumerate() {
-            let device = base.with_planes(planes);
-            let mut r = fio_write_qd_run(
-                kind,
+            let mut ftl = kind.build(base.with_planes(planes));
+            let mut wl = fio_write(
+                ftl.as_mut(),
                 FioPattern::RandWrite,
                 threads,
                 PAGES_PER_REQUEST,
-                DEPTH,
-                device,
                 experiment,
             );
+            let mut r = Runner::new().run_qd(ftl.as_mut(), &mut wl, DEPTH);
             mibs[ki][pi] = r.mib_per_sec();
             table.add_row(vec![
                 kind.label().to_string(),

@@ -70,7 +70,7 @@ fn main() {
     let args = BenchArgs::from_env();
     let scale = args.scale();
     let device = shard_scaling_device(scale);
-    let shards = if args.shards > 1 { args.shards } else { 4 };
+    let shards = 4;
     print_header(
         "Fig. 28 (extension) — noisy neighbour: weighted per-tenant arbitration vs FIFO admission",
         "weighted per-tenant queues at the shard admission point shield read-mostly \

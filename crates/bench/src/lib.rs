@@ -144,18 +144,11 @@ pub fn plane_scaling_device(scale: Scale) -> SsdConfig {
     }
 }
 
-/// Command-line options shared by the figure binaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Command-line options shared by the figure binaries: where to write the
+/// observability artifacts of each binary's designated traced run. The
+/// experiment size comes from `LEARNEDFTL_SCALE` alone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// Number of FTL shards (`--shards N`); `1` (the default) runs the
-    /// monolithic FTLs exactly as before.
-    pub shards: usize,
-    /// Number of planes per chip (`--planes N`); `1` (the default) lets the
-    /// plane-scaling binary sweep its standard `{1, 2, 4}` set.
-    pub planes: u32,
-    /// Force the quick (smoke-test) scale regardless of `LEARNEDFTL_SCALE`
-    /// (`--quick`); what CI passes to the wall-clock scaling check.
-    pub quick: bool,
     /// Write a Chrome-trace-event JSON of the binary's designated traced run
     /// to this path (`--trace-out PATH`). Open it in Perfetto or
     /// `chrome://tracing`. Enables tracing for that run.
@@ -174,20 +167,6 @@ pub struct BenchArgs {
     pub analyze_out: Option<String>,
 }
 
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            shards: 1,
-            planes: 1,
-            quick: false,
-            trace_out: None,
-            metrics_out: None,
-            metrics_interval_us: None,
-            analyze_out: None,
-        }
-    }
-}
-
 impl BenchArgs {
     /// Parses the process's command line and checks `LEARNEDFTL_SCALE`,
     /// exiting with a usage message on malformed input. Binaries call this
@@ -198,28 +177,22 @@ impl BenchArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: <figure> [--shards N] [--planes N] [--quick] \
-                     [--trace-out PATH] [--metrics-out PATH] [--metrics-interval US] \
-                     [--analyze-out PATH]"
+                    "usage: <figure> [--trace-out PATH] [--metrics-out PATH] \
+                     [--metrics-interval US] [--analyze-out PATH]"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    /// The scale this invocation runs at: `--quick` wins, the
-    /// `LEARNEDFTL_SCALE` environment variable otherwise.
+    /// The scale this invocation runs at, from `LEARNEDFTL_SCALE`.
     pub fn scale(&self) -> Scale {
-        if self.quick {
-            Scale::Quick
-        } else {
-            Scale::from_env().expect("LEARNEDFTL_SCALE is checked by BenchArgs::from_env")
-        }
+        Scale::from_env().expect("LEARNEDFTL_SCALE is checked by BenchArgs::from_env")
     }
 
-    /// Parses an argument list (`--shards N` / `--shards=N` / `--planes N` /
-    /// `--planes=N` / `--quick` / `--trace-out PATH` / `--metrics-out PATH` /
-    /// `--metrics-interval US`, with `=` spellings throughout).
+    /// Parses an argument list (`--trace-out PATH` / `--metrics-out PATH` /
+    /// `--metrics-interval US` / `--analyze-out PATH`, each also spelled
+    /// `--name=VALUE`).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
         /// Extracts the string value of `--name V` / `--name=V` (where `arg`
         /// is the current argument and `iter` supplies a space-separated
@@ -258,13 +231,7 @@ impl BenchArgs {
         let mut parsed = BenchArgs::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            if arg == "--quick" {
-                parsed.quick = true;
-            } else if let Some(n) = flag_value("--shards", &arg, &mut iter)? {
-                parsed.shards = n as usize;
-            } else if let Some(n) = flag_value("--planes", &arg, &mut iter)? {
-                parsed.planes = n.min(u64::from(u32::MAX)) as u32;
-            } else if let Some(n) = flag_value("--metrics-interval", &arg, &mut iter)? {
+            if let Some(n) = flag_value("--metrics-interval", &arg, &mut iter)? {
                 parsed.metrics_interval_us = Some(n);
             } else if let Some(path) = flag_string("--trace-out", &arg, &mut iter)? {
                 parsed.trace_out = Some(path);
@@ -280,8 +247,7 @@ impl BenchArgs {
     }
 
     /// Whether this invocation asked for observability output: binaries use
-    /// this to route their designated run through the traced experiment
-    /// variants in [`harness::experiments`].
+    /// this to re-run their designated configuration with tracing on.
     pub fn tracing(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.analyze_out.is_some()
     }
@@ -351,13 +317,15 @@ pub fn export_default_observability(args: &BenchArgs, figure: &str) {
         return;
     }
     let scale = args.scale();
-    let traced = harness::experiments::fio_read_traced_run(
-        harness::FtlKind::LearnedFtl,
+    let mut ftl = harness::FtlKind::LearnedFtl.build(scale.device());
+    let mut wl = harness::experiments::fio_read(
+        ftl.as_mut(),
         workloads::FioPattern::RandRead,
         scale.fio_threads(),
-        scale.device(),
         scale.experiment(),
     );
+    ftl.set_tracing(true);
+    let traced = harness::Runner::new().run(ftl.as_mut(), &mut wl);
     println!("traced run (default protocol): LearnedFTL, FIO randread, closed loop");
     args.export_observability(figure, &traced)
         .expect("writing observability output failed");
@@ -432,25 +400,15 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_parses_both_spellings() {
+    fn unknown_flags_are_refused() {
         let args = |v: &[&str]| BenchArgs::parse(v.iter().map(|s| s.to_string()));
-        assert_eq!(args(&[]).unwrap().shards, 1);
-        assert_eq!(args(&["--shards", "4"]).unwrap().shards, 4);
-        assert_eq!(args(&["--shards=8"]).unwrap().shards, 8);
-        assert!(args(&["--quick"]).unwrap().quick);
-        assert_eq!(args(&["--quick"]).unwrap().scale(), Scale::Quick);
-        let both = args(&["--quick", "--shards", "2"]).unwrap();
-        assert!(both.quick);
-        assert_eq!(both.shards, 2);
-        assert!(args(&["--shards"]).is_err());
-        assert!(args(&["--shards", "0"]).is_err());
-        assert!(args(&["--shards", "x"]).is_err());
-        assert!(args(&["--frobnicate"]).is_err());
-        assert_eq!(args(&[]).unwrap().planes, 1);
-        assert_eq!(args(&["--planes", "2"]).unwrap().planes, 2);
-        assert_eq!(args(&["--planes=4"]).unwrap().planes, 4);
-        assert!(args(&["--planes"]).is_err());
-        assert!(args(&["--planes", "0"]).is_err());
+        assert_eq!(args(&[]).unwrap(), BenchArgs::default());
+        // The experiment size is LEARNEDFTL_SCALE's alone; the shard and
+        // plane sweeps are fixed per binary.
+        for flag in ["--quick", "--shards=4", "--planes=2", "--frobnicate"] {
+            let err = args(&[flag]).unwrap_err();
+            assert!(err.contains("unknown argument"), "{flag}: {err}");
+        }
     }
 
     #[test]

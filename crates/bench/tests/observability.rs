@@ -1,13 +1,14 @@
 //! The figure binaries' observability path: the shared `BenchArgs` export
 //! helper must write a schema-valid Chrome trace and a well-formed metrics
-//! CSV, and the GC-interference protocol's traced variant must surface the
+//! CSV, and the GC-interference protocol, traced, must surface the
 //! scheduler's GC activity in the trace. Both traced runs' self-profiles must
 //! count the trace and the requests they returned.
 
 use bench::{BenchArgs, Scale};
+use ftl_base::Ftl;
 use ftl_base::GcMode;
-use harness::experiments::{fio_gc_interference_traced_run, fio_read_traced_run};
-use harness::{FtlKind, RunResult};
+use harness::experiments::{fio_gc_interference_run, fio_read};
+use harness::{FtlKind, RunResult, Runner};
 use metrics::{chrome_trace_json, validate_analysis_json, validate_chrome_trace};
 use ssd_sim::{Duration, SsdConfig};
 use workloads::FioPattern;
@@ -30,17 +31,18 @@ fn export_helper_writes_valid_artifacts() {
         metrics_out: Some(metrics_path.to_string_lossy().into_owned()),
         analyze_out: Some(analysis_path.to_string_lossy().into_owned()),
         metrics_interval_us: Some(50),
-        ..BenchArgs::default()
     };
     assert!(args.tracing());
 
-    let result = fio_read_traced_run(
-        FtlKind::LearnedFtl,
+    let mut ftl = FtlKind::LearnedFtl.build(SsdConfig::tiny());
+    let mut wl = fio_read(
+        ftl.as_mut(),
         FioPattern::RandRead,
         2,
-        SsdConfig::tiny(),
         Scale::Quick.experiment(),
     );
+    ftl.set_tracing(true);
+    let result = Runner::new().run(ftl.as_mut(), &mut wl);
     assert!(result.profile.trace_events > 0);
     assert!(result.profile.requests_per_sec() > 0.0);
     assert_profile_counts_trace(&result);
@@ -84,9 +86,9 @@ fn export_helper_writes_valid_artifacts() {
 
 #[test]
 fn traced_gc_interference_surfaces_gc_activity() {
-    // The fig24 protocol's traced variant at its write-heavy scheduled-GC
-    // point: the trace must contain GC instants/spans, not just host I/O.
-    let result = fio_gc_interference_traced_run(
+    // The fig24 protocol traced at its write-heavy scheduled-GC point: the
+    // trace must contain GC instants/spans, not just host I/O.
+    let result = fio_gc_interference_run(
         FtlKind::LearnedFtl,
         4,
         32,
@@ -95,6 +97,7 @@ fn traced_gc_interference_surfaces_gc_activity() {
         Duration::from_micros(900),
         bench::shard_scaling_device(Scale::Quick),
         Scale::Quick.experiment(),
+        true,
     );
     assert!(
         result.stats.gc_count > 0,

@@ -100,22 +100,6 @@ impl FtlKind {
         })
     }
 
-    /// Builds either the plain FTL (`shards == 1`) or the sharded frontend
-    /// boxed behind the [`Ftl`] trait, for callers that only need the common
-    /// interface (e.g. the `--shards N` flag of the figure binaries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or does not divide the device's channel
-    /// count.
-    pub fn build_maybe_sharded(self, device: SsdConfig, shards: usize) -> Box<dyn Ftl> {
-        if shards == 1 {
-            self.build(device)
-        } else {
-            Box::new(self.build_sharded(device, shards))
-        }
-    }
-
     /// Builds the FTL with explicit baseline / LearnedFTL parameters.
     pub fn build_with(
         self,

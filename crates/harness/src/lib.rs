@@ -14,7 +14,8 @@
 //! * [`RunResult`] — throughput, latency percentiles, hit ratios, multi-read
 //!   breakdown, write amplification, GC and energy inputs for one run
 //!   ([`ShardedRunResult`] adds the per-shard breakdown),
-//! * [`experiments`] — canned warm-up + measurement routines shared by the
+//! * [`experiments`] — the paper's warm-up protocols, one per experiment,
+//!   each preparing any FTL for its measured workload; shared by the
 //!   figure-reproduction binaries and the integration tests.
 //!
 //! ```
@@ -41,6 +42,6 @@ pub use result::{
 };
 pub use runner::Runner;
 // Re-exported so harness callers (the figure binaries) can name the sharded
-// frontend returned by `experiments::warmed_sharded_fio_setup` without
-// depending on ftl-shard directly.
+// frontend `FtlKind::build_sharded` returns without depending on ftl-shard
+// directly.
 pub use ftl_shard::ShardedFtl;

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example fio_randread`
 
-use harness::experiments::{fio_read_run, ExperimentScale};
+use harness::experiments::{fio_read, run, ExperimentScale};
 use learnedftl_suite::prelude::*;
 use metrics::Table;
 use ssd_sim::SsdConfig;
@@ -29,9 +29,14 @@ fn main() {
         "double reads",
         "triple reads",
     ]);
+    let randread = |kind| {
+        run(kind, device, |ftl| {
+            fio_read(ftl, FioPattern::RandRead, threads, scale)
+        })
+    };
     let mut baseline = None;
     for kind in FtlKind::all() {
-        let result = fio_read_run(kind, FioPattern::RandRead, threads, device, scale);
+        let result = randread(kind);
         if kind == FtlKind::Tpftl {
             baseline = Some(result.mib_per_sec());
         }
@@ -46,13 +51,7 @@ fn main() {
     }
     println!("{}", table.render());
     if let Some(tpftl) = baseline {
-        let learned = fio_read_run(
-            FtlKind::LearnedFtl,
-            FioPattern::RandRead,
-            threads,
-            device,
-            scale,
-        );
+        let learned = randread(FtlKind::LearnedFtl);
         println!(
             "LearnedFTL / TPFTL random-read speedup: {:.2}x (the paper reports 1.4x at full scale)",
             learned.mib_per_sec() / tpftl.max(1e-9)

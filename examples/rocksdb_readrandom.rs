@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example rocksdb_readrandom`
 
-use harness::experiments::{rocksdb_run, ExperimentScale};
+use harness::experiments::{rocksdb, run, ExperimentScale};
 use learnedftl_suite::prelude::*;
 use metrics::Table;
 use ssd_sim::SsdConfig;
@@ -28,7 +28,7 @@ fn main() {
             FtlKind::LearnedFtl,
             FtlKind::Ideal,
         ] {
-            let result = rocksdb_run(kind, phase, device, scale);
+            let result = run(kind, device, |ftl| rocksdb(ftl, phase, scale));
             if kind == FtlKind::Tpftl {
                 tpftl_mibs = result.mib_per_sec();
             }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example trace_tail_latency`
 
-use harness::experiments::{trace_run, ExperimentScale};
+use harness::experiments::{run, trace_replay, ExperimentScale};
 use learnedftl_suite::prelude::*;
 use metrics::Table;
 use ssd_sim::SsdConfig;
@@ -33,7 +33,9 @@ fn main() {
         FtlKind::LearnedFtl,
         FtlKind::Ideal,
     ] {
-        let mut result = trace_run(kind, trace, streams, requests, device, scale);
+        let mut result = run(kind, device, |ftl| {
+            trace_replay(ftl, trace, streams, requests, scale)
+        });
         let p99 = result.p99();
         p99s.push((kind, p99));
         table.add_row(vec![

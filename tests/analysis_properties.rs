@@ -4,9 +4,7 @@
 //! deterministic pure function of the trace — identical across repeated
 //! analyses and across the simulated and thread-parallel backends.
 
-use harness::experiments::{
-    fio_qd_sharded_traced_run, fio_qd_threaded_traced_run, ExperimentScale,
-};
+use harness::experiments::{fio_read, ExperimentScale};
 use learnedftl_suite::prelude::*;
 use proptest::prelude::*;
 use ssd_sim::{Geometry, TraceData, TraceEvent};
@@ -43,6 +41,18 @@ fn tiny_scale() -> ExperimentScale {
     }
 }
 
+/// The FIO read protocol on a `shards`-way frontend, tracing on.
+fn warmed_traced(
+    kind: FtlKind,
+    threads: usize,
+    shards: usize,
+) -> (ShardedFtl<Box<dyn Ftl>>, FioWorkload) {
+    let mut ftl = kind.build_sharded(device(kind), shards);
+    let wl = fio_read(&mut ftl, FioPattern::RandRead, threads, tiny_scale());
+    ftl.set_tracing(true);
+    (ftl, wl)
+}
+
 fn kind_strategy() -> impl Strategy<Value = FtlKind> {
     prop_oneof![
         Just(FtlKind::Dftl),
@@ -70,15 +80,8 @@ proptest! {
         shards_idx in 0usize..3,
     ) {
         let shards = [1usize, 2, 4][shards_idx];
-        let simulated = fio_qd_sharded_traced_run(
-            kind,
-            FioPattern::RandRead,
-            threads,
-            depth,
-            shards,
-            device(kind),
-            tiny_scale(),
-        );
+        let (mut ftl, mut wl) = warmed_traced(kind, threads, shards);
+        let simulated = Runner::new().run_sharded_qd(&mut ftl, &mut wl, depth);
 
         let analysis = metrics::analyze(&simulated.result.trace);
         prop_assert_eq!(
@@ -117,16 +120,8 @@ proptest! {
             "repeated analysis of the same trace must be byte-identical"
         );
 
-        let threaded = fio_qd_threaded_traced_run(
-            kind,
-            FioPattern::RandRead,
-            threads,
-            depth,
-            shards,
-            shards.clamp(2, 4),
-            device(kind),
-            tiny_scale(),
-        );
+        let (mut ftl, mut wl) = warmed_traced(kind, threads, shards);
+        let threaded = Runner::new().run_threaded_qd(&mut ftl, &mut wl, depth, shards.clamp(2, 4));
         let threaded_device_events = strip_ring_batches(&threaded.result.trace);
         prop_assert!(
             threaded_device_events.len() < threaded.result.trace.len(),

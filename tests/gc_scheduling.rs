@@ -59,6 +59,7 @@ fn run(kind: FtlKind, shards: usize, mode: GcMode) -> harness::RunResult {
         HEAVY_GAP,
         gc_device(),
         gc_scale(),
+        false,
     )
 }
 
@@ -173,6 +174,7 @@ fn scheduled_gc_matches_blocking_flash_work_on_single_chip_pool_ftls() {
             Duration::from_micros(120),
             device,
             scale,
+            false,
         );
         let scheduled = fio_gc_interference_run(
             kind,
@@ -183,6 +185,7 @@ fn scheduled_gc_matches_blocking_flash_work_on_single_chip_pool_ftls() {
             Duration::from_micros(120),
             device,
             scale,
+            false,
         );
         assert!(
             blocking.stats.gc_count > 0,

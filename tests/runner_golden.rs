@@ -12,7 +12,7 @@
 
 use baselines::BaselineConfig;
 use ftl_base::{Ftl, GcMode};
-use harness::experiments::{rocksdb_run, ExperimentScale};
+use harness::experiments::{self, ExperimentScale};
 use harness::{FtlKind, RunResult, Runner, ShardedRunResult, TenantRunResult};
 use learnedftl::{LearnedFtl, LearnedFtlConfig};
 use metrics::LatencyHistogram;
@@ -217,12 +217,9 @@ fn rocksdb() -> u64 {
         ops_per_stream: 100,
         single_stream_ops: 800,
     };
-    let r = rocksdb_run(
-        FtlKind::Dftl,
-        RocksDbPhase::ReadRandom,
-        SsdConfig::tiny(),
-        scale,
-    );
+    let r = experiments::run(FtlKind::Dftl, SsdConfig::tiny(), |ftl| {
+        experiments::rocksdb(ftl, RocksDbPhase::ReadRandom, scale)
+    });
     check("rocksdb", &r);
     let mut h = Fnv::new();
     h.result(&r);

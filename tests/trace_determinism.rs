@@ -13,18 +13,22 @@
 //!   leak into the artifact,
 //! * **zero observer effect** — enabling tracing changes nothing the run
 //!   measures: simulated time, latency distributions, flash work and FTL
-//!   statistics are bit-for-bit those of the untraced run.
+//!   statistics are bit-for-bit those of the untraced run. This also holds
+//!   for the GC-interference protocol in both GC modes and for the tenant
+//!   protocol with and without isolation, whose traced runs fold the
+//!   post-run GC drain into the trace.
 //!
 //! Every traced run also checks that its self-profile counts what the run
 //! returned: one trace event per recorded event, one request per request.
 
+use ftl_base::{Ftl, GcMode};
 use harness::experiments::{
-    fio_qd_sharded_run, fio_qd_sharded_traced_run, fio_qd_threaded_traced_run, ExperimentScale,
+    fio_gc_interference_run, fio_read, tenant_noisy_neighbour_run, ExperimentScale,
 };
-use harness::{FtlKind, ShardedRunResult};
+use harness::{FtlKind, RunResult, Runner, ShardedFtl, ShardedRunResult};
 use metrics::{chrome_trace_json, metrics_csv, validate_chrome_trace};
 use ssd_sim::{Duration, Geometry, SsdConfig, TraceData, TraceEvent};
-use workloads::FioPattern;
+use workloads::{FioPattern, FioWorkload, TenantSpec};
 
 const KINDS: [FtlKind; 5] = [
     FtlKind::Dftl,
@@ -60,16 +64,18 @@ fn profile_counts_trace(run: ShardedRunResult, context: &str) -> ShardedRunResul
     run
 }
 
+/// The FIO read protocol (four streams) on a `shards`-way frontend, with
+/// tracing set for the measured phase.
+fn warmed(kind: FtlKind, shards: usize, traced: bool) -> (ShardedFtl<Box<dyn Ftl>>, FioWorkload) {
+    let mut ftl = kind.build_sharded(device(kind), shards);
+    let wl = fio_read(&mut ftl, FioPattern::RandRead, 4, ExperimentScale::quick());
+    ftl.set_tracing(traced);
+    (ftl, wl)
+}
+
 fn traced_sim(kind: FtlKind, shards: usize) -> ShardedRunResult {
-    let run = fio_qd_sharded_traced_run(
-        kind,
-        FioPattern::RandRead,
-        4,
-        8,
-        shards,
-        device(kind),
-        ExperimentScale::quick(),
-    );
+    let (mut ftl, mut wl) = warmed(kind, shards, true);
+    let run = Runner::new().run_sharded_qd(&mut ftl, &mut wl, 8);
     profile_counts_trace(run, &format!("{kind} shards={shards} simulated"))
 }
 
@@ -110,16 +116,8 @@ fn same_seed_produces_byte_identical_artifacts() {
 }
 
 fn traced_threaded(kind: FtlKind, shards: usize) -> ShardedRunResult {
-    let run = fio_qd_threaded_traced_run(
-        kind,
-        FioPattern::RandRead,
-        4,
-        8,
-        shards,
-        shards.clamp(2, 4),
-        device(kind),
-        ExperimentScale::quick(),
-    );
+    let (mut ftl, mut wl) = warmed(kind, shards, true);
+    let run = Runner::new().run_threaded_qd(&mut ftl, &mut wl, 8, shards.clamp(2, 4));
     profile_counts_trace(run, &format!("{kind} shards={shards} threaded"))
 }
 
@@ -185,39 +183,120 @@ fn threaded_traces_are_deterministic_including_ring_batches() {
     }
 }
 
+/// Asserts that a traced run measured exactly what its untraced twin did:
+/// requests, simulated time, latencies, device counters, every simulated
+/// FTL statistic and the GC event histories.
+fn assert_unobserved(context: &str, plain: &RunResult, traced: &RunResult) {
+    let (mut p, mut t) = (plain.clone(), traced.clone());
+    assert!(p.trace.is_empty(), "{context}: untraced run has events");
+    assert!(!t.trace.is_empty(), "{context}: traced run has no events");
+    assert_eq!(p.requests, t.requests, "{context}: requests");
+    assert_eq!(p.elapsed, t.elapsed, "{context}: simulated elapsed time");
+    assert_eq!(p.latencies.count(), t.latencies.count(), "{context}");
+    assert_eq!(p.latencies.mean(), t.latencies.mean(), "{context}: mean");
+    assert_eq!(p.latencies.max(), t.latencies.max(), "{context}: max");
+    assert_eq!(p.p99(), t.p99(), "{context}: p99");
+    assert_eq!(p.device, t.device, "{context}: device counters");
+    assert_eq!(
+        p.stats.gc_events, t.stats.gc_events,
+        "{context}: GC event history"
+    );
+    assert_eq!(
+        p.stats.gc_complete_events, t.stats.gc_complete_events,
+        "{context}: GC completion history"
+    );
+    // Every FTL statistic but the two host wall-clock ones.
+    for stats in [&mut p.stats, &mut t.stats] {
+        stats.sort_wall_time = std::time::Duration::ZERO;
+        stats.train_wall_time = std::time::Duration::ZERO;
+    }
+    assert_eq!(
+        format!("{:?}", p.stats),
+        format!("{:?}", t.stats),
+        "{context}: FTL statistics"
+    );
+}
+
 #[test]
 fn tracing_has_zero_observer_effect() {
     for kind in KINDS {
         for shards in [1usize, 4] {
-            let context = format!("{kind} shards={shards}");
-            let plain = fio_qd_sharded_run(
-                kind,
-                FioPattern::RandRead,
-                4,
-                8,
-                shards,
-                device(kind),
-                ExperimentScale::quick(),
-            );
+            let (mut ftl, mut wl) = warmed(kind, shards, false);
+            let plain = Runner::new().run_sharded_qd(&mut ftl, &mut wl, 8);
             let traced = traced_sim(kind, shards);
-            let (p, t) = (&plain.result, &traced.result);
+            let context = format!("{kind} shards={shards}");
+            assert_unobserved(&context, &plain.result, &traced.result);
+        }
+    }
+}
 
-            assert!(p.trace.is_empty(), "{context}: untraced run has events");
-            assert_eq!(p.requests, t.requests, "{context}: requests");
-            assert_eq!(p.elapsed, t.elapsed, "{context}: simulated elapsed time");
-            assert_eq!(p.latencies.count(), t.latencies.count(), "{context}");
-            assert_eq!(p.latencies.mean(), t.latencies.mean(), "{context}: mean");
-            assert_eq!(p.latencies.max(), t.latencies.max(), "{context}: max");
-            assert_eq!(p.device, t.device, "{context}: device counters");
-            assert_eq!(p.stats.cmt_hits, t.stats.cmt_hits, "{context}: cmt_hits");
-            assert_eq!(
-                p.stats.gc_events, t.stats.gc_events,
-                "{context}: GC event history"
-            );
-            assert_eq!(
-                p.stats.gc_complete_events, t.stats.gc_complete_events,
-                "{context}: GC completion history"
-            );
+/// The fig24 device and a short write-heavy phase: every FTL collects during
+/// the measured window, so the post-run drain has work to fold.
+fn gc_device() -> SsdConfig {
+    SsdConfig::tiny()
+        .with_geometry(Geometry::new(8, 2, 1, 16, 128, 4096))
+        .with_op_ratio(0.4)
+}
+
+#[test]
+fn gc_interference_tracing_has_zero_observer_effect() {
+    for kind in KINDS {
+        for mode in [GcMode::Blocking, GcMode::Scheduled] {
+            let run = |traced| {
+                fio_gc_interference_run(
+                    kind,
+                    4,
+                    32,
+                    4,
+                    mode,
+                    Duration::from_micros(160),
+                    gc_device(),
+                    ExperimentScale::quick(),
+                    traced,
+                )
+            };
+            let (plain, traced) = (run(false), run(true));
+            let context = format!("{kind} {mode:?} GC interference");
+            assert!(plain.stats.gc_count > 0, "{context}: no collections");
+            assert_unobserved(&context, &plain, &traced);
+        }
+    }
+}
+
+#[test]
+fn tenant_tracing_has_zero_observer_effect() {
+    // fig28's line-up: one write-heavy aggressor, three read-mostly victims.
+    let specs = || {
+        let mut specs = vec![TenantSpec::write_heavy(Duration::from_micros(20), 400)];
+        for _ in 0..3 {
+            specs.push(TenantSpec::read_mostly(Duration::from_micros(60), 200).with_weight(8));
+        }
+        specs
+    };
+    for isolate in [false, true] {
+        let run = |traced| {
+            tenant_noisy_neighbour_run(
+                FtlKind::Dftl,
+                specs(),
+                4,
+                GcMode::Blocking,
+                device(FtlKind::Dftl),
+                ExperimentScale::quick(),
+                isolate,
+                traced,
+            )
+        };
+        let (plain, traced) = (run(false), run(true));
+        let context = format!("tenants isolate={isolate}");
+        assert_unobserved(&context, &plain.result, &traced.result);
+        assert_eq!(plain.tenants.len(), traced.tenants.len(), "{context}");
+        for (p, t) in plain.tenants.iter().zip(&traced.tenants) {
+            let lane = format!("{context} tenant {}", p.tenant);
+            assert_eq!(p.requests, t.requests, "{lane}: requests");
+            assert_eq!(p.read_pages, t.read_pages, "{lane}: read pages");
+            assert_eq!(p.write_pages, t.write_pages, "{lane}: write pages");
+            assert_eq!(p.latencies.mean(), t.latencies.mean(), "{lane}: mean");
+            assert_eq!(p.latencies.max(), t.latencies.max(), "{lane}: max");
         }
     }
 }

@@ -23,14 +23,13 @@
 
 use ftl_base::{Ftl, GcMode};
 use harness::experiments::{
-    fio_gc_interference_traced_run, fio_qd_sharded_traced_run, fio_qd_threaded_traced_run,
-    tenant_noisy_neighbour_run, ExperimentScale,
+    fio_gc_interference_run, fio_read, tenant_noisy_neighbour_run, ExperimentScale,
 };
-use harness::{FtlKind, Runner};
+use harness::{FtlKind, Runner, ShardedFtl};
 use learnedftl::{LearnedFtl, LearnedFtlConfig};
 use metrics::{chrome_trace_json, metrics_csv, TraceAnalysis};
 use ssd_sim::{Duration, FlashOp, Geometry, SsdConfig, TraceData, TraceEvent, TraceReadClass};
-use workloads::{warmup, FioPattern, FioWorkload, TenantSpec};
+use workloads::{FioPattern, FioWorkload, TenantSpec};
 
 struct Fnv(u64);
 
@@ -159,58 +158,39 @@ fn learned_qd16() -> Vec<TraceEvent> {
         read_device(),
         LearnedFtlConfig::default().with_charge_training_time(false),
     );
-    let scale = read_scale();
-    warmup::paper_warmup(
-        &mut ftl,
-        scale.warmup_io_pages,
-        scale.warmup_overwrites,
-        0xFEED,
-    );
-    let mut wl = FioWorkload::new(
-        FioPattern::RandRead,
-        ftl.logical_pages(),
-        8,
-        1,
-        scale.ops_per_stream,
-        0xBEEF,
-    );
+    let mut wl = fio_read(&mut ftl, FioPattern::RandRead, 8, read_scale());
     ftl.set_tracing(true);
     Runner::new().run_qd(&mut ftl, &mut wl, 16).trace
 }
 
+/// DFTL on four shards after the FIO read warm-up, tracing on.
+fn dftl_sharded_warmed() -> (ShardedFtl<Box<dyn Ftl>>, FioWorkload) {
+    let mut ftl = FtlKind::Dftl.build_sharded(read_device(), 4);
+    let wl = fio_read(&mut ftl, FioPattern::RandRead, 8, read_scale());
+    ftl.set_tracing(true);
+    (ftl, wl)
+}
+
 fn dftl_sharded() -> Vec<TraceEvent> {
-    fio_qd_sharded_traced_run(
-        FtlKind::Dftl,
-        FioPattern::RandRead,
-        8,
-        16,
-        4,
-        read_device(),
-        read_scale(),
-    )
-    .result
-    .trace
+    let (mut ftl, mut wl) = dftl_sharded_warmed();
+    Runner::new()
+        .run_sharded_qd(&mut ftl, &mut wl, 16)
+        .result
+        .trace
 }
 
 fn dftl_threaded() -> Vec<TraceEvent> {
-    fio_qd_threaded_traced_run(
-        FtlKind::Dftl,
-        FioPattern::RandRead,
-        8,
-        16,
-        4,
-        2,
-        read_device(),
-        read_scale(),
-    )
-    .result
-    .trace
+    let (mut ftl, mut wl) = dftl_sharded_warmed();
+    Runner::new()
+        .run_threaded_qd(&mut ftl, &mut wl, 16, 2)
+        .result
+        .trace
 }
 
 /// The fig24 write-heavy point: 128 KiB open-loop writes every 160 us on the
 /// 8-channel shard-sweep device, LearnedFTL, scheduled GC, four shards.
 fn gc_scheduled() -> Vec<TraceEvent> {
-    fio_gc_interference_traced_run(
+    fio_gc_interference_run(
         FtlKind::LearnedFtl,
         4,
         32,
@@ -226,6 +206,7 @@ fn gc_scheduled() -> Vec<TraceEvent> {
             ops_per_stream: 200,
             single_stream_ops: 2_000,
         },
+        true,
     )
     .trace
 }
