@@ -10,31 +10,24 @@
 //! paper's warm-up, so the contribution of each mechanism is visible.
 
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs, Scale};
-use ftl_base::Ftl;
+use harness::experiments::fio_read;
 use harness::Runner;
 use learnedftl::{LearnedFtl, LearnedFtlConfig};
 use metrics::Table;
-use workloads::{warmup, FioPattern, FioWorkload};
+use workloads::FioPattern;
 
 fn run(scale: Scale, config: LearnedFtlConfig) -> (f64, f64, f64, f64) {
     let device = scale.device();
     let experiment = scale.experiment();
     let mut ftl = LearnedFtl::new(device, config);
-    warmup::paper_warmup(
+    let mut wl = fio_read(
         &mut ftl,
-        experiment.warmup_io_pages,
-        experiment.warmup_overwrites,
-        31,
-    );
-    let coverage = ftl.model_coverage();
-    let mut wl = FioWorkload::new(
         FioPattern::RandRead,
-        ftl.logical_pages(),
         scale.fio_threads(),
-        1,
-        experiment.ops_per_stream,
-        37,
+        experiment,
     );
+    // The models as the warm-up left them.
+    let coverage = ftl.model_coverage();
     let result = Runner::new().run(&mut ftl, &mut wl);
     (
         result.mib_per_sec(),

@@ -7,9 +7,10 @@
 
 use baselines::{BaselineConfig, Tpftl};
 use bench::{percent, print_header, print_table_with_verdict, BenchArgs};
+use harness::experiments::fio_read;
 use harness::Runner;
 use metrics::Table;
-use workloads::{warmup, FioPattern, FioWorkload};
+use workloads::FioPattern;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -34,20 +35,7 @@ fn main() {
     for (i, &ratio) in ratios.iter().enumerate() {
         let run_pattern = |pattern: FioPattern| {
             let mut ftl = Tpftl::new(device, BaselineConfig::default().with_cmt_ratio(ratio));
-            warmup::paper_warmup(
-                &mut ftl,
-                experiment.warmup_io_pages,
-                experiment.warmup_overwrites,
-                7,
-            );
-            let mut wl = FioWorkload::new(
-                pattern,
-                ftl_base::Ftl::logical_pages(&ftl),
-                scale.fio_threads(),
-                1,
-                experiment.ops_per_stream,
-                11,
-            );
+            let mut wl = fio_read(&mut ftl, pattern, scale.fio_threads(), experiment);
             Runner::new().run(&mut ftl, &mut wl)
         };
         let rand = run_pattern(FioPattern::RandRead);

@@ -6,11 +6,11 @@
 //! anyway.
 
 use bench::{print_header, print_table_with_verdict, BenchArgs, Scale};
-use ftl_base::Ftl;
+use harness::experiments::{fio_write, ExperimentScale};
 use harness::Runner;
 use learnedftl::{LearnedFtl, LearnedFtlConfig};
 use metrics::Table;
-use workloads::{warmup, FioPattern, FioWorkload};
+use workloads::FioPattern;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -39,20 +39,11 @@ fn main() {
     let mut worst_share: f64 = 0.0;
     for &mult in multipliers {
         let mut ftl = LearnedFtl::new(device, LearnedFtlConfig::default());
-        warmup::sequential_fill(
-            &mut ftl,
-            experiment.warmup_io_pages,
-            1,
-            ssd_sim::SimTime::ZERO,
-        );
-        let mut wl = FioWorkload::new(
-            FioPattern::RandWrite,
-            ftl.logical_pages(),
-            threads,
-            1,
-            experiment.ops_per_stream * mult,
-            13,
-        );
+        let longer = ExperimentScale {
+            ops_per_stream: experiment.ops_per_stream * mult,
+            ..experiment
+        };
+        let mut wl = fio_write(&mut ftl, FioPattern::RandWrite, threads, 1, longer);
         let result = Runner::new().run(&mut ftl, &mut wl);
         let gc_ms = result.stats.gc_flash_time.as_millis_f64();
         let sort_ms = result.stats.sort_wall_time.as_secs_f64() * 1e3;

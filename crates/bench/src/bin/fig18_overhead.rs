@@ -7,11 +7,11 @@
 //! noticeable.
 
 use bench::{print_header, print_table_with_verdict, BenchArgs, Scale};
-use ftl_base::Ftl;
+use harness::experiments::{fio_read, fio_write};
 use harness::Runner;
 use learnedftl::{LearnedFtl, LearnedFtlConfig};
 use metrics::Table;
-use workloads::{warmup, FioPattern, FioWorkload};
+use workloads::FioPattern;
 
 fn run_write(scale: Scale, charge: bool) -> f64 {
     let device = scale.device();
@@ -20,19 +20,12 @@ fn run_write(scale: Scale, charge: bool) -> f64 {
         device,
         LearnedFtlConfig::default().with_charge_training_time(charge),
     );
-    warmup::sequential_fill(
+    let mut wl = fio_write(
         &mut ftl,
-        experiment.warmup_io_pages,
-        1,
-        ssd_sim::SimTime::ZERO,
-    );
-    let mut wl = FioWorkload::new(
         FioPattern::RandWrite,
-        ftl.logical_pages(),
         scale.fio_threads(),
         1,
-        experiment.ops_per_stream,
-        17,
+        experiment,
     );
     Runner::new().run(&mut ftl, &mut wl).mib_per_sec()
 }
@@ -44,20 +37,7 @@ fn run_read(scale: Scale, pattern: FioPattern, ideal_prediction: bool) -> f64 {
         device,
         LearnedFtlConfig::default().with_ideal_prediction(ideal_prediction),
     );
-    warmup::paper_warmup(
-        &mut ftl,
-        experiment.warmup_io_pages,
-        experiment.warmup_overwrites,
-        19,
-    );
-    let mut wl = FioWorkload::new(
-        pattern,
-        ftl.logical_pages(),
-        scale.fio_threads(),
-        1,
-        experiment.ops_per_stream,
-        23,
-    );
+    let mut wl = fio_read(&mut ftl, pattern, scale.fio_threads(), experiment);
     Runner::new().run(&mut ftl, &mut wl).mib_per_sec()
 }
 
