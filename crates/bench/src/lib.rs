@@ -1,12 +1,24 @@
 //! # bench
 //!
-//! Shared plumbing for the figure-reproduction binaries (`src/bin/figXX_*.rs`).
+//! The `repro` binary: every table and figure of the LearnedFTL paper this
+//! workspace reproduces, plus the experiments that go beyond it, as the rows
+//! of one table, [`FIGURES`].
 //!
-//! Every binary reproduces one table or figure of the LearnedFTL paper: it
-//! runs the corresponding experiment through [`harness::experiments`], prints
-//! the measured series next to what the paper reports, and states the shape
-//! check (who should win, roughly by how much). The binaries honour one
-//! environment variable:
+//! A row carries the name of the figure, its title, the paper's claim and a
+//! run function that drives the experiment through [`harness::experiments`].
+//! The run returns [`Section`]s: a table of the measured series next to what
+//! the paper reports, and a shape-check verdict (who should win, roughly by
+//! how much). [`repro`] is the one driver: it parses the command line,
+//! prints every requested row's header, tables and verdicts, exports the
+//! artifacts of a row's traced run and sets the exit status.
+//!
+//! ```text
+//! repro [NAME...] [--trace-out P] [--metrics-out P] [--metrics-interval US] [--analyze-out P]
+//! ```
+//!
+//! No name runs every row in table order. The status is 1 when an enforced
+//! check of a requested row fails and 2 on a usage error. The experiment
+//! size comes from one environment variable:
 //!
 //! * `LEARNEDFTL_SCALE=quick|standard|paper` — selects the device size and
 //!   experiment scale. `standard` (the default) uses the scaled-down device
@@ -17,6 +29,10 @@ use harness::experiments::ExperimentScale;
 use harness::RunResult;
 use metrics::Table;
 use ssd_sim::{Duration, Geometry, SsdConfig};
+
+mod figures;
+
+pub use figures::FIGURES;
 
 /// The experiment size selected via `LEARNEDFTL_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,55 +160,102 @@ pub fn plane_scaling_device(scale: Scale) -> SsdConfig {
     }
 }
 
-/// Command-line options shared by the figure binaries: where to write the
-/// observability artifacts of each binary's designated traced run. The
-/// experiment size comes from `LEARNEDFTL_SCALE` alone.
+/// One measured table of a row and the shape check it anchors.
+#[derive(Debug, Clone)]
+pub struct Section {
+    /// Lines printed above the table: a sub-figure caption, the swept device.
+    pub preamble: Option<String>,
+    /// The measured series.
+    pub table: Table,
+    /// The shape-check verdict printed under the table.
+    pub verdict: String,
+    /// `Some(passed)` when the check sets the exit status, `None` when it is
+    /// only reported.
+    pub enforced: Option<bool>,
+}
+
+impl Section {
+    /// A reported section: the table and its verdict, nothing above it.
+    pub fn new(table: Table, verdict: impl Into<String>) -> Section {
+        Section {
+            preamble: None,
+            table,
+            verdict: verdict.into(),
+            enforced: None,
+        }
+    }
+
+    /// Prints `preamble` above the table.
+    pub fn with_preamble(self, preamble: impl Into<String>) -> Section {
+        Section {
+            preamble: Some(preamble.into()),
+            ..self
+        }
+    }
+
+    /// Makes the check set the exit status: 1 unless it `passed`.
+    pub fn enforced(self, passed: bool) -> Section {
+        Section {
+            enforced: Some(passed),
+            ..self
+        }
+    }
+}
+
+/// One row of the reproduction: a paper figure or table, or an experiment
+/// that goes beyond the paper.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The row's name on the command line.
+    pub name: &'static str,
+    /// The header's title line.
+    pub title: &'static str,
+    /// What the paper (or the extension) claims, printed in the header.
+    pub claim: &'static str,
+    /// Runs the experiment at a scale and returns its sections.
+    pub run: fn(Scale) -> Vec<Section>,
+    /// The one configuration the observability flags trace.
+    pub traced: Option<TracedRun>,
+}
+
+/// A row's traced run: re-run with tracing on after the row's sections, so
+/// their numbers do not depend on the observability flags.
+#[derive(Debug, Clone, Copy)]
+pub struct TracedRun {
+    /// What the `traced run:` line says it is.
+    pub label: &'static str,
+    /// Runs the configuration with tracing on.
+    pub run: fn(Scale) -> RunResult,
+}
+
+/// The `repro` command line: which rows to run, and where to write the
+/// observability artifacts of a row's traced run. The experiment size comes
+/// from `LEARNEDFTL_SCALE` alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// Write a Chrome-trace-event JSON of the binary's designated traced run
-    /// to this path (`--trace-out PATH`). Open it in Perfetto or
-    /// `chrome://tracing`. Enables tracing for that run.
+    /// The rows to run, in order; none runs every row of [`FIGURES`].
+    pub figures: Vec<String>,
+    /// Write a Chrome-trace-event JSON of the row's traced run to this path
+    /// (`--trace-out PATH`). Open it in Perfetto or `chrome://tracing`.
     pub trace_out: Option<String>,
     /// Write an interval time-series CSV (plane/bus/GC utilisation, queue
     /// depths, CMT hit rate) of the traced run to this path
-    /// (`--metrics-out PATH`). Enables tracing for that run.
+    /// (`--metrics-out PATH`).
     pub metrics_out: Option<String>,
     /// Sampling interval of the metrics CSV in microseconds of simulated
     /// time (`--metrics-interval N`); defaults to 100 µs.
     pub metrics_interval_us: Option<u64>,
     /// Write the deterministic trace-analysis report (latency decomposition,
     /// GC tax, utilisation, tail exemplars — [`metrics::analysis`]) of the
-    /// traced run to this path (`--analyze-out PATH`). Enables tracing for
-    /// that run.
+    /// traced run to this path (`--analyze-out PATH`).
     pub analyze_out: Option<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process's command line and checks `LEARNEDFTL_SCALE`,
-    /// exiting with a usage message on malformed input. Binaries call this
-    /// once at the top of `main`.
-    pub fn from_env() -> BenchArgs {
-        match Scale::from_env().and_then(|_| Self::parse(std::env::args().skip(1))) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: <figure> [--trace-out PATH] [--metrics-out PATH] \
-                     [--metrics-interval US] [--analyze-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The scale this invocation runs at, from `LEARNEDFTL_SCALE`.
-    pub fn scale(&self) -> Scale {
-        Scale::from_env().expect("LEARNEDFTL_SCALE is checked by BenchArgs::from_env")
-    }
-
-    /// Parses an argument list (`--trace-out PATH` / `--metrics-out PATH` /
-    /// `--metrics-interval US` / `--analyze-out PATH`, each also spelled
-    /// `--name=VALUE`).
+    /// Parses an argument list: row names, and `--trace-out PATH` /
+    /// `--metrics-out PATH` / `--metrics-interval US` / `--analyze-out PATH`,
+    /// each also spelled `--name=VALUE`. Names are checked by
+    /// [`BenchArgs::rows`].
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
         /// Extracts the string value of `--name V` / `--name=V` (where `arg`
         /// is the current argument and `iter` supplies a space-separated
@@ -239,15 +302,44 @@ impl BenchArgs {
                 parsed.metrics_out = Some(path);
             } else if let Some(path) = flag_string("--analyze-out", &arg, &mut iter)? {
                 parsed.analyze_out = Some(path);
-            } else {
+            } else if arg.starts_with('-') {
                 return Err(format!("unknown argument `{arg}`"));
+            } else {
+                parsed.figures.push(arg);
             }
         }
         Ok(parsed)
     }
 
-    /// Whether this invocation asked for observability output: binaries use
-    /// this to re-run their designated configuration with tracing on.
+    /// The rows this invocation runs. Refuses an unknown name, and
+    /// observability flags unless exactly one row is named and it has a
+    /// traced run.
+    pub fn rows(&self) -> Result<Vec<&'static Figure>, String> {
+        let rows = if self.figures.is_empty() {
+            FIGURES.iter().collect()
+        } else {
+            self.figures
+                .iter()
+                .map(|name| {
+                    FIGURES
+                        .iter()
+                        .find(|f| f.name == name)
+                        .ok_or_else(|| format!("unknown figure `{name}`"))
+                })
+                .collect::<Result<Vec<_>, _>>()?
+        };
+        let traceable = matches!(rows.as_slice(), [row] if row.traced.is_some());
+        if self.tracing() && !traceable {
+            return Err(
+                "--trace-out, --metrics-out and --analyze-out need exactly one \
+                 named figure that has a traced run"
+                    .to_string(),
+            );
+        }
+        Ok(rows)
+    }
+
+    /// Whether this invocation asked for observability output.
     pub fn tracing(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.analyze_out.is_some()
     }
@@ -261,8 +353,8 @@ impl BenchArgs {
     /// the Chrome trace JSON to `--trace-out`, the interval CSV to
     /// `--metrics-out`, the trace-analysis report to `--analyze-out`, plus a
     /// self-profiling summary line on stdout. `figure` names the producing
-    /// binary/protocol and is embedded in the analysis artifact as
-    /// provenance. A no-op when no observability flag was given.
+    /// row and is embedded in the analysis artifact as provenance. A no-op
+    /// when no observability flag was given.
     pub fn export_observability(&self, figure: &str, result: &RunResult) -> std::io::Result<()> {
         if !self.tracing() {
             return Ok(());
@@ -304,47 +396,57 @@ impl BenchArgs {
     }
 }
 
-/// Fallback observability export for figures without a figure-specific
-/// traced protocol: when `--trace-out` / `--metrics-out` was given, re-runs
-/// the canonical closed-loop FIO randread workload (LearnedFTL) at this
-/// invocation's scale with tracing on and exports it. Binaries with a more
-/// representative protocol (the QD sweep, shard scaling, GC interference)
-/// trace that protocol instead of calling this. A no-op when no
-/// observability flag was given. `figure` names the calling binary; it is
-/// recorded in the analysis artifact as provenance.
-pub fn export_default_observability(args: &BenchArgs, figure: &str) {
-    if !args.tracing() {
-        return;
+/// The `repro` driver. Runs the rows `argv` names (every row when it names
+/// none) at the `LEARNEDFTL_SCALE` scale: prints each row's header, then its
+/// sections, then traces and exports its traced run if asked to. Returns the
+/// exit status: 1 when an enforced check failed, 2 on a usage error (after
+/// printing the error and every row name to stderr), 0 otherwise.
+pub fn repro<I: IntoIterator<Item = String>>(argv: I) -> i32 {
+    let parsed = Scale::from_env().and_then(|scale| {
+        let args = BenchArgs::parse(argv)?;
+        let rows = args.rows()?;
+        Ok((scale, args, rows))
+    });
+    let (scale, args, rows) = match parsed {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!(
+                "usage: repro [NAME...] [--trace-out PATH] [--metrics-out PATH] \
+                 [--metrics-interval US] [--analyze-out PATH]"
+            );
+            eprintln!("figures (* has a traced run for the observability flags):");
+            for figure in &FIGURES {
+                let mark = if figure.traced.is_some() { " *" } else { "" };
+                eprintln!("  {}{mark}", figure.name);
+            }
+            return 2;
+        }
+    };
+    let mut failed = false;
+    for figure in rows {
+        println!("================================================================");
+        println!("{}", figure.title);
+        println!("Paper's claim: {}", figure.claim);
+        println!("{}", scale.describe());
+        println!("================================================================");
+        for section in (figure.run)(scale) {
+            if let Some(preamble) = &section.preamble {
+                println!("{preamble}");
+            }
+            println!("{}", section.table.render());
+            println!("shape check: {}", section.verdict);
+            println!();
+            failed |= section.enforced == Some(false);
+        }
+        if let (Some(traced), true) = (figure.traced, args.tracing()) {
+            let result = (traced.run)(scale);
+            println!("traced run: {}", traced.label);
+            args.export_observability(figure.name, &result)
+                .expect("writing observability output failed");
+        }
     }
-    let scale = args.scale();
-    let mut ftl = harness::FtlKind::LearnedFtl.build(scale.device());
-    let mut wl = harness::experiments::fio_read(
-        ftl.as_mut(),
-        workloads::FioPattern::RandRead,
-        scale.fio_threads(),
-        scale.experiment(),
-    );
-    ftl.set_tracing(true);
-    let traced = harness::Runner::new().run(ftl.as_mut(), &mut wl);
-    println!("traced run (default protocol): LearnedFTL, FIO randread, closed loop");
-    args.export_observability(figure, &traced)
-        .expect("writing observability output failed");
-}
-
-/// Prints the standard experiment header.
-pub fn print_header(figure: &str, claim: &str, scale: Scale) {
-    println!("================================================================");
-    println!("{figure}");
-    println!("Paper's claim: {claim}");
-    println!("{}", scale.describe());
-    println!("================================================================");
-}
-
-/// Prints a table followed by a short shape-check verdict line.
-pub fn print_table_with_verdict(table: &Table, verdict: &str) {
-    println!("{}", table.render());
-    println!("shape check: {verdict}");
-    println!();
+    i32::from(failed)
 }
 
 /// Formats a ratio as `x.xx×`.
@@ -404,11 +506,59 @@ mod tests {
         let args = |v: &[&str]| BenchArgs::parse(v.iter().map(|s| s.to_string()));
         assert_eq!(args(&[]).unwrap(), BenchArgs::default());
         // The experiment size is LEARNEDFTL_SCALE's alone; the shard and
-        // plane sweeps are fixed per binary.
+        // plane sweeps are fixed per row.
         for flag in ["--quick", "--shards=4", "--planes=2", "--frobnicate"] {
             let err = args(&[flag]).unwrap_err();
             assert!(err.contains("unknown argument"), "{flag}: {err}");
         }
+        // Anything else is a row name, kept in order.
+        let named = args(&["fig14_fio", "--analyze-out", "a.json", "fig02_motivation"]).unwrap();
+        assert_eq!(named.figures, ["fig14_fio", "fig02_motivation"]);
+    }
+
+    #[test]
+    fn rows_resolve_names_and_gate_the_trace_flags() {
+        let rows = |v: &[&str]| {
+            BenchArgs::parse(v.iter().map(|s| s.to_string()))
+                .unwrap()
+                .rows()
+                .map(|rows| rows.iter().map(|f| f.name).collect::<Vec<_>>())
+        };
+        // No name is every row in table order; names keep their order.
+        let all: Vec<_> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(rows(&[]).unwrap(), all);
+        assert_eq!(
+            rows(&["fig24_gc_interference", "fig02_motivation"]).unwrap(),
+            ["fig24_gc_interference", "fig02_motivation"]
+        );
+        let err = rows(&["fig25_wallclock_scaling"]).unwrap_err();
+        assert!(err.contains("unknown figure"), "{err}");
+        // The trace flags need one named row that has a traced run.
+        assert_eq!(
+            rows(&["fig21_qd_sweep", "--trace-out", "t.json"]).unwrap(),
+            ["fig21_qd_sweep"]
+        );
+        for refused in [
+            &["--analyze-out", "a.json"][..],
+            &["fig14_fio", "--trace-out", "t.json"],
+            &[
+                "fig21_qd_sweep",
+                "fig24_gc_interference",
+                "--metrics-out",
+                "m.csv",
+            ],
+        ] {
+            let err = rows(refused).unwrap_err();
+            assert!(err.contains("traced run"), "{refused:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn figure_names_are_unique() {
+        let mut names: Vec<_> = FIGURES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Golden hashes of the figure binaries' stdout at `LEARNEDFTL_SCALE=quick`:
+//! Golden hashes of `repro <name>`'s stdout at `LEARNEDFTL_SCALE=quick`:
 //! every table, every `shape check:` verdict and every header line, byte for
 //! byte. A refactor of the experiment layer must leave each hash alone; a
 //! change that re-prepares a figure's device re-records its entry, and a
 //! failure prints the new value.
 //!
-//! Five binaries are left out because their stdout is not a pure function of
-//! the seeds:
+//! Four rows are left out because their stdout is not a pure function of the
+//! seeds; they are only checked to run and exit 0:
 //!
 //! * `fig15_train_cost` times the trainer on the host clock and prints it;
 //! * `fig17_gc_breakdown` prints the trainer's host wall-clock time, and
@@ -14,11 +14,12 @@
 //!   charging and not charging the trainer's wall clock is about 0.005 %,
 //!   so the printed `0.00%` / `0.01%` depends on how loaded the host is;
 //! * `fig21_tail_latency` replays traces on LearnedFTL with that same
-//!   wall-clock training charge, so its latency percentiles move run to run;
-//! * `fig25_wallclock_scaling` measures worker-thread wall-clock times and
-//!   prints the host's core count.
+//!   wall-clock training charge, so its latency percentiles move run to run.
+//!
+//! The command-line contract is checked here too: a usage error exits 2 and
+//! lists every row.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -27,15 +28,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs a figure binary at the quick scale and hashes its stdout.
-fn quick_stdout_hash(exe: &str) -> u64 {
-    let out = Command::new(exe)
+/// Runs `repro` with `args` at the quick scale.
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
         .env("LEARNEDFTL_SCALE", "quick")
         .output()
-        .unwrap_or_else(|e| panic!("{exe}: {e}"));
+        .unwrap_or_else(|e| panic!("repro {args:?}: {e}"))
+}
+
+/// Runs one row at the quick scale, checks it exits 0, and hashes its stdout.
+fn quick_stdout_hash(name: &str) -> u64 {
+    let out = repro(&[name]);
     assert!(
         out.status.success(),
-        "{exe} exited with {}:\n{}",
+        "repro {name} exited with {}:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -46,7 +53,7 @@ macro_rules! figure_goldens {
     ($($bin:ident => $hash:literal,)*) => {$(
         #[test]
         fn $bin() {
-            let got = quick_stdout_hash(env!(concat!("CARGO_BIN_EXE_", stringify!($bin))));
+            let got = quick_stdout_hash(stringify!($bin));
             assert_eq!(
                 got,
                 $hash,
@@ -74,4 +81,38 @@ figure_goldens! {
     fig26_plane_scaling => 0x907b_3d03_9eca_8ef0,
     fig28_noisy_neighbour => 0x69d7_dca8_af06_a84e,
     table02_traces => 0x30bc_7d75_b490_8ff9,
+}
+
+macro_rules! runs_clean {
+    ($($name:ident,)*) => {$(
+        #[test]
+        fn $name() {
+            quick_stdout_hash(stringify!($name));
+        }
+    )*};
+}
+
+// The unpinned rows: no golden, but each must run and pass its checks.
+runs_clean! {
+    fig15_train_cost,
+    fig17_gc_breakdown,
+    fig18_overhead,
+    fig21_tail_latency,
+}
+
+#[test]
+fn usage_errors_exit_2_and_list_every_row() {
+    for args in [
+        &["fig25_wallclock_scaling"][..],
+        &["fig14_fio", "--trace-out", "unused.json"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran a row");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro"), "{stderr}");
+        for figure in &bench::FIGURES {
+            assert!(stderr.contains(figure.name), "{args:?}: {stderr}");
+        }
+    }
 }

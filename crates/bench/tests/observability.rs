@@ -1,7 +1,7 @@
-//! The figure binaries' observability path: the shared `BenchArgs` export
-//! helper must write a schema-valid Chrome trace and a well-formed metrics
-//! CSV, and the GC-interference protocol, traced, must surface the
-//! scheduler's GC activity in the trace. Both traced runs' self-profiles must
+//! `repro`'s observability path: the `BenchArgs` export helper must write a
+//! schema-valid Chrome trace and a well-formed metrics CSV, and the
+//! GC-interference protocol, traced, must surface the scheduler's GC
+//! activity in the trace. Both traced runs' self-profiles must
 //! count the trace and the requests they returned.
 
 use bench::{BenchArgs, Scale};
@@ -31,6 +31,7 @@ fn export_helper_writes_valid_artifacts() {
         metrics_out: Some(metrics_path.to_string_lossy().into_owned()),
         analyze_out: Some(analysis_path.to_string_lossy().into_owned()),
         metrics_interval_us: Some(50),
+        ..BenchArgs::default()
     };
     assert!(args.tracing());
 

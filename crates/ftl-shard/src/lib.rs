@@ -20,10 +20,10 @@
 //!   ([`ftl_base::FtlStats::merge_delta`], [`ssd_sim::DeviceStats::merge`]).
 //!
 //! `ShardedFtl` implements [`ftl_base::Ftl`], so the experiment harness's
-//! runners and figure binaries drive it unchanged; with one shard it is a
+//! runners and the `repro` figures drive it unchanged; with one shard it is a
 //! transparent wrapper (bit-for-bit identical to the wrapped FTL — enforced
-//! by this crate's tests). The `fig23_shard_scaling` bench sweeps shard
-//! counts against queue depth.
+//! by this crate's tests). The `fig23_shard_scaling` row of `repro` sweeps
+//! shard counts against queue depth.
 //!
 //! Two execution backends drive the shards:
 //!

@@ -1,5 +1,5 @@
-//! The paper's experiment protocols, shared by the figure-reproduction
-//! binaries and the integration tests.
+//! The paper's experiment protocols, shared by the `repro` figures and the
+//! integration tests.
 //!
 //! Every figure is measured the same way (Section IV-B): warm the SSD to a
 //! steady state, then run the measured workload. Each protocol here does the
@@ -58,7 +58,7 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// The scale used by the figure-reproduction binaries (minutes total).
+    /// The scale `repro` runs at by default (minutes total).
     pub fn standard() -> Self {
         ExperimentScale {
             warmup_io_pages: 128,
@@ -120,8 +120,8 @@ fn sequential_fill(ftl: &mut dyn Ftl, scale: ExperimentScale) {
     warmup::sequential_fill(ftl, scale.warmup_io_pages, 1, SimTime::ZERO);
 }
 
-/// FIO read protocol (Figures 2, 3, 6, 14-read, 18b, the queue-depth,
-/// shard- and wall-clock-scaling sweeps): the paper's warm-up, then 4 KiB
+/// FIO read protocol (Figures 2, 3, 6, 14-read, 18b, the queue-depth and
+/// shard-scaling sweeps): the paper's warm-up, then 4 KiB
 /// reads over the whole logical space from `threads` streams. Panics if
 /// `pattern` writes.
 pub fn fio_read(

@@ -16,7 +16,7 @@
 //!   ([`ShardedRunResult`] adds the per-shard breakdown),
 //! * [`experiments`] — the paper's warm-up protocols, one per experiment,
 //!   each preparing any FTL for its measured workload; shared by the
-//!   figure-reproduction binaries and the integration tests.
+//!   `repro` figures and the integration tests.
 //!
 //! ```
 //! use harness::{FtlKind, Runner};
@@ -41,7 +41,7 @@ pub use result::{
     RunResult, SelfProfile, ShardLane, ShardedRunResult, TenantLane, TenantRunResult,
 };
 pub use runner::Runner;
-// Re-exported so harness callers (the figure binaries) can name the sharded
+// Re-exported so harness callers (the `repro` figures) can name the sharded
 // frontend `FtlKind::build_sharded` returns without depending on ftl-shard
 // directly.
 pub use ftl_shard::ShardedFtl;

@@ -1,6 +1,6 @@
 //! The harness's profiling seam over the host wall clock.
 //!
-//! `RunResult::profile` timing, the figure binaries' wall-clock loops and
+//! `RunResult::profile` timing, `repro`'s trainer-cost timings (fig15) and
 //! LearnedFTL's `charge_training_time` all measure host time through this
 //! one module instead of calling `Instant::now` inline, which `clippy.toml`
 //! disallows everywhere but the seam itself.

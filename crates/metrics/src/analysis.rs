@@ -885,7 +885,7 @@ impl TraceAnalysis {
 
     /// Renders the deterministic `analysis.json` artifact.
     ///
-    /// `figure` records which binary (and protocol) produced the trace.
+    /// `figure` records which figure (and protocol) produced the trace.
     /// Aggregates, utilisation and exemplars are included; the full
     /// per-request array is an in-memory API ([`Self::requests`]), not part
     /// of the artifact.

@@ -9,8 +9,7 @@
 //! * [`EnergyModel`] — a NANDFlashSim-style per-operation energy model
 //!   (Figure 22),
 //! * [`GcTimeline`] — GC-frequency-over-time bucketing (Figure 16),
-//! * [`Table`] — plain-text table formatting for the figure-reproduction
-//!   binaries,
+//! * [`Table`] — plain-text table formatting for the `repro` figures,
 //! * [`sim_trace`] — exporters (Chrome trace-event JSON, interval-sampled
 //!   CSV) and a schema checker for the simulator's structured trace stream,
 //! * [`analysis`] — the in-memory trace analysis engine: per-request latency

@@ -1,4 +1,4 @@
-//! Plain-text table formatting for the figure-reproduction binaries.
+//! Plain-text table formatting for the `repro` figures.
 
 use std::fmt::Write as _;
 

@@ -39,7 +39,7 @@ impl SsdConfig {
     /// pages ≈ 768 MiB raw) that keeps the paper's ratios — over-provisioning
     /// fraction, pages per translation page, chips ≫ 1 — while letting the
     /// full experiment suite run in minutes. This is the default used by the
-    /// figure-reproduction binaries.
+    /// `repro` figures.
     pub fn small() -> Self {
         SsdConfig {
             geometry: Geometry::new(4, 4, 1, 96, 128, 4096),

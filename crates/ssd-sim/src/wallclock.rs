@@ -8,14 +8,13 @@
 //! `Instant::now`/`SystemTime::now` everywhere, and [`WallTimer::start`] is
 //! the one call site that carries an `#[expect]` for it.
 //! `harness::wallclock` re-exports it as the profiling seam the runners and
-//! figure binaries use.
+//! the `repro` figures use.
 //!
 //! Legitimate wall-clock uses are *measurements about the simulator*, never
-//! inputs to it: self-profiling rates (`RunResult::profile`), the
-//! `fig25_wallclock_scaling` timing loops, and LearnedFTL's
-//! `charge_training_time` — which deliberately charges real host compute
-//! onto the simulated timeline and is therefore switched off wherever
-//! determinism is asserted.
+//! inputs to it: self-profiling rates (`RunResult::profile`), fig15's
+//! trainer-cost timings, and LearnedFTL's `charge_training_time` — which
+//! deliberately charges real host compute onto the simulated timeline and is
+//! therefore switched off wherever determinism is asserted.
 //!
 //! ```
 //! use ssd_sim::wallclock::WallTimer;

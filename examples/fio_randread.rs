@@ -18,7 +18,7 @@ fn main() {
         "FIO randread, {threads} threads, device {}",
         device.geometry
     );
-    println!("(use the bench crate's fig14_fio binary for the full-scale version)");
+    println!("(run `repro fig14_fio` from the bench crate for the full-scale version)");
     println!();
 
     let mut table = Table::new(vec![

@@ -2,8 +2,8 @@
 //! flash traffic through the I/O scheduler's GC priority class must change
 //! *when* collections cost time, never *what* they do.
 //!
-//! The pinned invariant (also enforced at quick scale by the
-//! `fig24_gc_interference` binary in CI): under an identical open-loop
+//! The pinned invariant (also enforced at quick scale by
+//! `repro fig24_gc_interference` in CI): under an identical open-loop
 //! random-write stream, scheduled GC and blocking GC perform bit-identical
 //! aggregate flash work for FTLs whose allocation policies ignore device
 //! timing — LearnedFTL's group allocator end to end, and any pool-based FTL
