@@ -315,30 +315,6 @@ impl ThreadedDispatcher {
         }
     }
 
-    /// Non-blocking [`ThreadedDispatcher::wait_resolved`]: returns the next
-    /// fully resolved request if its completion batch has already arrived.
-    /// Does **not** flush staged work — staging flushes only on ring
-    /// pressure or on a blocking wait, so opportunistic draining cannot
-    /// shrink the submission windows.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker's panic.
-    pub fn try_resolved(&mut self) -> Option<(ReqId, SimTime)> {
-        loop {
-            if let Some(done) = self.ready.pop_front() {
-                return Some(done);
-            }
-            if self.apply_next() {
-                continue;
-            }
-            match self.replies.try_recv() {
-                Ok(reply) => self.absorb(reply),
-                Err(_) => return None,
-            }
-        }
-    }
-
     /// Applies the next piece in dispatch order if its completion has
     /// arrived. Returns whether a piece was applied.
     fn apply_next(&mut self) -> bool {

@@ -1,6 +1,6 @@
-//! The host models: closed-loop streams behind a bounded host queue,
-//! open-loop Poisson arrivals and multi-tenant admission, on the simulated
-//! and the thread-parallel backend. Every entry point starts with
+//! The host models: closed-loop streams behind a bounded host queue (on the
+//! simulated and the thread-parallel backend), open-loop Poisson arrivals
+//! and multi-tenant admission. Every entry point starts with
 //! [`Tally::begin`] and accounts each request through [`Tally::record`].
 
 use std::cmp::Reverse;
@@ -353,10 +353,9 @@ fn tenant_policy(tenants: &TenantSet) -> TenantPolicy {
     TenantPolicy::new(classes)
 }
 
-/// The multi-tenant admission loop shared by [`Runner::run_tenants`] and
-/// [`Runner::run_tenants_threaded`]: per-tenant Poisson arrival streams are
-/// merged in arrival order into per-shard per-tenant backlogs, and each
-/// shard dispatches one request at a time — at
+/// The multi-tenant admission loop of [`Runner::run_tenants`]: per-tenant
+/// Poisson arrival streams are merged in arrival order into per-shard
+/// per-tenant backlogs, and each shard dispatches one request at a time — at
 /// `max(shard free, earliest queued arrival)` — picking the next tenant
 /// either by weighted arbitration (`policy` set: one [`TenantArbiter`] per
 /// shard, every backlogged tenant contending) or in plain FIFO arrival
@@ -575,9 +574,8 @@ impl Runner {
     /// the loop next needs a completion (or a ring fills). At high queue
     /// depth many streams are provably eligible per wakeup, so the
     /// per-request cross-core round-trip of the historical backend
-    /// amortises over the window — the win `fig25_wallclock_scaling`
-    /// records per FTL. Batch boundaries are deterministic (the dispatcher
-    /// applies completions in dispatch order), so traced runs are
+    /// amortises over the window. Batch boundaries are deterministic (the
+    /// dispatcher applies completions in dispatch order), so traced runs are
     /// byte-identical across repetitions.
     ///
     /// # Panics
@@ -812,83 +810,6 @@ impl Runner {
         tally.finish(ftl).0
     }
 
-    /// [`Runner::run_open_loop`] on the thread-parallel backend
-    /// ([`ShardedFtl::run_threaded`]), producing **bit-for-bit identical**
-    /// simulated-time results.
-    ///
-    /// Open-loop arrivals are exogenous — the seeded Poisson process and the
-    /// round-robin stream cycling depend on nothing the workers compute — so
-    /// unlike [`Runner::run_threaded_qd`] the dispatcher never has to prove
-    /// anything: every request stages onto its shard's submission ring, full
-    /// rings ship to the workers as single batched sends, and completions
-    /// are gathered opportunistically as their batches resolve. The whole
-    /// offered-load window coalesces at the configured ring depth — the
-    /// backend's best case for both wall-clock scaling and round-trip
-    /// amortisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_interarrival` is zero or `workers` is zero, and
-    /// re-raises a worker thread's panic.
-    pub fn run_threaded_open_loop<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        workload: &mut dyn Workload,
-        mean_interarrival: Duration,
-        seed: u64,
-        workers: usize,
-    ) -> RunResult {
-        assert!(
-            mean_interarrival > Duration::ZERO,
-            "mean inter-arrival time must be positive"
-        );
-        let mut tally = Tally::begin(ftl, 0, 0);
-        let start = tally.start;
-        let streams = workload.streams();
-
-        // (arrival, request, stream) per request, and its completion, in
-        // dispatch order.
-        let (sent, completions) = ftl.run_threaded(workers, |dispatcher| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut sent: Vec<(SimTime, HostRequest, usize)> = Vec::new();
-            let mut completions: Vec<SimTime> = Vec::new();
-            let mut arrival = start;
-            let mut exhausted = 0usize;
-            let mut stream = 0usize;
-
-            while exhausted < streams {
-                let Some(req) = workload.next_request(stream) else {
-                    exhausted += 1;
-                    stream = (stream + 1) % streams;
-                    continue;
-                };
-                exhausted = 0;
-                let rid = dispatcher.dispatch(req, arrival);
-                debug_assert_eq!(rid, sent.len());
-                sent.push((arrival, req, stream));
-                completions.push(SimTime::ZERO);
-                stream = (stream + 1) % streams;
-                arrival += exponential(&mut rng, mean_interarrival);
-                // Gather opportunistically so the reply queue stays short.
-                while let Some((req, completion)) = dispatcher.try_resolved() {
-                    completions[req] = completion;
-                }
-            }
-            while dispatcher.outstanding() > 0 {
-                let (req, completion) = dispatcher.wait_resolved();
-                completions[req] = completion;
-            }
-            (sent, completions)
-        });
-
-        let map = *ftl.map();
-        for (&(arrival, req, stream), &completion) in sent.iter().zip(&completions) {
-            let shard = map.shard_of(req.lpn);
-            tally.record(&req, arrival, arrival, completion, stream, shard);
-        }
-        tally.finish(ftl).0
-    }
-
     /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with the
     /// per-shard admission model of [`run_tenant_admission`]: tenant arrival
     /// streams merge by arrival time, each shard serves one request at a
@@ -918,50 +839,6 @@ impl Runner {
             |req, at| ftl.submit(req, at),
             policy.as_ref(),
         );
-        let (result, _, lanes) = tally.finish(ftl);
-        TenantRunResult {
-            result,
-            tenants: lanes,
-        }
-    }
-
-    /// [`Runner::run_tenants`] on the thread-parallel backend
-    /// ([`ShardedFtl::run_threaded`]), producing **bit-for-bit identical**
-    /// simulated-time results.
-    ///
-    /// The admission loop's next decision depends on the previous
-    /// completion (the shard pacing clock), so the host side stays
-    /// sequential: each dispatched request is resolved before the next pick.
-    /// The workers still own their shards' translation and device state —
-    /// this validates the threaded backend's timing under the multi-tenant
-    /// model rather than chasing wall-clock speedup.
-    pub fn run_tenants_threaded<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        tenants: &mut TenantSet,
-        isolate: bool,
-        workers: usize,
-    ) -> TenantRunResult {
-        let policy = isolate.then(|| tenant_policy(tenants));
-        let mut tally = Tally::begin(ftl, 0, tenants.num_tenants());
-        ftl.run_threaded(workers, |dispatcher| {
-            let map = *dispatcher.map();
-            run_tenant_admission(
-                tenants,
-                &mut tally,
-                map,
-                |req, at| {
-                    let rid = dispatcher.dispatch(req, at);
-                    loop {
-                        let (resolved, completion) = dispatcher.wait_resolved();
-                        if resolved == rid {
-                            return completion;
-                        }
-                    }
-                },
-                policy.as_ref(),
-            )
-        });
         let (result, _, lanes) = tally.finish(ftl);
         TenantRunResult {
             result,
@@ -1239,31 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_open_loop_matches_simulated_backend_bit_for_bit() {
-        let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 150, 23);
-        let mean = Duration::from_micros(30);
-        let mut simulated_ftl = warmed_sharded(FtlKind::Dftl, 2);
-        let simulated = Runner::new().run_open_loop(&mut simulated_ftl, &mut wl(), mean, 42);
-        let mut threaded_ftl = warmed_sharded(FtlKind::Dftl, 2);
-        let threaded =
-            Runner::new().run_threaded_open_loop(&mut threaded_ftl, &mut wl(), mean, 42, 2);
-        assert_eq!(threaded.requests, simulated.requests);
-        assert_eq!(threaded.elapsed, simulated.elapsed);
-        assert_eq!(threaded.latencies.mean(), simulated.latencies.mean());
-        assert_eq!(threaded.latencies.max(), simulated.latencies.max());
-        assert_eq!(
-            threaded.queueing.max(),
-            Duration::ZERO,
-            "open loop issues on arrival"
-        );
-        assert_eq!(
-            threaded.stats.host_read_pages,
-            simulated.stats.host_read_pages
-        );
-        assert_eq!(threaded.device.reads, simulated.device.reads);
-    }
-
-    #[test]
     fn threaded_qd_with_one_worker_still_matches() {
         // workers < shards folds several shards onto one thread; the
         // dispatch order and timings must not change.
@@ -1439,48 +1291,6 @@ mod tests {
             assert_eq!(x.requests, y.requests);
             assert_eq!(x.read_pages, y.read_pages);
             assert_eq!(x.write_pages, y.write_pages);
-        }
-    }
-
-    #[test]
-    fn tenant_threaded_matches_simulated_backend_bit_for_bit() {
-        for isolate in [false, true] {
-            let mut simulated_ftl = warmed_sharded(FtlKind::Dftl, 2);
-            let mut simulated_set = tenant_mix(150);
-            let simulated =
-                Runner::new().run_tenants(&mut simulated_ftl, &mut simulated_set, isolate);
-            let mut threaded_ftl = warmed_sharded(FtlKind::Dftl, 2);
-            let mut threaded_set = tenant_mix(150);
-            let threaded = Runner::new().run_tenants_threaded(
-                &mut threaded_ftl,
-                &mut threaded_set,
-                isolate,
-                2,
-            );
-            assert_eq!(threaded.result.requests, simulated.result.requests);
-            assert_eq!(threaded.result.elapsed, simulated.result.elapsed);
-            assert_eq!(
-                threaded.result.latencies.mean(),
-                simulated.result.latencies.mean()
-            );
-            assert_eq!(
-                threaded.result.latencies.max(),
-                simulated.result.latencies.max()
-            );
-            assert_eq!(
-                threaded.result.queueing.mean(),
-                simulated.result.queueing.mean()
-            );
-            for (t, s) in threaded.tenants.iter().zip(&simulated.tenants) {
-                assert_eq!(t.requests, s.requests, "isolate={isolate}");
-                assert_eq!(t.latencies.mean(), s.latencies.mean());
-                assert_eq!(t.latencies.max(), s.latencies.max());
-            }
-            assert_eq!(
-                threaded.result.stats.host_read_pages,
-                simulated.result.stats.host_read_pages
-            );
-            assert_eq!(threaded.result.device.reads, simulated.result.device.reads);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Cross-backend equivalence: the thread-parallel execution backend
-//! (`Runner::run_threaded_qd` / `run_threaded_open_loop`) must be
-//! *semantically identical* to the simulated backend (`run_sharded_qd` /
-//! `run_open_loop`) — same per-request simulated-time latencies, same
-//! aggregate flash work, same `FtlStats` (including the order of the GC
-//! event history) — for every FTL design, both GC execution modes and every
+//! (`Runner::run_threaded_qd`) must be *semantically identical* to the
+//! simulated backend (`run_sharded_qd`) — same per-request simulated-time
+//! latencies, same aggregate flash work, same `FtlStats` (including the
+//! order of the GC event history) — for every FTL design, both GC execution modes and every
 //! shard count, because shards are independent and each worker replays the
 //! same deterministic per-shard stream. Only host wall-clock may differ.
 //!
@@ -296,36 +295,4 @@ fn planes2_write_phase_actually_collects() {
         result.result.stats.gc_count > 0,
         "planes=2 write phase must trigger collections, got none"
     );
-}
-
-#[test]
-fn threaded_open_loop_equivalence_and_determinism() {
-    // The open-loop runner has no host queue feedback; cover it for a
-    // representative pair of designs at shards=4.
-    for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
-        let mean = ssd_sim::Duration::from_micros(25);
-        let mut simulated = prepared(kind, GcMode::Blocking, 4, 1);
-        let pages = simulated.logical_pages();
-        let sim = Runner::new().run_open_loop(&mut simulated, &mut read_phase(pages), mean, 7);
-
-        let mut threaded_a = prepared(kind, GcMode::Blocking, 4, 1);
-        let thr_a = Runner::new().run_threaded_open_loop(
-            &mut threaded_a,
-            &mut read_phase(pages),
-            mean,
-            7,
-            4,
-        );
-        let mut threaded_b = prepared(kind, GcMode::Blocking, 4, 1);
-        let thr_b = Runner::new().run_threaded_open_loop(
-            &mut threaded_b,
-            &mut read_phase(pages),
-            mean,
-            7,
-            4,
-        );
-
-        assert_results_equal(&format!("{kind} open-loop"), &sim, &thr_a);
-        assert_results_equal(&format!("{kind} open-loop rerun"), &thr_a, &thr_b);
-    }
 }

@@ -108,16 +108,6 @@ fn worker_panic_surfaces_through_run_threaded_qd() {
 }
 
 #[test]
-fn worker_panic_surfaces_through_run_threaded_open_loop() {
-    let mut ftl = poisoned_frontend(2, 1, 10);
-    let mut wl = workload();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        Runner::new().run_threaded_open_loop(&mut ftl, &mut wl, Duration::from_micros(5), 17, 2)
-    }));
-    assert_poison_payload(outcome.expect_err("the worker panic must propagate"));
-}
-
-#[test]
 fn worker_panic_with_shared_worker_thread_still_surfaces() {
     // workers < shards: the panicking shard shares its thread with healthy
     // shards, whose queued work is abandoned without hanging the dispatcher.
