@@ -8,9 +8,9 @@
 //!   two traced runs,
 //! * **backend independence** — the thread-parallel backend
 //!   (`Runner::run_threaded_qd`) produces the byte-identical trace (and
-//!   analysis report) to the simulated backend: per-shard streams are recorded worker-locally and
-//!   merged in shard order, so the interleaving of worker threads must never
-//!   leak into the artifact,
+//!   analysis report) to the simulated backend: per-shard streams are
+//!   recorded worker-locally and merged in shard order, so the interleaving
+//!   of worker threads must never leak into the artifact,
 //! * **zero observer effect** — enabling tracing changes nothing the run
 //!   measures: simulated time, latency distributions, flash work and FTL
 //!   statistics are bit-for-bit those of the untraced run. This also holds
@@ -20,6 +20,11 @@
 //!
 //! Every traced run also checks that its self-profile counts what the run
 //! returned: one trace event per recorded event, one request per request.
+//!
+//! Each check is a module with one `#[test]` per FTL design, so the harness
+//! spreads the matrix across cores. The threaded backend's submission rings
+//! must also coalesce: at QD16 a traced run batches more than one request per
+//! channel round-trip on average.
 
 use ftl_base::{Ftl, GcMode};
 use harness::experiments::{
@@ -30,13 +35,24 @@ use metrics::{chrome_trace_json, metrics_csv, validate_chrome_trace};
 use ssd_sim::{Duration, Geometry, SsdConfig, TraceData, TraceEvent};
 use workloads::{FioPattern, FioWorkload, TenantSpec};
 
-const KINDS: [FtlKind; 5] = [
-    FtlKind::Dftl,
-    FtlKind::Tpftl,
-    FtlKind::LeaFtl,
-    FtlKind::LearnedFtl,
-    FtlKind::Ideal,
-];
+/// One `#[test]` per FTL design for the check `$check(kind: FtlKind)`, in a
+/// module named after the check: every design, or the listed ones.
+macro_rules! per_ftl {
+    ($check:ident) => {
+        per_ftl!($check: dftl => Dftl, tpftl => Tpftl, leaftl => LeaFtl,
+                 learnedftl => LearnedFtl, ideal => Ideal);
+    };
+    ($check:ident: $($test:ident => $kind:ident),+) => {
+        mod $check {
+            $(
+                #[test]
+                fn $test() {
+                    super::$check(harness::FtlKind::$kind);
+                }
+            )+
+        }
+    };
+}
 
 /// A device every swept shard count {1, 4} divides cleanly (same sizing
 /// rationale as the cross-backend equivalence suite): 4 channels × 2 chips
@@ -79,41 +95,39 @@ fn traced_sim(kind: FtlKind, shards: usize) -> ShardedRunResult {
     profile_counts_trace(run, &format!("{kind} shards={shards} simulated"))
 }
 
-#[test]
-fn same_seed_produces_byte_identical_artifacts() {
-    for kind in KINDS {
-        for shards in [1usize, 4] {
-            let a = traced_sim(kind, shards);
-            let b = traced_sim(kind, shards);
-            let json_a = chrome_trace_json(&a.result.trace);
-            let json_b = chrome_trace_json(&b.result.trace);
-            assert!(
-                !a.result.trace.is_empty(),
-                "{kind} shards={shards}: traced run recorded no events"
-            );
-            assert_eq!(
-                json_a, json_b,
-                "{kind} shards={shards}: trace JSON differs between identical runs"
-            );
-            let interval = Duration::from_micros(50);
-            assert_eq!(
-                metrics_csv(&a.result.trace, interval),
-                metrics_csv(&b.result.trace, interval),
-                "{kind} shards={shards}: metrics CSV differs between identical runs"
-            );
-            assert_eq!(
-                metrics::analysis_json(&a.result.trace, "determinism"),
-                metrics::analysis_json(&b.result.trace, "determinism"),
-                "{kind} shards={shards}: analysis JSON differs between identical runs"
-            );
-            let summary = validate_chrome_trace(&json_a)
-                .unwrap_or_else(|e| panic!("{kind} shards={shards}: invalid trace JSON: {e}"));
-            assert!(summary.plane_spans > 0, "{kind}: no plane activity traced");
-            assert!(summary.host_spans > 0, "{kind}: no host request spans");
-            assert!(summary.flows > 0, "{kind}: no request flow arrows");
-        }
+fn same_seed_produces_byte_identical_artifacts(kind: FtlKind) {
+    for shards in [1usize, 4] {
+        let a = traced_sim(kind, shards);
+        let b = traced_sim(kind, shards);
+        let json_a = chrome_trace_json(&a.result.trace);
+        let json_b = chrome_trace_json(&b.result.trace);
+        assert!(
+            !a.result.trace.is_empty(),
+            "{kind} shards={shards}: traced run recorded no events"
+        );
+        assert_eq!(
+            json_a, json_b,
+            "{kind} shards={shards}: trace JSON differs between identical runs"
+        );
+        let interval = Duration::from_micros(50);
+        assert_eq!(
+            metrics_csv(&a.result.trace, interval),
+            metrics_csv(&b.result.trace, interval),
+            "{kind} shards={shards}: metrics CSV differs between identical runs"
+        );
+        assert_eq!(
+            metrics::analysis_json(&a.result.trace, "determinism"),
+            metrics::analysis_json(&b.result.trace, "determinism"),
+            "{kind} shards={shards}: analysis JSON differs between identical runs"
+        );
+        let summary = validate_chrome_trace(&json_a)
+            .unwrap_or_else(|e| panic!("{kind} shards={shards}: invalid trace JSON: {e}"));
+        assert!(summary.plane_spans > 0, "{kind}: no plane activity traced");
+        assert!(summary.host_spans > 0, "{kind}: no host request spans");
+        assert!(summary.flows > 0, "{kind}: no request flow arrows");
     }
 }
+per_ftl!(same_seed_produces_byte_identical_artifacts);
 
 fn traced_threaded(kind: FtlKind, shards: usize) -> ShardedRunResult {
     let (mut ftl, mut wl) = warmed(kind, shards, true);
@@ -132,55 +146,79 @@ fn strip_ring_batches(events: &[TraceEvent]) -> Vec<TraceEvent> {
         .collect()
 }
 
-#[test]
-fn threaded_backend_produces_the_identical_trace() {
-    for kind in KINDS {
-        for shards in [1usize, 4] {
-            let simulated = traced_sim(kind, shards);
-            let threaded = traced_threaded(kind, shards);
-            let device_events = strip_ring_batches(&threaded.result.trace);
-            assert!(
-                device_events.len() < threaded.result.trace.len(),
-                "{kind} shards={shards}: threaded trace carries no ring-batch counters"
-            );
-            assert_eq!(
-                chrome_trace_json(&simulated.result.trace),
-                chrome_trace_json(&device_events),
-                "{kind} shards={shards}: threaded backend changed the trace"
-            );
-            assert_eq!(
-                metrics::analysis_json(&simulated.result.trace, "determinism"),
-                metrics::analysis_json(&device_events, "determinism"),
-                "{kind} shards={shards}: threaded backend changed the analysis"
-            );
-        }
+fn threaded_backend_produces_the_identical_trace(kind: FtlKind) {
+    for shards in [1usize, 4] {
+        let simulated = traced_sim(kind, shards);
+        let threaded = traced_threaded(kind, shards);
+        let device_events = strip_ring_batches(&threaded.result.trace);
+        assert!(
+            device_events.len() < threaded.result.trace.len(),
+            "{kind} shards={shards}: threaded trace carries no ring-batch counters"
+        );
+        assert_eq!(
+            chrome_trace_json(&simulated.result.trace),
+            chrome_trace_json(&device_events),
+            "{kind} shards={shards}: threaded backend changed the trace"
+        );
+        assert_eq!(
+            metrics::analysis_json(&simulated.result.trace, "determinism"),
+            metrics::analysis_json(&device_events, "determinism"),
+            "{kind} shards={shards}: threaded backend changed the analysis"
+        );
     }
 }
+per_ftl!(threaded_backend_produces_the_identical_trace);
+
+/// The submission windows themselves must be reproducible: two threaded runs
+/// of the same seed agree on the rebased artifacts *with* the backend's
+/// RingBatch counters left in — batch boundaries are a pure function of
+/// dispatch history, never of worker-thread timing. (Raw `SimTime`s are
+/// compared rebased because LearnedFTL bills trainer wall clock to the
+/// timeline during warm-up; see `metrics::sim_trace`.)
+fn threaded_traces_are_deterministic_including_ring_batches(kind: FtlKind) {
+    for shards in [1usize, 4] {
+        let a = traced_threaded(kind, shards);
+        let b = traced_threaded(kind, shards);
+        assert_eq!(
+            chrome_trace_json(&a.result.trace),
+            chrome_trace_json(&b.result.trace),
+            "{kind} shards={shards}: threaded trace differs between identical runs"
+        );
+        assert_eq!(
+            metrics::analysis_json(&a.result.trace, "ring"),
+            metrics::analysis_json(&b.result.trace, "ring"),
+            "{kind} shards={shards}: threaded analysis differs between identical runs"
+        );
+    }
+}
+per_ftl!(threaded_traces_are_deterministic_including_ring_batches:
+    dftl => Dftl, learnedftl => LearnedFtl);
 
 #[test]
-fn threaded_traces_are_deterministic_including_ring_batches() {
-    // The submission windows themselves must be reproducible: two threaded
-    // runs of the same seed agree on the rebased artifacts *with* the
-    // backend's RingBatch counters left in — batch boundaries are a pure
-    // function of dispatch history, never of worker-thread timing. (Raw
-    // `SimTime`s are compared rebased because LearnedFTL bills trainer wall
-    // clock to the timeline during warm-up; see `metrics::sim_trace`.)
-    for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
-        for shards in [1usize, 4] {
-            let a = traced_threaded(kind, shards);
-            let b = traced_threaded(kind, shards);
-            assert_eq!(
-                chrome_trace_json(&a.result.trace),
-                chrome_trace_json(&b.result.trace),
-                "{kind} shards={shards}: threaded trace differs between identical runs"
-            );
-            assert_eq!(
-                metrics::analysis_json(&a.result.trace, "ring"),
-                metrics::analysis_json(&b.result.trace, "ring"),
-                "{kind} shards={shards}: threaded analysis differs between identical runs"
-            );
-        }
-    }
+fn threaded_rings_coalesce_at_queue_depth_16() {
+    // DFTL on 4 shards at QD16 with 4 workers and 16 streams, on the
+    // quick-scale shard-scaling device: the batching exists for DFTL, whose
+    // translation is so cheap that per-request channel traffic would
+    // dominate. Batch boundaries are a pure function of dispatch history, so
+    // this holds on every host.
+    let device = SsdConfig::tiny()
+        .with_geometry(Geometry::new(8, 2, 1, 16, 256, 4096))
+        .with_op_ratio(0.4);
+    let experiment = ExperimentScale {
+        ops_per_stream: 2_000,
+        ..ExperimentScale::quick()
+    };
+    let mut ftl = FtlKind::Dftl.build_sharded(device, 4);
+    let mut wl = fio_read(&mut ftl, FioPattern::RandRead, 16, experiment);
+    ftl.set_tracing(true);
+    let traced = Runner::new().run_threaded_qd(&mut ftl, &mut wl, 16, 4);
+    let ring = metrics::analyze(&traced.result.trace).ring_totals();
+    assert!(ring.batches > 0, "no ring batches traced");
+    assert!(
+        ring.mean_entries() > 1.0,
+        "mean submission batch {:.2} at QD16: the rings did not coalesce",
+        ring.mean_entries()
+    );
 }
 
 /// Asserts that a traced run measured exactly what its untraced twin did:
@@ -217,18 +255,16 @@ fn assert_unobserved(context: &str, plain: &RunResult, traced: &RunResult) {
     );
 }
 
-#[test]
-fn tracing_has_zero_observer_effect() {
-    for kind in KINDS {
-        for shards in [1usize, 4] {
-            let (mut ftl, mut wl) = warmed(kind, shards, false);
-            let plain = Runner::new().run_sharded_qd(&mut ftl, &mut wl, 8);
-            let traced = traced_sim(kind, shards);
-            let context = format!("{kind} shards={shards}");
-            assert_unobserved(&context, &plain.result, &traced.result);
-        }
+fn tracing_has_zero_observer_effect(kind: FtlKind) {
+    for shards in [1usize, 4] {
+        let (mut ftl, mut wl) = warmed(kind, shards, false);
+        let plain = Runner::new().run_sharded_qd(&mut ftl, &mut wl, 8);
+        let traced = traced_sim(kind, shards);
+        let context = format!("{kind} shards={shards}");
+        assert_unobserved(&context, &plain.result, &traced.result);
     }
 }
+per_ftl!(tracing_has_zero_observer_effect);
 
 /// The fig24 device and a short write-heavy phase: every FTL collects during
 /// the measured window, so the post-run drain has work to fold.
@@ -238,30 +274,28 @@ fn gc_device() -> SsdConfig {
         .with_op_ratio(0.4)
 }
 
-#[test]
-fn gc_interference_tracing_has_zero_observer_effect() {
-    for kind in KINDS {
-        for mode in [GcMode::Blocking, GcMode::Scheduled] {
-            let run = |traced| {
-                fio_gc_interference_run(
-                    kind,
-                    4,
-                    32,
-                    4,
-                    mode,
-                    Duration::from_micros(160),
-                    gc_device(),
-                    ExperimentScale::quick(),
-                    traced,
-                )
-            };
-            let (plain, traced) = (run(false), run(true));
-            let context = format!("{kind} {mode:?} GC interference");
-            assert!(plain.stats.gc_count > 0, "{context}: no collections");
-            assert_unobserved(&context, &plain, &traced);
-        }
+fn gc_interference_tracing_has_zero_observer_effect(kind: FtlKind) {
+    for mode in [GcMode::Blocking, GcMode::Scheduled] {
+        let run = |traced| {
+            fio_gc_interference_run(
+                kind,
+                4,
+                32,
+                4,
+                mode,
+                Duration::from_micros(160),
+                gc_device(),
+                ExperimentScale::quick(),
+                traced,
+            )
+        };
+        let (plain, traced) = (run(false), run(true));
+        let context = format!("{kind} {mode:?} GC interference");
+        assert!(plain.stats.gc_count > 0, "{context}: no collections");
+        assert_unobserved(&context, &plain, &traced);
     }
 }
+per_ftl!(gc_interference_tracing_has_zero_observer_effect);
 
 #[test]
 fn tenant_tracing_has_zero_observer_effect() {
