@@ -16,7 +16,7 @@ use ssd_sim::Duration;
 use workloads::{FilebenchPreset, FioPattern, RocksDbPhase, SyntheticTrace, TraceKind};
 
 use super::{ratio, TRACE_LINEUP};
-use crate::{percent, Scale, Section};
+use crate::{percent, times, Scale, Section};
 
 /// Fig. 2: TPFTL's sequential vs random reads as the thread count grows.
 /// Random-read throughput stays far below sequential at every thread count
@@ -719,12 +719,13 @@ pub(super) fn fig21_tail_latency(scale: Scale) -> Vec<Section> {
             let p99 = result.p99();
             let p999 = result.p999();
             p99s.push(p99.as_micros_f64());
+            // TPFTL runs first in the line-up, so its P99 is p99s[0].
             table.add_row(vec![
                 trace.label().to_string(),
                 kind.label().to_string(),
                 format!("{:.1}", p99.as_micros_f64()),
                 format!("{:.1}", p999.as_micros_f64()),
-                String::new(),
+                times(ratio(p99s[0], p99.as_micros_f64())),
             ]);
         }
         let learned = p99s[2].max(1e-9);
