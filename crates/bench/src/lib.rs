@@ -164,19 +164,19 @@ pub fn plane_scaling_device(scale: Scale) -> SsdConfig {
 #[derive(Debug, Clone)]
 pub struct Section {
     /// Lines printed above the table: a sub-figure caption, the swept device.
-    pub preamble: Option<String>,
+    pub(crate) preamble: Option<String>,
     /// The measured series.
-    pub table: Table,
+    pub(crate) table: Table,
     /// The shape-check verdict printed under the table.
-    pub verdict: String,
+    pub(crate) verdict: String,
     /// `Some(passed)` when the check sets the exit status, `None` when it is
     /// only reported.
-    pub enforced: Option<bool>,
+    pub(crate) enforced: Option<bool>,
 }
 
 impl Section {
     /// A reported section: the table and its verdict, nothing above it.
-    pub fn new(table: Table, verdict: impl Into<String>) -> Section {
+    pub(crate) fn new(table: Table, verdict: impl Into<String>) -> Section {
         Section {
             preamble: None,
             table,
@@ -186,7 +186,7 @@ impl Section {
     }
 
     /// Prints `preamble` above the table.
-    pub fn with_preamble(self, preamble: impl Into<String>) -> Section {
+    pub(crate) fn with_preamble(self, preamble: impl Into<String>) -> Section {
         Section {
             preamble: Some(preamble.into()),
             ..self
@@ -194,7 +194,7 @@ impl Section {
     }
 
     /// Makes the check set the exit status: 1 unless it `passed`.
-    pub fn enforced(self, passed: bool) -> Section {
+    pub(crate) fn enforced(self, passed: bool) -> Section {
         Section {
             enforced: Some(passed),
             ..self
@@ -223,9 +223,9 @@ pub struct Figure {
 #[derive(Debug, Clone, Copy)]
 pub struct TracedRun {
     /// What the `traced run:` line says it is.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Runs the configuration with tracing on.
-    pub run: fn(Scale) -> RunResult,
+    pub(crate) run: fn(Scale) -> RunResult,
 }
 
 /// The `repro` command line: which rows to run, and where to write the
@@ -254,8 +254,8 @@ pub struct BenchArgs {
 impl BenchArgs {
     /// Parses an argument list: row names, and `--trace-out PATH` /
     /// `--metrics-out PATH` / `--metrics-interval US` / `--analyze-out PATH`,
-    /// each also spelled `--name=VALUE`. Names are checked by
-    /// [`BenchArgs::rows`].
+    /// each also spelled `--name=VALUE`. Any other argument that does not
+    /// start with `-` is a row name, checked when the rows are resolved.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
         /// Extracts the string value of `--name V` / `--name=V` (where `arg`
         /// is the current argument and `iter` supplies a space-separated
@@ -314,7 +314,7 @@ impl BenchArgs {
     /// The rows this invocation runs. Refuses an unknown name, and
     /// observability flags unless exactly one row is named and it has a
     /// traced run.
-    pub fn rows(&self) -> Result<Vec<&'static Figure>, String> {
+    pub(crate) fn rows(&self) -> Result<Vec<&'static Figure>, String> {
         let rows = if self.figures.is_empty() {
             FIGURES.iter().collect()
         } else {
