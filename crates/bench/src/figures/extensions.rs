@@ -357,7 +357,7 @@ pub(super) fn fig24_gc_interference(scale: Scale) -> Vec<Section> {
     }
 
     // 2. Scheduled beats blocking p99 at shards=4.
-    let four = 1;
+    let four = 1; // SHARDS[1] == 4
     for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
         let runs = &mut heavy[slot(&DEMAND_LINEUP, kind)][four];
         let p99_b = runs[0].p99();

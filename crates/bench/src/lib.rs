@@ -161,7 +161,7 @@ pub fn plane_scaling_device(scale: Scale) -> SsdConfig {
 }
 
 /// One measured table of a row and the shape check it anchors.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Section {
     /// Lines printed above the table: a sub-figure caption, the swept device.
     pub(crate) preamble: Option<String>,
@@ -204,7 +204,7 @@ impl Section {
 
 /// One row of the reproduction: a paper figure or table, or an experiment
 /// that goes beyond the paper.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Figure {
     /// The row's name on the command line.
     pub name: &'static str,
