@@ -50,15 +50,15 @@ fn quick_stdout_hash(name: &str) -> u64 {
 }
 
 macro_rules! figure_goldens {
-    ($($bin:ident => $hash:literal,)*) => {$(
+    ($($row:ident => $hash:literal,)*) => {$(
         #[test]
-        fn $bin() {
-            let got = quick_stdout_hash(stringify!($bin));
+        fn $row() {
+            let got = quick_stdout_hash(stringify!($row));
             assert_eq!(
                 got,
                 $hash,
                 "{} stdout moved; got {got:#018x}",
-                stringify!($bin)
+                stringify!($row)
             );
         }
     )*};
@@ -92,7 +92,7 @@ macro_rules! runs_clean {
     )*};
 }
 
-// The unpinned rows: no golden, but each must run and pass its checks.
+// The unpinned rows: no golden, but each must run and exit 0.
 runs_clean! {
     fig15_train_cost,
     fig17_gc_breakdown,

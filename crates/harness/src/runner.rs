@@ -7,7 +7,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ftl_base::{Ftl, FtlStats, HostOp, HostRequest};
-use ftl_shard::{ReqId, ShardMap, ShardedFtl, ThreadedDispatcher};
+use ftl_shard::{ReqId, ShardedFtl, ThreadedDispatcher};
 use metrics::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -366,14 +366,14 @@ fn tenant_policy(tenants: &TenantSet) -> TenantPolicy {
 /// isolation pays off. The shard pacing clock is the FTL's completion time
 /// for the previous request, which both variants share, keeping the
 /// isolated-vs-FIFO comparison apples-to-apples.
-fn run_tenant_admission(
+fn run_tenant_admission<F: Ftl>(
     tenants: &mut TenantSet,
     tally: &mut Tally,
-    map: ShardMap,
-    mut submit: impl FnMut(HostRequest, SimTime) -> SimTime,
+    ftl: &mut ShardedFtl<F>,
     policy: Option<&TenantPolicy>,
 ) {
     let n = tenants.num_tenants();
+    let map = *ftl.map();
     let shards = map.shards();
 
     // Per-tenant arrival clocks and the next pending (not yet enqueued)
@@ -460,7 +460,7 @@ fn run_tenant_admission(
                 };
                 let (arrived, req) = backlog[s][winner].pop_front().expect("winner has a head");
                 queued[s] -= 1;
-                let completion = submit(req, d);
+                let completion = ftl.submit(req, d);
                 free_at[s] = completion;
                 tally.record(&req, arrived, d, completion, s, s);
             }
@@ -831,14 +831,7 @@ impl Runner {
     ) -> TenantRunResult {
         let policy = isolate.then(|| tenant_policy(tenants));
         let mut tally = Tally::begin(ftl, 0, tenants.num_tenants());
-        let map = *ftl.map();
-        run_tenant_admission(
-            tenants,
-            &mut tally,
-            map,
-            |req, at| ftl.submit(req, at),
-            policy.as_ref(),
-        );
+        run_tenant_admission(tenants, &mut tally, ftl, policy.as_ref());
         let (result, _, lanes) = tally.finish(ftl);
         TenantRunResult {
             result,
