@@ -6,22 +6,16 @@ use ftl_base::GcMode;
 ///
 /// The defaults reproduce the paper's experimental setup (Section IV-A):
 /// the CMT holds about 3 % of all page mappings, LeaFTL's model cache gets
-/// the same byte budget, LeaFTL's data buffer holds 2048 pages and its
-/// learned segments use an error bound of γ = 4.
+/// the same byte budget and LeaFTL's data buffer holds 2048 pages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineConfig {
     /// Fraction of all page mappings the CMT can hold (paper: 3 %).
     pub cmt_ratio: f64,
-    /// How many consecutive mappings TPFTL prefetches into the CMT on a miss,
-    /// the one that missed included (so zero is served as one).
-    pub prefetch_len: u32,
     /// Number of erased data blocks below which GC is triggered. `0` selects
     /// an automatic value (one block per chip).
     pub gc_watermark: usize,
     /// LeaFTL's write-buffer capacity in pages (paper: 2048).
     pub buffer_pages: usize,
-    /// LeaFTL's learned-segment error bound γ.
-    pub gamma: f64,
     /// How garbage collection executes: as the legacy blocking detour, or
     /// scheduled through the I/O scheduler's GC priority class so it
     /// contends with host traffic per chip.
@@ -32,10 +26,8 @@ impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
             cmt_ratio: 0.03,
-            prefetch_len: 64,
             gc_watermark: 0,
             buffer_pages: 2048,
-            gamma: 4.0,
             gc_mode: GcMode::Blocking,
         }
     }
@@ -46,17 +38,10 @@ impl BaselineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `ratio` is not in `(0, 1]`... zero is allowed to model a
-    /// cache-less FTL, so the accepted range is `[0, 1]`.
+    /// Panics if `ratio` is not in `[0, 1]` (zero models a cache-less FTL).
     pub fn with_cmt_ratio(mut self, ratio: f64) -> Self {
         assert!((0.0..=1.0).contains(&ratio), "cmt_ratio must be in [0,1]");
         self.cmt_ratio = ratio;
-        self
-    }
-
-    /// Returns a copy with a different prefetch length.
-    pub fn with_prefetch_len(mut self, len: u32) -> Self {
-        self.prefetch_len = len;
         self
     }
 
@@ -69,13 +54,6 @@ impl BaselineConfig {
     /// Returns a copy with a different LeaFTL buffer size.
     pub fn with_buffer_pages(mut self, pages: usize) -> Self {
         self.buffer_pages = pages.max(1);
-        self
-    }
-
-    /// Returns a copy with a different LeaFTL error bound.
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        assert!(gamma.is_finite() && gamma >= 0.0, "gamma must be >= 0");
-        self.gamma = gamma;
         self
     }
 
@@ -127,7 +105,6 @@ mod tests {
         let c = BaselineConfig::default();
         assert!((c.cmt_ratio - 0.03).abs() < 1e-9);
         assert_eq!(c.buffer_pages, 2048);
-        assert!((c.gamma - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -9,6 +9,10 @@ use ssd_sim::{ppn_to_vppn, vppn_to_ppn, FlashDevice, PageState, SimTime, SsdConf
 use crate::config::BaselineConfig;
 use crate::util::gc_until_headroom;
 
+/// The error bound γ of LeaFTL's learned segments (paper setup, Section
+/// IV-A).
+const GAMMA: f64 = 4.0;
+
 /// The LeaFTL baseline.
 ///
 /// LeaFTL replaces the mapping cache with learned segments:
@@ -40,7 +44,6 @@ pub struct LeaFtl {
     model_cache: LruCache<usize, usize>,
     cache_budget_segments: usize,
     cached_cost: usize,
-    gamma: f64,
 }
 
 impl LeaFtl {
@@ -68,7 +71,6 @@ impl LeaFtl {
             model_cache: LruCache::new(entries.max(1)),
             cache_budget_segments: cache_budget,
             cached_cost: 0,
-            gamma: baseline.gamma,
         }
     }
 
@@ -181,7 +183,7 @@ impl LeaFtl {
                 .iter()
                 .map(|&(lpn, vppn)| Point::new(lpn, vppn))
                 .collect();
-            let trained = GreedyPlr::new(self.gamma).fit(&points);
+            let trained = GreedyPlr::new(GAMMA).fit(&points);
             for seg in trained {
                 self.segments[tpn].insert(seg);
             }
@@ -207,7 +209,6 @@ impl LeaFtl {
         let segments = &mut self.segments;
         let model_cache = &mut self.model_cache;
         let cached_cost = &mut self.cached_cost;
-        let gamma = self.gamma;
         // See Dftl::collect_garbage: staging window + background job under
         // scheduled GC, plain blocking detour otherwise.
         self.core.begin_background_gc();
@@ -225,7 +226,7 @@ impl LeaFtl {
                     .collect();
                 let table = &mut segments[tpn];
                 table.clear();
-                for seg in GreedyPlr::new(gamma).fit(&points) {
+                for seg in GreedyPlr::new(GAMMA).fit(&points) {
                     table.insert(seg);
                 }
                 if let Some(cost) = model_cache.remove(&tpn) {

@@ -23,7 +23,6 @@ pub struct Tpftl {
     core: FtlCore,
     pool: DynamicDataPool,
     cmt: PageNodeCmt,
-    prefetch_len: u32,
 }
 
 impl Tpftl {
@@ -36,12 +35,7 @@ impl Tpftl {
             baseline.effective_gc_watermark(config.geometry.total_chips()),
         );
         let cmt = PageNodeCmt::new(baseline.cmt_entries(core.logical_pages()));
-        Tpftl {
-            core,
-            pool,
-            cmt,
-            prefetch_len: baseline.prefetch_len,
-        }
+        Tpftl { core, pool, cmt }
     }
 
     /// Builds a TPFTL whose CMT holds `entries` mappings regardless of the
@@ -100,11 +94,9 @@ impl Ftl for Tpftl {
                 continue;
             }
             self.core.note_read_class(ReadClass::DoubleRead, now);
-            // The requested mapping plus up to `prefetch_len − 1` following
+            // The requested mapping plus up to `PREFETCH_LEN − 1` following
             // ones from the same translation page.
-            let ready = self
-                .core
-                .load_with_prefetch(&mut self.cmt, l, self.prefetch_len, now);
+            let ready = self.core.load_with_prefetch(&mut self.cmt, l, now);
             let t = self.core.read_data(ppn, ready);
             done = done.max(t);
         }

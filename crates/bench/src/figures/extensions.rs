@@ -548,8 +548,8 @@ fn victim_p99(run: &TenantRunResult) -> Duration {
 /// rate, weight 1) and three read-mostly victims (95 % reads, weight 8) on
 /// disjoint quarters of the logical space of a 4-shard DFTL. Each tenant's
 /// Poisson arrivals queue in per-shard backlogs; a shard serves one request
-/// at a time and picks the next tenant by weighted round-robin with
-/// per-tenant starvation bounds (*weighted*) or in arrival order (*FIFO*,
+/// at a time and picks the next tenant by weighted round-robin
+/// (*weighted*) or in arrival order (*FIFO*,
 /// what a namespace-oblivious host does). Latencies count from the true
 /// arrival, so queueing behind the aggressor is measured. Enforced: the
 /// victims' aggregate p99 is better weighted than FIFO.

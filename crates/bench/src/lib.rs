@@ -17,7 +17,9 @@
 //! ```
 //!
 //! No name runs every row in table order. The status is 1 when an enforced
-//! check of a requested row fails and 2 on a usage error. The experiment
+//! check of a requested row fails and 2 on a usage error or when an
+//! artifact path cannot be written (refused before any row runs, with
+//! `error: cannot write <path>: <reason>` on stderr). The experiment
 //! size comes from one environment variable:
 //!
 //! * `LEARNEDFTL_SCALE=quick|standard|paper` — selects the device size and
@@ -339,6 +341,19 @@ impl BenchArgs {
         Ok(rows)
     }
 
+    /// Creates (or truncates) every artifact path this invocation names, so
+    /// that an unwritable one is refused before any row runs. Returns the
+    /// first path that cannot be opened for writing, with its error.
+    fn create_outputs(&self) -> Result<(), (&str, std::io::Error)> {
+        for path in [&self.trace_out, &self.metrics_out, &self.analyze_out]
+            .into_iter()
+            .flatten()
+        {
+            std::fs::File::create(path).map_err(|e| (path.as_str(), e))?;
+        }
+        Ok(())
+    }
+
     /// Whether this invocation asked for observability output.
     pub fn tracing(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.analyze_out.is_some()
@@ -400,7 +415,9 @@ impl BenchArgs {
 /// none) at the `LEARNEDFTL_SCALE` scale: prints each row's header, then its
 /// sections, then traces and exports its traced run if asked to. Returns the
 /// exit status: 1 when an enforced check failed, 2 on a usage error (after
-/// printing the error and every row name to stderr), 0 otherwise.
+/// printing the error and every row name to stderr) or when an artifact path
+/// cannot be written (checked before any row runs; the error names the
+/// path), 0 otherwise.
 pub fn repro<I: IntoIterator<Item = String>>(argv: I) -> i32 {
     let parsed = Scale::from_env().and_then(|scale| {
         let args = BenchArgs::parse(argv)?;
@@ -423,6 +440,10 @@ pub fn repro<I: IntoIterator<Item = String>>(argv: I) -> i32 {
             return 2;
         }
     };
+    if let Err((path, e)) = args.create_outputs() {
+        eprintln!("error: cannot write {path}: {e}");
+        return 2;
+    }
     let mut failed = false;
     for figure in rows {
         println!("================================================================");
@@ -442,8 +463,10 @@ pub fn repro<I: IntoIterator<Item = String>>(argv: I) -> i32 {
         if let (Some(traced), true) = (figure.traced, args.tracing()) {
             let result = (traced.run)(scale);
             println!("traced run: {}", traced.label);
-            args.export_observability(figure.name, &result)
-                .expect("writing observability output failed");
+            if let Err(e) = args.export_observability(figure.name, &result) {
+                eprintln!("error: writing observability output failed: {e}");
+                return 2;
+            }
         }
     }
     i32::from(failed)

@@ -17,7 +17,8 @@
 //!   wall-clock training charge, so its latency percentiles move run to run.
 //!
 //! The command-line contract is checked here too: a usage error exits 2 and
-//! lists every row.
+//! lists every row, and an artifact path that cannot be written exits 2
+//! with an error naming it, before the row runs.
 
 use std::process::{Command, Output};
 
@@ -115,4 +116,21 @@ fn usage_errors_exit_2_and_list_every_row() {
             assert!(stderr.contains(figure.name), "{args:?}: {stderr}");
         }
     }
+}
+
+#[test]
+fn an_unwritable_artifact_path_exits_2_before_the_row_runs() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-missing-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("analysis.json");
+    let path = path.to_str().expect("the target dir is UTF-8");
+    let out = repro(&["fig21_qd_sweep", "--analyze-out", path]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "the row ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("error: cannot write {path}: ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

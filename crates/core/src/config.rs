@@ -8,21 +8,14 @@ use ftl_base::GcMode;
 /// of all page mappings (half of the baselines' 3 %, because the in-memory
 /// models consume the other half of the DRAM budget), each in-place-update
 /// model has at most 8 linear pieces, and GTD entries are grouped so that one
-/// group's allocation unit spans one block on every chip.
+/// group's allocation unit spans one block on every chip
+/// ([`LearnedFtlConfig::entries_per_group`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnedFtlConfig {
     /// Fraction of all page mappings the CMT can hold (paper: 1.5 %).
     pub cmt_ratio: f64,
     /// Maximum number of linear pieces per in-place-update model (paper: 8).
     pub max_pieces: usize,
-    /// Number of GTD entries per allocation group. `0` selects the value that
-    /// makes one group allocation equal one block row across all chips
-    /// (64 for the paper's geometry).
-    pub entries_per_group: usize,
-    /// How many consecutive mappings to prefetch into the CMT on a miss
-    /// (inherited from TPFTL), the one that missed included (so zero is
-    /// served as one).
-    pub prefetch_len: u32,
     /// Number of free block rows kept in reserve before GC triggers.
     pub reserve_rows: usize,
     /// Maximum block rows a group may own before GC is forced on it.
@@ -55,8 +48,6 @@ impl Default for LearnedFtlConfig {
         LearnedFtlConfig {
             cmt_ratio: 0.015,
             max_pieces: 8,
-            entries_per_group: 0,
-            prefetch_len: 64,
             reserve_rows: 2,
             max_rows_per_group: 3,
             borrow_fraction: 0.5,
@@ -91,12 +82,6 @@ impl LearnedFtlConfig {
         self
     }
 
-    /// Returns a copy with an explicit group size (GTD entries per group).
-    pub fn with_entries_per_group(mut self, entries: usize) -> Self {
-        self.entries_per_group = entries;
-        self
-    }
-
     /// Returns a copy with training/sorting time charged (or not) to the
     /// simulated timeline.
     pub fn with_charge_training_time(mut self, charge: bool) -> Self {
@@ -121,20 +106,16 @@ impl LearnedFtlConfig {
         ((logical_pages as f64) * self.cmt_ratio).round() as usize
     }
 
-    /// The effective group size: either the explicit setting or the value
-    /// that makes one group allocation span exactly one block on every
-    /// *plane* of every chip. `parallel_units` is the device's total plane
-    /// count ([`ssd_sim::Geometry::total_planes`]); with one plane per chip
-    /// that equals the chip count, the paper's setup.
-    pub fn effective_entries_per_group(
-        &self,
+    /// The group size in GTD entries: the value that makes one group
+    /// allocation span exactly one block on every *plane* of every chip (64
+    /// for the paper's geometry). `parallel_units` is the device's total
+    /// plane count ([`ssd_sim::Geometry::total_planes`]); with one plane per
+    /// chip that equals the chip count, the paper's setup.
+    pub fn entries_per_group(
         parallel_units: u64,
         pages_per_block: u32,
         mappings_per_page: u32,
     ) -> usize {
-        if self.entries_per_group > 0 {
-            return self.entries_per_group;
-        }
         let pages_per_row = parallel_units * u64::from(pages_per_block);
         (pages_per_row / u64::from(mappings_per_page)).max(1) as usize
     }
@@ -160,7 +141,7 @@ impl LearnedFtlConfig {
         let entries = device
             .logical_pages()
             .div_ceil(u64::from(mappings_per_page)) as usize;
-        let entries_per_group = self.effective_entries_per_group(
+        let entries_per_group = Self::entries_per_group(
             geometry.total_planes(),
             geometry.pages_per_block,
             mappings_per_page,
@@ -197,17 +178,10 @@ mod tests {
 
     #[test]
     fn paper_geometry_gives_64_entries_per_group() {
-        let c = LearnedFtlConfig::default();
         // 64 chips, 512 pages/block, 512 mappings/translation page (paper).
-        assert_eq!(c.effective_entries_per_group(64, 512, 512), 64);
+        assert_eq!(LearnedFtlConfig::entries_per_group(64, 512, 512), 64);
         // Scaled-down config: 16 chips, 128 pages/block.
-        assert_eq!(c.effective_entries_per_group(16, 128, 512), 4);
-        // Explicit override wins.
-        assert_eq!(
-            c.with_entries_per_group(7)
-                .effective_entries_per_group(64, 512, 512),
-            7
-        );
+        assert_eq!(LearnedFtlConfig::entries_per_group(16, 128, 512), 4);
     }
 
     #[test]

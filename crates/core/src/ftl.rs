@@ -69,7 +69,7 @@ impl LearnedFtl {
         let core = FtlCore::with_gc_mode(device, config.gc_mode);
         let entries = core.gtd.entries();
         let mappings_per_page = core.mappings_per_page();
-        let entries_per_group = config.effective_entries_per_group(
+        let entries_per_group = LearnedFtlConfig::entries_per_group(
             device.geometry.total_planes(),
             device.geometry.pages_per_block,
             mappings_per_page,
@@ -470,9 +470,7 @@ impl Ftl for LearnedFtl {
                 continue;
             };
             self.core.note_read_class(ReadClass::DoubleRead, now);
-            let ready =
-                self.core
-                    .load_with_prefetch(&mut self.cmt, l, self.config.prefetch_len, now);
+            let ready = self.core.load_with_prefetch(&mut self.cmt, l, now);
             let t = self.core.read_data(true_ppn, ready);
             done = done.max(t);
         }
@@ -695,33 +693,6 @@ mod tests {
                 assert_eq!(Some(ppn), f.core.mapping.get(lpn), "lpn {lpn}");
             }
         }
-    }
-
-    #[test]
-    fn a_prefetch_length_of_zero_still_caches_the_mapping_that_missed() {
-        let config = LearnedFtlConfig {
-            prefetch_len: 0,
-            ..LearnedFtlConfig::default().with_cmt_ratio(0.005)
-        };
-        let mut f = LearnedFtl::new(SsdConfig::tiny(), config);
-        // A single-page write leaves LPN 5 cached but never trusted by a
-        // model; forty more in the next translation page overflow the
-        // 31-mapping CMT and evict its node.
-        let mut t = f.write(5, 1, SimTime::ZERO);
-        for l in 512..552 {
-            t = f.write(l, 1, t);
-        }
-        let tpn = f.core.entry_of_lpn(5);
-        assert!(!f.models[tpn].is_trusted(5) && !f.cmt.contains(tpn, 5));
-        f.reset_stats();
-        let t = f.read(5, 1, t);
-        let _ = f.read(5, 1, t);
-        let s = f.stats();
-        assert_eq!(
-            (s.double_reads, s.cmt_hits),
-            (1, 1),
-            "the second read must find what the first one loaded"
-        );
     }
 
     #[test]

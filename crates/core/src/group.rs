@@ -131,11 +131,6 @@ impl GroupAllocator {
         self.free_rows.len()
     }
 
-    /// Whether the device is low on free rows (GC should be considered).
-    pub fn low_on_rows(&self) -> bool {
-        self.free_rows.len() <= self.reserve_rows
-    }
-
     /// The group responsible for a GTD entry.
     pub fn group_of_entry(&self, entry: usize) -> usize {
         entry / self.entries_per_group

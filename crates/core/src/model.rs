@@ -124,12 +124,6 @@ impl InPlaceModel {
         self.bitmap.clear(off);
     }
 
-    /// Clears every trust bit (e.g. when the entry's pages are relocated and
-    /// the model has not been retrained yet).
-    pub fn invalidate_all(&mut self) {
-        self.bitmap.clear_all();
-    }
-
     /// Fully retrains the model from `points` (LPN→VPPN pairs sorted by
     /// strictly increasing LPN, all inside the model's range). Used during GC
     /// and rewrite training (paper § III-E2/E3).

@@ -316,11 +316,6 @@ impl DynamicDataPool {
         }
     }
 
-    /// Number of chips managed by the pool.
-    pub fn chip_count(&self) -> usize {
-        self.chips.len()
-    }
-
     /// Number of planes per chip.
     pub fn planes_per_chip(&self) -> u32 {
         self.planes_per_chip

@@ -16,6 +16,11 @@ use ssd_sim::{FlashDevice, OobData, PageState, Ppn, SimTime, SsdConfig};
 /// Number of bytes per mapping entry in a translation page (LPN→PPN, 8 B).
 pub const MAPPING_ENTRY_BYTES: u32 = 8;
 
+/// How many consecutive mappings [`FtlCore::load_with_prefetch`] caches on a
+/// two-level CMT miss, the one that missed included: TPFTL's prefetch, which
+/// LearnedFTL inherits.
+pub const PREFETCH_LEN: u32 = 64;
+
 /// The pieces every page-level FTL in this workspace shares: the simulated
 /// device, the authoritative mapping table, the GTD, the on-flash translation
 /// page store and the statistics counters.
@@ -351,23 +356,14 @@ impl FtlCore {
 
     /// Serves a miss in a two-level CMT (TPFTL's, which LearnedFTL keeps):
     /// reads the translation page of `lpn`, caches its mapping plus those of
-    /// up to `prefetch_len − 1` following LPNs of the same translation page as
-    /// clean entries, and writes back the nodes this evicted. Returns the time
-    /// the mapping is available and the write-backs are done.
-    ///
-    /// A `prefetch_len` of zero is served as one: the mapping that missed is
-    /// what the translation page was read for.
-    pub fn load_with_prefetch(
-        &mut self,
-        cmt: &mut PageNodeCmt,
-        lpn: Lpn,
-        prefetch_len: u32,
-        now: SimTime,
-    ) -> SimTime {
+    /// up to [`PREFETCH_LEN`]` − 1` following LPNs of the same translation
+    /// page as clean entries, and writes back the nodes this evicted. Returns
+    /// the time the mapping is available and the write-backs are done.
+    pub fn load_with_prefetch(&mut self, cmt: &mut PageNodeCmt, lpn: Lpn, now: SimTime) -> SimTime {
         let tpn = self.entry_of_lpn(lpn);
         let t_trans = self.read_translation(tpn, now);
         let (range_start, range_end) = self.gtd.lpn_range(tpn);
-        let end_lpn = (lpn + u64::from(prefetch_len.max(1))).min(range_end);
+        let end_lpn = (lpn + u64::from(PREFETCH_LEN)).min(range_end);
         self.prefetch.clear();
         let run = self.mapping.range(lpn, end_lpn);
         self.prefetch

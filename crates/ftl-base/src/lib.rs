@@ -46,7 +46,7 @@ mod request;
 mod stats;
 mod transpage;
 
-pub use crate::core::{run_greedy_gc, FtlCore, GcOutcome, MAPPING_ENTRY_BYTES};
+pub use crate::core::{run_greedy_gc, FtlCore, GcOutcome, MAPPING_ENTRY_BYTES, PREFETCH_LEN};
 pub use alloc::{DynamicDataPool, GcMove};
 pub use cmt::{CmtEntry, EntryCmt, PageNodeCmt};
 pub use gc::{GcEngine, GcJob, GcMode};

@@ -12,7 +12,7 @@ use ssd_sim::Ppn;
 /// simulator keeps one.
 ///
 /// Every host request looks its LPNs up here at a random index, so an entry
-/// is four bytes ([`UNMAPPED`] marks a hole) rather than a 16-byte
+/// is four bytes (`u32::MAX` marks a hole) rather than a 16-byte
 /// `Option<Ppn>`: the table of a gibibyte device then stays in the host's
 /// second-level cache, and the time a lookup takes no longer follows whatever
 /// else is using the machine's memory.

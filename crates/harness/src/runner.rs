@@ -336,18 +336,12 @@ fn absorb_resolution(
 }
 
 /// The weighted-arbitration policy a [`TenantSet`] implies: one foreground
-/// class per tenant (carrying the spec's weight and starvation bound) plus
+/// class per tenant (carrying the spec's weight, never forced through) plus
 /// the mandatory background GC class, which the admission loop never
 /// presents — host-level arbitration only ranks tenants against each other.
 fn tenant_policy(tenants: &TenantSet) -> TenantPolicy {
     let classes: Vec<TenantClass> = (0..tenants.num_tenants())
-        .map(|t| {
-            let spec = tenants.spec(t);
-            TenantClass {
-                weight: spec.weight.max(1),
-                starvation_bound: spec.starvation_bound,
-            }
-        })
+        .map(|t| TenantClass::weighted(tenants.spec(t).weight.max(1)))
         .chain(std::iter::once(TenantClass::background(u32::MAX)))
         .collect();
     TenantPolicy::new(classes)
@@ -810,12 +804,11 @@ impl Runner {
         tally.finish(ftl).0
     }
 
-    /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with the
-    /// per-shard admission model of [`run_tenant_admission`]: tenant arrival
-    /// streams merge by arrival time, each shard serves one request at a
-    /// time, and the next tenant is picked by weighted per-tenant
-    /// arbitration (`isolate = true`: each tenant's spec weight and
-    /// starvation bound, one [`TenantArbiter`] per shard) or in plain FIFO
+    /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with a
+    /// per-shard admission model: tenant arrival streams merge by arrival
+    /// time, each shard serves one request at a time, and the next tenant is
+    /// picked by weighted per-tenant arbitration (`isolate = true`: each
+    /// tenant's spec weight, one [`TenantArbiter`] per shard) or in plain FIFO
     /// arrival order (`isolate = false`: the no-QoS baseline a namespace-
     /// oblivious host would get).
     ///

@@ -3,8 +3,6 @@
 
 use ssd_sim::{Duration, FlashOp, SimTime};
 
-use crate::tenant::TenantId;
-
 /// Scheduler-assigned command identifier, unique for a scheduler's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CmdId(pub u64);
@@ -74,8 +72,6 @@ pub struct Completion {
     pub kind: CmdKind,
     /// Arbitration class, echoed back.
     pub priority: Priority,
-    /// The tenant the command served, echoed back.
-    pub tenant: TenantId,
     /// Flat index of the chip that executed the command.
     pub chip: u64,
     /// When the command entered the scheduler.
@@ -119,7 +115,6 @@ mod tests {
                 planes: 1,
             },
             priority: Priority::Host,
-            tenant: TenantId(0),
             chip: 1,
             submitted: SimTime::from_micros(10),
             issued: SimTime::from_micros(25),

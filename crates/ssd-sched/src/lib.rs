@@ -25,12 +25,13 @@
 //!   one request at a time (the `ftl-shard` crate routes every shard's
 //!   traffic through one of these),
 //! * [`IoScheduler`] — per-chip command queues with out-of-order completion
-//!   and weighted per-tenant arbitration ([`TenantPolicy`]): host tenant
-//!   classes share contended slots by weighted round-robin with per-class
-//!   starvation bounds, and the background GC class yields to host commands
-//!   on the same chip, but never more than
-//!   [`SchedConfig::gc_starvation_bound`] times in a row (the degenerate
-//!   [`TenantPolicy::two_class`] default),
+//!   and two arbitration classes, host and GC: a GC command yields to host
+//!   commands on the same chip, but never more than
+//!   [`SchedConfig::gc_starvation_bound`] times in a row (one
+//!   [`TenantArbiter`] per chip over [`TenantPolicy::two_class`]),
+//! * [`TenantArbiter`] / [`TenantPolicy`] — weighted round-robin with
+//!   per-class starvation bounds, queue-agnostic: the scheduler's per-chip
+//!   arbitration and the harness's weighted tenant admission both use it,
 //! * [`CmdKind`] / [`Completion`] — the command lifecycle with the three
 //!   timestamps (submitted, issued, completed) that tail-latency analysis
 //!   needs, split into queueing and service components.
@@ -78,5 +79,5 @@ pub use event::EventQueue;
 pub use multi::{MultiIssuer, MultiIssuerStats};
 pub use queue::QueuePair;
 pub use ring::{CompletionBatch, SubmissionBatch};
-pub use sched::{ClassStats, DurationSummary, IoScheduler, SchedConfig, SchedError, SchedStats};
-pub use tenant::{Arbitration, TenantArbiter, TenantClass, TenantId, TenantPolicy};
+pub use sched::{DurationSummary, IoScheduler, SchedConfig, SchedError, SchedStats};
+pub use tenant::{Arbitration, TenantArbiter, TenantClass, TenantPolicy};

@@ -13,14 +13,11 @@
 //! planes (the die-interleave conflict rule: same-plane commands never
 //! reorder, cross-plane commands overlap).
 //!
-//! Arbitration between queues is the weighted per-tenant scheme of
-//! [`TenantPolicy`]: host tenant classes share contended slots by weighted
-//! round-robin, background classes (weight 0) run only on idle slots, and
-//! every class has a starvation bound that forces its candidate through. The
-//! default policy is [`TenantPolicy::two_class`] — host commands take
+//! Each chip has two queues, one per arbitration class: host commands take
 //! priority over GC commands on the same chip, but a GC command is never
-//! bypassed more than [`SchedConfig::gc_starvation_bound`] times in a row —
-//! which reproduces the historical two-class scheduler bit for bit.
+//! bypassed more than [`SchedConfig::gc_starvation_bound`] times in a row.
+//! The chip's [`TenantArbiter`] over [`TenantPolicy::two_class`] makes that
+//! decision per issue slot.
 
 use std::collections::VecDeque;
 
@@ -28,7 +25,7 @@ use ssd_sim::{Duration, FlashDevice, Geometry, SimTime, StagedOp, TraceData, Tra
 
 use crate::cmd::{CmdId, CmdKind, Completion, Priority};
 use crate::event::EventQueue;
-use crate::tenant::{TenantArbiter, TenantId, TenantPolicy};
+use crate::tenant::{TenantArbiter, TenantPolicy};
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,20 +118,6 @@ pub struct SchedStats {
     pub service: DurationSummary,
 }
 
-/// Per-arbitration-class counters of one scheduler (indexed like the
-/// policy's classes: host classes first, the GC class last).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Commands submitted to this class.
-    pub submitted: u64,
-    /// Commands of this class completed.
-    pub completed: u64,
-    /// Contended arbitration slots this class lost.
-    pub yields: u64,
-    /// Slots this class won through its starvation bound.
-    pub forced: u64,
-}
-
 /// A command waiting in a chip queue. Its arbitration class is the queue it
 /// sits in.
 #[derive(Debug, Clone, Copy)]
@@ -142,16 +125,28 @@ struct Queued {
     id: CmdId,
     kind: CmdKind,
     submitted: SimTime,
-    tenant: TenantId,
+}
+
+/// The arbitration class (and chip queue) of host commands.
+const HOST: usize = 0;
+/// The arbitration class (and chip queue) of GC commands.
+const GC: usize = 1;
+
+/// The arbitration class a command of `priority` lands in.
+fn class_of(priority: Priority) -> usize {
+    match priority {
+        Priority::Host => HOST,
+        Priority::Gc => GC,
+    }
 }
 
 #[derive(Debug, Clone)]
 struct ChipQueue {
-    /// One FIFO per arbitration class, indexed like the policy's classes.
-    queues: Vec<VecDeque<Queued>>,
+    /// One FIFO per arbitration class: [`HOST`] and [`GC`].
+    queues: [VecDeque<Queued>; 2],
     /// Commands queued across all classes.
     queued: usize,
-    /// Weighted-round-robin / starvation state for this chip's classes.
+    /// Host-over-GC / starvation state for this chip's two classes.
     arbiter: TenantArbiter,
     /// Bitmask of planes with a command currently issued to the device.
     busy_planes: u32,
@@ -162,7 +157,7 @@ struct ChipQueue {
 impl ChipQueue {
     fn new(policy: &TenantPolicy) -> Self {
         ChipQueue {
-            queues: (0..policy.num_classes()).map(|_| VecDeque::new()).collect(),
+            queues: [VecDeque::new(), VecDeque::new()],
             queued: 0,
             arbiter: TenantArbiter::new(policy),
             busy_planes: 0,
@@ -209,7 +204,6 @@ enum Event {
 #[derive(Debug, Clone)]
 pub struct IoScheduler {
     config: SchedConfig,
-    policy: TenantPolicy,
     geometry: Geometry,
     /// Bitmask with one bit per plane of a chip (all chips are alike).
     all_planes: u32,
@@ -227,31 +221,18 @@ pub struct IoScheduler {
     outstanding: usize,
     next_id: u64,
     stats: SchedStats,
-    class_stats: Vec<ClassStats>,
-    /// [`IoScheduler::dispatch_chip`]'s per-class (queue index, plane mask)
-    /// of the issue slot's candidates; only meaningful inside that call.
-    candidates: Vec<Option<(usize, u32)>>,
-    /// The classes that lost the issue slot; scratch like `candidates`.
+    /// The classes that lost [`IoScheduler::dispatch_chip`]'s issue slot;
+    /// only meaningful inside that call.
     yielded: Vec<usize>,
 }
 
 impl IoScheduler {
-    /// Creates a scheduler for a device with the given geometry, using the
-    /// degenerate two-class (Host/GC) tenant policy derived from
+    /// Creates a scheduler for a device with the given geometry. Each chip
+    /// arbitrates host over GC commands by [`TenantPolicy::two_class`] with
     /// [`SchedConfig::gc_starvation_bound`].
     pub fn new(geometry: Geometry, config: SchedConfig) -> Self {
-        Self::with_tenants(
-            geometry,
-            config,
-            TenantPolicy::two_class(config.gc_starvation_bound),
-        )
-    }
-
-    /// Creates a scheduler with an explicit weighted tenant policy. The
-    /// policy's last class serves [`Priority::Gc`] commands; host commands
-    /// map to classes by their [`TenantId`].
-    pub fn with_tenants(geometry: Geometry, config: SchedConfig, policy: TenantPolicy) -> Self {
         assert!(config.queue_depth > 0, "queue depth must be at least 1");
+        let policy = TenantPolicy::two_class(config.gc_starvation_bound);
         let all_planes = if geometry.planes_per_chip >= 32 {
             u32::MAX
         } else {
@@ -271,26 +252,13 @@ impl IoScheduler {
             outstanding: 0,
             next_id: 0,
             stats: SchedStats::default(),
-            class_stats: vec![ClassStats::default(); policy.num_classes()],
-            candidates: Vec::with_capacity(policy.num_classes()),
-            yielded: Vec::with_capacity(policy.num_classes()),
-            policy,
+            yielded: Vec::with_capacity(2),
         }
     }
 
     /// The scheduler's configuration.
     pub fn config(&self) -> &SchedConfig {
         &self.config
-    }
-
-    /// The scheduler's tenant policy.
-    pub fn policy(&self) -> &TenantPolicy {
-        &self.policy
-    }
-
-    /// Per-class counters, indexed like [`TenantPolicy::classes`].
-    pub fn class_stats(&self) -> &[ClassStats] {
-        &self.class_stats
     }
 
     /// The current simulated time of the event loop.
@@ -321,32 +289,12 @@ impl IoScheduler {
         priority: Priority,
         submitted: SimTime,
     ) -> Result<CmdId, SchedError> {
-        self.submit_for_tenant(kind, priority, TenantId(0), submitted)
-    }
-
-    /// Submits a command on behalf of a tenant at time `submitted`. The
-    /// command queues in the tenant's arbitration class
-    /// ([`TenantPolicy::host_class_of`]) — or in the GC class regardless of
-    /// tenant for [`Priority::Gc`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedError::QueueFull`] when `queue_depth` commands are
-    /// already outstanding, like [`IoScheduler::submit`].
-    pub fn submit_for_tenant(
-        &mut self,
-        kind: CmdKind,
-        priority: Priority,
-        tenant: TenantId,
-        submitted: SimTime,
-    ) -> Result<CmdId, SchedError> {
         self.reserve(1)?;
-        let class = self.class_of(priority, tenant);
-        Ok(self.enqueue(class, kind, tenant, submitted))
+        Ok(self.enqueue(class_of(priority), kind, submitted))
     }
 
     /// Submits the charge commands replaying `ops` (see [`CmdKind::charge`])
-    /// in one call, all at `priority` for tenant 0 and all at time
+    /// in one call, all at `priority` and all at time
     /// `submitted`: how a staged garbage collection hands over its hundreds
     /// of operations. The commands get consecutive ids in `ops` order; the
     /// first one's is returned (the id the next submission gets when `ops`
@@ -364,10 +312,9 @@ impl IoScheduler {
     ) -> Result<CmdId, SchedError> {
         self.reserve(ops.len())?;
         let first = CmdId(self.next_id);
-        let tenant = TenantId(0);
-        let class = self.class_of(priority, tenant);
+        let class = class_of(priority);
         for &op in ops {
-            self.enqueue(class, CmdKind::charge(op), tenant, submitted);
+            self.enqueue(class, CmdKind::charge(op), submitted);
         }
         Ok(first)
     }
@@ -381,13 +328,7 @@ impl IoScheduler {
         Ok(())
     }
 
-    fn enqueue(
-        &mut self,
-        class: usize,
-        kind: CmdKind,
-        tenant: TenantId,
-        submitted: SimTime,
-    ) -> CmdId {
+    fn enqueue(&mut self, class: usize, kind: CmdKind, submitted: SimTime) -> CmdId {
         let id = CmdId(self.next_id);
         self.next_id += 1;
         let CmdKind::Charge { chip, .. } = kind;
@@ -396,26 +337,16 @@ impl IoScheduler {
             id,
             kind,
             submitted,
-            tenant,
         });
         chip.queued += 1;
         self.outstanding += 1;
         self.stats.submitted += 1;
-        self.class_stats[class].submitted += 1;
         id
     }
 
     /// The in-flight slot of a command whose lowest occupied plane is `plane`.
     fn slot_of(&self, chip: usize, plane: u32) -> usize {
         chip * self.geometry.planes_per_chip as usize + plane as usize
-    }
-
-    /// The arbitration class a command lands in.
-    fn class_of(&self, priority: Priority, tenant: TenantId) -> usize {
-        match priority {
-            Priority::Host => self.policy.host_class_of(tenant),
-            Priority::Gc => self.policy.gc_class(),
-        }
     }
 
     /// Runs the event loop until every event at or before `until` has fired.
@@ -552,8 +483,6 @@ impl IoScheduler {
                 self.chips[chip_idx].busy_planes &= !planes;
                 self.outstanding -= 1;
                 self.stats.completed += 1;
-                let class = self.class_of(completion.priority, completion.tenant);
-                self.class_stats[class].completed += 1;
                 self.stats.queueing.record(completion.queueing());
                 self.stats.service.record(completion.service());
                 if let Some(t) = dev.trace_sink() {
@@ -569,16 +498,13 @@ impl IoScheduler {
                             issued: completion.issued,
                         },
                     );
-                    let gc_class = self.policy.gc_class();
+                    let queues = &self.chips[chip_idx].queues;
                     t.counter(
                         completion.completed,
                         TraceData::QueueDepth {
                             chip,
-                            host: self.chips[chip_idx].queues[..gc_class]
-                                .iter()
-                                .map(VecDeque::len)
-                                .sum::<usize>() as u32,
-                            gc: self.chips[chip_idx].queues[gc_class].len() as u32,
+                            host: queues[HOST].len() as u32,
+                            gc: queues[GC].len() as u32,
                         },
                     );
                 }
@@ -622,21 +548,17 @@ impl IoScheduler {
     /// Issues as many commands as the chip's free planes allow, honouring
     /// arbitration per issue slot.
     fn dispatch_chip(&mut self, chip_idx: usize, dev: &mut FlashDevice) {
-        let gc_class = self.policy.gc_class();
         loop {
             let now = self.now;
             let free = self.all_planes & !self.chips[chip_idx].busy_planes;
             if free == 0 || self.chips[chip_idx].queued == 0 {
                 return;
             }
-            let candidates = &mut self.candidates;
-            candidates.clear();
-            candidates.extend(
-                self.chips[chip_idx]
-                    .queues
-                    .iter()
-                    .map(|queue| Self::queue_candidate(queue, now, free)),
-            );
+            // Each class's (queue index, plane mask) for this issue slot.
+            let candidates = self.chips[chip_idx]
+                .queues
+                .each_ref()
+                .map(|queue| Self::queue_candidate(queue, now, free));
             let decision = self.chips[chip_idx].arbiter.decide(
                 |c| candidates[c].is_some(),
                 |a, b| {
@@ -658,35 +580,29 @@ impl IoScheduler {
                 self.schedule_wakeup(chip_idx);
                 return;
             };
-            for &c in &self.yielded {
-                self.class_stats[c].yields += 1;
-                if c == gc_class {
-                    self.stats.gc_yields += 1;
-                    if let Some(t) = dev.trace_sink() {
-                        t.instant(
-                            now,
-                            TraceData::GcYield {
-                                chip: chip_idx as u32,
-                            },
-                        );
-                    }
+            if self.yielded.contains(&GC) {
+                self.stats.gc_yields += 1;
+                if let Some(t) = dev.trace_sink() {
+                    t.instant(
+                        now,
+                        TraceData::GcYield {
+                            chip: chip_idx as u32,
+                        },
+                    );
                 }
             }
-            if arb.forced {
-                self.class_stats[arb.winner].forced += 1;
-                if arb.winner == gc_class {
-                    self.stats.gc_forced += 1;
-                    if let Some(t) = dev.trace_sink() {
-                        t.instant(
-                            now,
-                            TraceData::GcForced {
-                                chip: chip_idx as u32,
-                            },
-                        );
-                    }
+            if arb.forced && arb.winner == GC {
+                self.stats.gc_forced += 1;
+                if let Some(t) = dev.trace_sink() {
+                    t.instant(
+                        now,
+                        TraceData::GcForced {
+                            chip: chip_idx as u32,
+                        },
+                    );
                 }
             }
-            let (queue_idx, planes) = self.candidates[arb.winner].expect("winner has a candidate");
+            let (queue_idx, planes) = candidates[arb.winner].expect("winner has a candidate");
             let chip = &mut self.chips[chip_idx];
             let cmd = chip.queues[arb.winner]
                 .remove(queue_idx)
@@ -707,12 +623,11 @@ impl IoScheduler {
             self.in_flight[slot] = Some(Completion {
                 id: cmd.id,
                 kind: cmd.kind,
-                priority: if arb.winner == gc_class {
+                priority: if arb.winner == GC {
                     Priority::Gc
                 } else {
                     Priority::Host
                 },
-                tenant: cmd.tenant,
                 chip: chip_idx as u64,
                 submitted: cmd.submitted,
                 issued: issue,
@@ -763,7 +678,6 @@ impl IoScheduler {
 mod tests {
     use super::*;
     use crate::cmd::{CmdKind, Priority};
-    use crate::tenant::TenantClass;
     use ssd_sim::{FlashOp, OobData, PhysAddr, SsdConfig};
 
     fn setup() -> (FlashDevice, IoScheduler) {
@@ -792,9 +706,9 @@ mod tests {
     fn waiting_commands_and_heap_entries_stay_small() {
         // A heap sift moves whole entries and a deep GC backlog is all queued
         // entries: 32 bytes per pending event (time, sequence number, slot),
-        // 48 per queued command and 72 per in-flight slot (one per plane).
+        // 40 per queued command and 72 per in-flight slot (one per plane).
         assert!(EventQueue::<Event>::entry_bytes() <= 32);
-        assert_eq!(std::mem::size_of::<Queued>(), 48);
+        assert_eq!(std::mem::size_of::<Queued>(), 40);
         assert_eq!(std::mem::size_of::<Completion>(), 72);
         assert_eq!(std::mem::size_of::<Option<Completion>>(), 72);
     }
@@ -853,7 +767,6 @@ mod tests {
             gc_starvation_bound: bound,
         };
         let mut sched = IoScheduler::new(*dev.geometry(), config);
-        assert_eq!(sched.policy(), &TenantPolicy::two_class(bound));
         // One GC read and a stream of host reads, all on chip 0, all at once.
         let t0 = SimTime::ZERO;
         sched.submit(read(&dev, 7), Priority::Gc, t0).unwrap();
@@ -872,52 +785,6 @@ mod tests {
         );
         assert_eq!(sched.stats().gc_yields, u64::from(bound));
         assert_eq!(sched.stats().gc_forced, 1);
-        // The per-class view agrees with the GC counters.
-        let classes = sched.class_stats();
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[1].yields, u64::from(bound));
-        assert_eq!(classes[1].forced, 1);
-        assert_eq!(classes[0].submitted, 6);
-        assert_eq!(classes[1].submitted, 1);
-        assert_eq!(classes[0].completed, 6);
-        assert_eq!(classes[1].completed, 1);
-    }
-
-    #[test]
-    fn degenerate_two_class_reproduces_gc_starvation_bound() {
-        // Mirror of gc_yields_to_host_until_starvation_bound through the
-        // explicit weighted-policy constructor.
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let bound = 2;
-        let config = SchedConfig {
-            queue_depth: 64,
-            gc_starvation_bound: bound,
-        };
-        let mut sched =
-            IoScheduler::with_tenants(*dev.geometry(), config, TenantPolicy::two_class(bound));
-        let t0 = SimTime::ZERO;
-        sched.submit(read(&dev, 7), Priority::Gc, t0).unwrap();
-        for ppn in 0..6 {
-            sched.submit(read(&dev, ppn), Priority::Host, t0).unwrap();
-        }
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        let gc_pos = done
-            .iter()
-            .position(|c| c.priority == Priority::Gc)
-            .unwrap();
-        assert_eq!(
-            gc_pos, bound as usize,
-            "GC must run after exactly `bound` host bypasses, ran at {gc_pos}"
-        );
-        assert_eq!(sched.stats().gc_yields, u64::from(bound));
-        assert_eq!(sched.stats().gc_forced, 1);
-        let classes = sched.class_stats();
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[1].yields, u64::from(bound));
-        assert_eq!(classes[1].forced, 1);
-        assert_eq!(classes[0].completed, 6);
-        assert_eq!(classes[1].completed, 1);
     }
 
     #[test]
@@ -1325,75 +1192,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.data, TraceData::QueueDepth { .. })));
-    }
-
-    #[test]
-    fn weighted_tenants_share_a_contended_chip_by_weight() {
-        // Two host tenant classes at weights 2:1 over one contended chip:
-        // issue order must follow the round-robin pattern A A B while both
-        // have a backlog, regardless of submission interleaving.
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let policy = TenantPolicy::new(vec![
-            TenantClass::weighted(2),
-            TenantClass::weighted(1),
-            TenantClass::background(4),
-        ]);
-        let mut sched = IoScheduler::with_tenants(*dev.geometry(), SchedConfig::default(), policy);
-        // Interleave submissions B A B A ... so FIFO order would alternate.
-        for ppn in 0..12 {
-            let tenant = TenantId(u32::from(ppn % 2 == 0));
-            sched
-                .submit_for_tenant(read(&dev, ppn), Priority::Host, tenant, SimTime::ZERO)
-                .unwrap();
-        }
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        let order: Vec<u32> = done.iter().map(|c| c.tenant.0).collect();
-        assert_eq!(
-            order,
-            vec![0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1],
-            "weight-2 tenant 0 wins two slots per tenant-1 slot, then tenant 1 drains"
-        );
-        let classes = sched.class_stats();
-        assert_eq!(classes[0].submitted, 6);
-        assert_eq!(classes[1].submitted, 6);
-        assert!(classes[0].yields > 0 && classes[1].yields > 0);
-        assert_eq!(sched.stats().gc_yields, 0, "no GC traffic was queued");
-    }
-
-    #[test]
-    fn starved_tenant_class_is_forced_through() {
-        // A zero-weight background tenant class with a bound of 2 behaves
-        // like GC: it is bypassed twice, then forced ahead of the
-        // foreground backlog.
-        let mut dev = FlashDevice::new(SsdConfig::tiny());
-        let policy = TenantPolicy::new(vec![
-            TenantClass::weighted(1),
-            TenantClass::background(2),
-            TenantClass::background(u32::MAX),
-        ]);
-        let mut sched = IoScheduler::with_tenants(*dev.geometry(), SchedConfig::default(), policy);
-        let t0 = SimTime::ZERO;
-        sched
-            .submit_for_tenant(read(&dev, 7), Priority::Host, TenantId(1), t0)
-            .unwrap();
-        for ppn in 0..6 {
-            sched
-                .submit_for_tenant(read(&dev, ppn), Priority::Host, TenantId(0), t0)
-                .unwrap();
-        }
-        sched.drain(&mut dev);
-        let done = sched.pop_completions();
-        let pos = done.iter().position(|c| c.tenant == TenantId(1)).unwrap();
-        assert_eq!(pos, 2, "the background tenant is forced at its bound");
-        let classes = sched.class_stats();
-        assert_eq!(classes[1].yields, 2);
-        assert_eq!(classes[1].forced, 1);
-        assert_eq!(
-            sched.stats().gc_forced,
-            0,
-            "tenant forcing must not masquerade as GC forcing"
-        );
     }
 
     #[test]

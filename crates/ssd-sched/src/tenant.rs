@@ -1,36 +1,23 @@
-//! Weighted per-tenant arbitration classes.
+//! Weighted arbitration classes.
 //!
-//! [`IoScheduler`](crate::IoScheduler)'s original Host/GC two-class
-//! arbitration generalises to N *classes*: every command carries a
-//! [`TenantId`], each class has a weighted-round-robin share
-//! ([`TenantClass::weight`]) and a starvation bound
-//! ([`TenantClass::starvation_bound`]), and the last class is always the GC
-//! class ([`crate::Priority::Gc`] commands land there regardless of tenant).
-//! The historical two-class behaviour is the degenerate policy
-//! [`TenantPolicy::two_class`] — one host class that always wins contended
-//! slots, and a zero-weight GC class whose starvation bound forces it through
-//! — which the scheduler's regression tests pin bit-for-bit.
+//! A [`TenantPolicy`] lists arbitration classes, each with a
+//! weighted-round-robin share ([`TenantClass::weight`]) and a starvation
+//! bound ([`TenantClass::starvation_bound`]); the last class is the
+//! background one. [`TenantArbiter`] picks one winner per slot among the
+//! classes that have a candidate, and two callers use it:
+//!
+//! * [`IoScheduler`](crate::IoScheduler) runs one arbiter per chip over the
+//!   fixed [`TenantPolicy::two_class`] policy — one host class that always
+//!   wins contended slots, and a zero-weight GC class whose starvation bound
+//!   forces it through (contention = overlapping plane masks);
+//! * the experiment harness ranks tenants for weighted admission at the FTL
+//!   frontend with one weighted class per tenant (contention = the shared
+//!   translation engine, i.e. always).
 //!
 //! [`TenantArbiter`] is deliberately queue-agnostic: callers describe which
 //! classes have an eligible candidate and which candidates contend for the
 //! same resource, and the arbiter picks a winner while tracking bypass
-//! counters and round-robin credits. The I/O scheduler runs one arbiter per
-//! chip (contention = overlapping plane masks); the experiment harness reuses
-//! the same arbiter for weighted tenant admission at the FTL frontend
-//! (contention = the shared translation engine, i.e. always).
-
-/// Identifies the tenant (NVMe namespace-style) a command belongs to.
-///
-/// Tenant 0 is the default for single-tenant workloads; GC traffic is
-/// classed by [`crate::Priority::Gc`], not by its tenant id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TenantId(pub u32);
-
-impl std::fmt::Display for TenantId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "tenant#{}", self.0)
-    }
-}
+//! counters and round-robin credits.
 
 /// One arbitration class's share of the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +50,8 @@ impl TenantClass {
     }
 }
 
-/// The arbitration classes of a scheduler: host tenant classes first, the GC
-/// class last.
+/// Arbitration classes: the foreground (host or tenant) classes first, the
+/// background (GC) class last.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantPolicy {
     classes: Vec<TenantClass>,
@@ -72,8 +59,7 @@ pub struct TenantPolicy {
 
 impl TenantPolicy {
     /// Creates a policy from explicit classes. The **last** class is the GC
-    /// class; the ones before it serve host tenants (tenant `t` maps to
-    /// class `min(t, host_classes - 1)`).
+    /// class; the ones before it serve host traffic.
     ///
     /// # Panics
     ///
@@ -87,10 +73,9 @@ impl TenantPolicy {
         TenantPolicy { classes }
     }
 
-    /// The degenerate policy reproducing the historical Host/GC arbitration
-    /// exactly: one host class that wins every contended slot, and a
-    /// background GC class forced through after `gc_starvation_bound`
-    /// bypasses.
+    /// The I/O scheduler's policy: one host class that wins every contended
+    /// slot, and a background GC class forced through after
+    /// `gc_starvation_bound` bypasses.
     pub fn two_class(gc_starvation_bound: u32) -> Self {
         TenantPolicy::new(vec![
             TenantClass::weighted(1),
@@ -111,17 +96,6 @@ impl TenantPolicy {
     /// Index of the GC class (always the last).
     pub fn gc_class(&self) -> usize {
         self.classes.len() - 1
-    }
-
-    /// Number of host classes.
-    pub fn host_classes(&self) -> usize {
-        self.classes.len() - 1
-    }
-
-    /// The class a host tenant maps to (tenants beyond the configured host
-    /// classes share the last host class).
-    pub fn host_class_of(&self, tenant: TenantId) -> usize {
-        (tenant.0 as usize).min(self.host_classes() - 1)
     }
 }
 
@@ -278,9 +252,6 @@ mod tests {
         let p = TenantPolicy::two_class(4);
         assert_eq!(p.num_classes(), 2);
         assert_eq!(p.gc_class(), 1);
-        assert_eq!(p.host_classes(), 1);
-        assert_eq!(p.host_class_of(TenantId(0)), 0);
-        assert_eq!(p.host_class_of(TenantId(17)), 0, "tenants fold to class 0");
         assert_eq!(p.classes()[0], TenantClass::weighted(1));
         assert_eq!(p.classes()[1], TenantClass::background(4));
     }

@@ -213,10 +213,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 mod golden {
-    use ssd_sched::{
-        CmdKind, Completion, IoScheduler, Priority, SchedConfig, SchedError, TenantClass, TenantId,
-        TenantPolicy,
-    };
+    use ssd_sched::{CmdKind, Completion, IoScheduler, Priority, SchedConfig, SchedError};
     use ssd_sim::{Duration, FlashDevice, FlashOp, Geometry, OobData, SimTime, SsdConfig};
 
     /// SplitMix64: the test's only source of randomness.
@@ -275,7 +272,6 @@ mod golden {
     struct Mix {
         seed: u64,
         planes: u32,
-        tenants: bool,
         queue_depth: usize,
         commands: usize,
         charge_pct: u64,
@@ -302,15 +298,6 @@ mod golden {
             + page
     }
 
-    fn four_class_policy() -> TenantPolicy {
-        TenantPolicy::new(vec![
-            TenantClass::weighted(3),
-            TenantClass::weighted(1),
-            TenantClass::background(2),
-            TenantClass::background(4),
-        ])
-    }
-
     struct Gen {
         rng: Rng,
         g: Geometry,
@@ -320,7 +307,7 @@ mod golden {
     }
 
     impl Gen {
-        fn command(&mut self) -> (CmdKind, Priority, TenantId) {
+        fn command(&mut self) -> (CmdKind, Priority) {
             let g = self.g;
             let chips = g.total_chips();
             let planes = u64::from(g.planes_per_chip);
@@ -331,11 +318,6 @@ mod golden {
             } else {
                 Priority::Host
             };
-            let mut tenant = TenantId(if self.mix.tenants {
-                self.rng.below(4) as u32
-            } else {
-                0
-            });
             let single = |op| CmdKind::Charge {
                 op,
                 chip,
@@ -371,7 +353,6 @@ mod golden {
                 // Programs stay in one arbitration class so same-plane FIFO
                 // order keeps them in NAND order.
                 priority = Priority::Host;
-                tenant = TenantId(0);
                 self.program_cursor[(chip * planes + plane) as usize] += 1;
                 single(FlashOp::Program)
             } else {
@@ -380,7 +361,7 @@ mod golden {
                 self.rng.below(PAGES_POPULATED);
                 single(FlashOp::Read)
             };
-            (kind, priority, tenant)
+            (kind, priority)
         }
 
         fn gap(&mut self) -> Duration {
@@ -396,11 +377,11 @@ mod golden {
         sched: &mut IoScheduler,
         dev: &mut FlashDevice,
         done: &mut Vec<Completion>,
-        (kind, priority, tenant): (CmdKind, Priority, TenantId),
+        (kind, priority): (CmdKind, Priority),
         at: SimTime,
     ) -> ssd_sched::CmdId {
         loop {
-            match sched.submit_for_tenant(kind, priority, tenant, at) {
+            match sched.submit(kind, priority, at) {
                 Ok(id) => return id,
                 Err(SchedError::QueueFull { .. }) => {
                     sched.drain(dev);
@@ -427,11 +408,7 @@ mod golden {
             }
         }
         let config = SchedConfig::with_queue_depth(mix.queue_depth);
-        let mut sched = if mix.tenants {
-            IoScheduler::with_tenants(g, config, four_class_policy())
-        } else {
-            IoScheduler::new(g, config)
-        };
+        let mut sched = IoScheduler::new(g, config);
         let mut gen = Gen {
             rng: Rng(mix.seed),
             g,
@@ -454,25 +431,14 @@ mod golden {
                     let burst = (8 + gen.rng.below(24) as usize).min(left);
                     left -= burst;
                     for _ in 0..burst {
-                        let (kind, _, tenant) = gen.command();
-                        submit(
-                            &mut sched,
-                            &mut dev,
-                            &mut done,
-                            (kind, Priority::Gc, tenant),
-                            at,
-                        );
+                        let (kind, _) = gen.command();
+                        submit(&mut sched, &mut dev, &mut done, (kind, Priority::Gc), at);
                     }
                     for _ in 0..(1 + gen.rng.below(3)).min(left as u64) {
                         left -= 1;
-                        let (kind, _, tenant) = gen.command();
-                        let id = submit(
-                            &mut sched,
-                            &mut dev,
-                            &mut done,
-                            (kind, Priority::Host, tenant),
-                            at,
-                        );
+                        let (kind, _) = gen.command();
+                        let id =
+                            submit(&mut sched, &mut dev, &mut done, (kind, Priority::Host), at);
                         let c = sched.run_until_complete(&mut dev, id);
                         assert_eq!(c.id, id);
                         at = c.completed + gen.gap();
@@ -502,7 +468,9 @@ mod golden {
             h.u64(c.id.0);
             h.u64(c.chip);
             h.u64(u64::from(c.priority == Priority::Gc));
-            h.u64(u64::from(c.tenant.0));
+            // Where the command's tenant was hashed; it was 0 for every
+            // command.
+            h.u64(0);
             h.u64(c.submitted.as_nanos());
             h.u64(c.issued.as_nanos());
             h.u64(c.completed.as_nanos());
@@ -527,10 +495,13 @@ mod golden {
         ] {
             h.u64(v);
         }
-        for c in sched.class_stats() {
-            for v in [c.submitted, c.completed, c.yields, c.forced] {
-                h.u64(v);
-            }
+        // Where the per-class counters (submitted, completed, yields, forced)
+        // were hashed, host class first: host commands yield exactly the
+        // slots GC is forced through, and only GC is ever forced.
+        let gc = done.iter().filter(|c| c.priority == Priority::Gc).count() as u64;
+        let host = done.len() as u64 - gc;
+        for v in [host, host, s.gc_forced, 0, gc, gc, s.gc_yields, s.gc_forced] {
+            h.u64(v);
         }
         h.u64(dev.drain_time().as_nanos());
         h.0
@@ -539,7 +510,6 @@ mod golden {
     const BASE: Mix = Mix {
         seed: 1,
         planes: 1,
-        tenants: false,
         queue_depth: usize::MAX,
         commands: 400,
         charge_pct: 0,
@@ -604,23 +574,12 @@ mod golden {
                 0x3e1f_3ec3_e327_b1b8,
             ),
             (
-                "four-class tenant policy",
-                Mix {
-                    seed: 6,
-                    tenants: true,
-                    gc_pct: 25,
-                    program_pct: 15,
-                    max_gap_us: 5,
-                    ..BASE
-                },
-                0x4898_9c6a_addf_cd0e,
-            ),
-            (
-                "tenants, two planes, charges, windows",
+                // Recorded on the scheduler that still took per-tenant
+                // classes, with every command at tenant 0.
+                "two planes, charges, windows",
                 Mix {
                     seed: 7,
                     planes: 2,
-                    tenants: true,
                     charge_pct: 50,
                     multi_plane_pct: 25,
                     erase_pct: 5,
@@ -630,7 +589,7 @@ mod golden {
                     drive: Drive::Windows,
                     ..BASE
                 },
-                0x8082_9566_89cf_7d26,
+                0xbc31_a56c_bccc_f773,
             ),
             (
                 "engine shape: gc bursts, awaited host charges",

@@ -196,7 +196,7 @@ impl Reciprocal {
 /// operation and the group allocator a VPPN for every slot, and four dependent
 /// 64-bit divisions by values only known at run time were a fifth of a mixed
 /// workload's host time. Each field is instead cut out of the address by one
-/// multiplication with a precomputed [`Reciprocal`].
+/// multiplication with a precomputed reciprocal.
 ///
 /// ```
 /// use ssd_sim::{AddrCodec, Geometry, PhysAddr};

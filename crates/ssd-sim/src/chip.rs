@@ -3,19 +3,6 @@
 use crate::block::Block;
 use crate::clock::SimTime;
 
-/// The timing state of one plane: when its NAND array finishes its current
-/// operation and when the plane as a whole (array + page register) goes idle.
-///
-/// The two differ only for reads: the NAND phase ends at `nand_free` but the
-/// page register — and with it the plane — stays occupied until the page has
-/// crossed the channel (`free`). Cache-mode reads chain on `nand_free`,
-/// everything else chains on `free`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct PlaneTimeline {
-    nand_free: SimTime,
-    free: SimTime,
-}
-
 /// One NAND chip (die/LUN): a set of blocks plus one timeline per plane.
 ///
 /// A plane is the unit of operation-level parallelism inside a chip: two
@@ -26,7 +13,8 @@ struct PlaneTimeline {
 #[derive(Debug, Clone)]
 pub struct Chip {
     blocks: Vec<Block>,
-    planes: Vec<PlaneTimeline>,
+    /// When each plane (NAND array and page register) goes idle.
+    plane_free: Vec<SimTime>,
 }
 
 impl Chip {
@@ -37,18 +25,13 @@ impl Chip {
         assert!(planes > 0, "a chip needs at least one plane");
         Chip {
             blocks: (0..blocks).map(|_| Block::new(pages_per_block)).collect(),
-            planes: vec![PlaneTimeline::default(); planes as usize],
+            plane_free: vec![SimTime::ZERO; planes as usize],
         }
-    }
-
-    /// Number of blocks on the chip.
-    pub fn block_count(&self) -> u32 {
-        self.blocks.len() as u32
     }
 
     /// Number of planes on the chip.
     pub fn plane_count(&self) -> u32 {
-        self.planes.len() as u32
+        self.plane_free.len() as u32
     }
 
     /// Shared access to the block at `index` (chip-local index).
@@ -72,9 +55,9 @@ impl Chip {
     /// The simulated time at which the *whole* chip becomes idle (the latest
     /// plane timeline — drain semantics).
     pub fn busy_until(&self) -> SimTime {
-        self.planes
+        self.plane_free
             .iter()
-            .map(|p| p.free)
+            .copied()
             .fold(SimTime::ZERO, SimTime::max)
     }
 
@@ -82,22 +65,16 @@ impl Chip {
     /// can next *accept* an operation (issuability semantics: a chip is
     /// issuable as soon as one plane is free).
     pub fn next_plane_free(&self) -> SimTime {
-        self.planes
+        self.plane_free
             .iter()
-            .map(|p| p.free)
+            .copied()
             .min()
             .expect("a chip has at least one plane")
     }
 
     /// The time plane `plane` becomes fully idle (NAND array and register).
     pub fn plane_free(&self, plane: u32) -> SimTime {
-        self.planes[plane as usize].free
-    }
-
-    /// The time plane `plane`'s NAND array becomes free (before any pending
-    /// channel burst has drained) — what cache-mode reads chain on.
-    pub fn plane_nand_free(&self, plane: u32) -> SimTime {
-        self.planes[plane as usize].nand_free
+        self.plane_free[plane as usize]
     }
 
     /// Reserves plane `plane` for an operation issued at `issue` that takes
@@ -109,22 +86,16 @@ impl Chip {
         issue: SimTime,
         latency: crate::Duration,
     ) -> SimTime {
-        let p = &mut self.planes[plane as usize];
-        let start = issue.max(p.free);
-        let done = start + latency;
-        p.nand_free = done;
-        p.free = done;
-        done
+        let free = &mut self.plane_free[plane as usize];
+        *free = issue.max(*free) + latency;
+        *free
     }
 
-    /// Records an operation's timeline on plane `plane` directly: the NAND
-    /// phase ends at `nand_free`, the plane goes idle at `free` (the end of
-    /// its channel burst for reads). The device computes the phases; the chip
-    /// only stores them.
-    pub fn reserve_plane(&mut self, plane: u32, nand_free: SimTime, free: SimTime) {
-        let p = &mut self.planes[plane as usize];
-        p.nand_free = nand_free;
-        p.free = free;
+    /// Records that plane `plane` goes idle at `free` (the end of its
+    /// channel burst for reads, of its NAND phase for programs). The device
+    /// computes the phases; the chip only stores the result.
+    pub fn reserve_plane(&mut self, plane: u32, free: SimTime) {
+        self.plane_free[plane as usize] = free;
     }
 
     /// Total number of free (programmable) pages across all blocks.
@@ -175,17 +146,6 @@ mod tests {
         assert_eq!(t2, t1 + d, "same plane serialises");
         assert_eq!(chip.next_plane_free(), t0, "plane 0 frees first");
         assert_eq!(chip.busy_until(), t2, "drain waits for the busiest plane");
-    }
-
-    #[test]
-    fn reserve_plane_splits_nand_and_register() {
-        let mut chip = Chip::new(2, 4, 1);
-        let nand = SimTime::from_micros(40);
-        let xfer = SimTime::from_micros(45);
-        chip.reserve_plane(0, nand, xfer);
-        assert_eq!(chip.plane_nand_free(0), nand);
-        assert_eq!(chip.plane_free(0), xfer);
-        assert_eq!(chip.busy_until(), xfer);
     }
 
     #[test]

@@ -59,15 +59,6 @@ impl SsdConfig {
         }
     }
 
-    /// Same as [`SsdConfig::tiny`] but with zero latencies, for functional
-    /// tests that do not exercise timing.
-    pub fn tiny_zero_latency() -> Self {
-        SsdConfig {
-            latency: LatencyConfig::zero(),
-            ..Self::tiny()
-        }
-    }
-
     /// Returns a copy with a different over-provisioning ratio.
     ///
     /// # Panics
@@ -76,12 +67,6 @@ impl SsdConfig {
     pub fn with_op_ratio(mut self, op_ratio: f64) -> Self {
         assert!((0.0..1.0).contains(&op_ratio), "op_ratio must be in [0,1)");
         self.op_ratio = op_ratio;
-        self
-    }
-
-    /// Returns a copy with a different latency configuration.
-    pub fn with_latency(mut self, latency: LatencyConfig) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -170,8 +155,6 @@ mod tests {
     fn builders_override_fields() {
         let cfg = SsdConfig::tiny().with_op_ratio(0.25);
         assert!((cfg.op_ratio - 0.25).abs() < 1e-9);
-        let cfg = cfg.with_latency(LatencyConfig::zero());
-        assert_eq!(cfg.latency, LatencyConfig::zero());
     }
 
     #[test]

@@ -24,9 +24,10 @@ use crate::PageState;
 ///   operations against the same plane queue. Multi-plane reads and programs
 ///   ([`FlashDevice::read_pages`], [`FlashDevice::program_pages`]) execute
 ///   the NAND phase of several planes in a single slot when their addresses
-///   align on (block, page) across planes. A read holds its plane busy until
-///   the page has crossed the channel bus (FEMU LUN semantics); cache-mode
-///   knobs on [`crate::LatencyConfig`] relax the plane/register coupling,
+///   align on (block, page) across planes. The rules are FEMU's LUN rules
+///   (see [`crate::LatencyConfig`]): a read holds its plane busy until the
+///   page has crossed the channel bus, and a program's burst crosses at
+///   channel availability,
 /// * **metadata** — the OOB area of every page,
 /// * **accounting** — counts of reads/programs/erases, split into host-data
 ///   and translation-page traffic.
@@ -258,31 +259,17 @@ impl FlashDevice {
     /// Charges the timing of a (possibly multi-plane) page read: one NAND
     /// slot covering every plane in the `planes` mask, then one channel
     /// burst per page in ascending plane order, with each plane held busy
-    /// until its own burst completes (unless cache-mode reads are enabled, in
-    /// which case the next read on the plane may start its NAND phase under
-    /// the outgoing burst).
+    /// until its own burst completes.
     fn time_read(&mut self, chip: usize, channel: u32, planes: u32, issue: SimTime) -> SimTime {
         let lat = self.config.latency;
-        let nand_latency = if planes.count_ones() == 1 {
-            lat.read
-        } else {
-            lat.multi_plane_read
-        };
         let base = plane_indices(planes)
-            .map(|p| {
-                if lat.cache_read {
-                    self.chips[chip].plane_nand_free(p)
-                } else {
-                    self.chips[chip].plane_free(p)
-                }
-            })
+            .map(|p| self.chips[chip].plane_free(p))
             .fold(SimTime::ZERO, SimTime::max);
         let start = issue.max(base);
-        let nand_done = start + nand_latency;
-        let mut done = nand_done;
+        let mut done = start + lat.read;
         for p in plane_indices(planes) {
             done = self.occupy_channel(channel, FlashOp::Read, done, lat.channel_transfer);
-            self.chips[chip].reserve_plane(p, nand_done, done);
+            self.chips[chip].reserve_plane(p, done);
             if let Some(t) = self.trace.as_mut() {
                 t.span(
                     start,
@@ -301,33 +288,22 @@ impl FlashDevice {
 
     /// Charges the timing of a (possibly multi-plane) page program: one
     /// channel burst per page in ascending plane order, then one NAND slot
-    /// covering every plane in the `planes` mask. With cache-mode programs
-    /// (the FEMU default) a burst crosses the bus at channel availability
-    /// even while its plane still programs a previous page; without, the
-    /// burst waits for the plane's register.
+    /// covering every plane in the `planes` mask. A burst crosses the bus at
+    /// channel availability even while its plane still programs a previous
+    /// page.
     fn time_program(&mut self, chip: usize, channel: u32, planes: u32, issue: SimTime) -> SimTime {
         let lat = self.config.latency;
-        let nand_latency = if planes.count_ones() == 1 {
-            lat.program
-        } else {
-            lat.multi_plane_program
-        };
         let mut last_bus = issue;
-        for p in plane_indices(planes) {
-            let from = if lat.cache_program {
-                issue
-            } else {
-                issue.max(self.chips[chip].plane_free(p))
-            };
-            last_bus = self.occupy_channel(channel, FlashOp::Program, from, lat.channel_transfer);
+        for _ in 0..planes.count_ones() {
+            last_bus = self.occupy_channel(channel, FlashOp::Program, issue, lat.channel_transfer);
         }
         let planes_free = plane_indices(planes)
             .map(|p| self.chips[chip].plane_free(p))
             .fold(SimTime::ZERO, SimTime::max);
         let nand_start = last_bus.max(planes_free);
-        let done = nand_start + nand_latency;
+        let done = nand_start + lat.program;
         for p in plane_indices(planes) {
-            self.chips[chip].reserve_plane(p, done, done);
+            self.chips[chip].reserve_plane(p, done);
             if let Some(t) = self.trace.as_mut() {
                 t.span(
                     nand_start,
@@ -413,7 +389,7 @@ impl FlashDevice {
 
     /// Reads several pages of one chip as a single **multi-plane** read: the
     /// NAND phase of every page executes in one
-    /// [`crate::LatencyConfig::multi_plane_read`] slot, then the pages cross
+    /// [`crate::LatencyConfig::read`] slot, then the pages cross
     /// the channel bus one after another. Returns the completion time of the
     /// last transfer.
     ///
@@ -488,7 +464,7 @@ impl FlashDevice {
     /// Programs several pages of one chip as a single **multi-plane**
     /// program: each page's data crosses the channel bus in turn, then the
     /// NAND phase of every plane executes in one
-    /// [`crate::LatencyConfig::multi_plane_program`] slot. Returns the
+    /// [`crate::LatencyConfig::program`] slot. Returns the
     /// completion time of the shared slot.
     ///
     /// A single-page group degenerates to [`FlashDevice::program_page`].
@@ -721,12 +697,6 @@ impl FlashDevice {
             .fold(SimTime::ZERO, SimTime::max)
     }
 
-    /// Per-chip free page counts, indexed by flat chip index. Dynamic
-    /// allocators use this to pick the least-loaded chip.
-    pub fn free_pages_per_chip(&self) -> Vec<u64> {
-        self.chips.iter().map(Chip::free_pages).collect()
-    }
-
     /// Per-chip availability, indexed by flat chip index: the time each chip
     /// can next *accept* an operation, i.e. its earliest-free plane. A chip
     /// with any idle plane reports that plane's time, not the whole-chip
@@ -823,7 +793,7 @@ fn plane_indices(planes: u32) -> impl Iterator<Item = u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Duration, LatencyConfig};
+    use crate::Duration;
 
     fn dev() -> FlashDevice {
         FlashDevice::new(SsdConfig::tiny())
@@ -1105,26 +1075,6 @@ mod tests {
         let tb = d.read_page(other, t0).unwrap();
         assert_eq!(ta - t0, Duration::from_micros(45));
         assert_eq!(tb - t0, Duration::from_micros(50), "bus-serialised only");
-    }
-
-    #[test]
-    fn cache_read_overlaps_burst_with_next_nand_phase() {
-        let cfg =
-            SsdConfig::tiny().with_latency(LatencyConfig::femu_default().with_cache_read(true));
-        let mut d = FlashDevice::new(cfg);
-        d.program_page(0, OobData::mapped(1), SimTime::ZERO)
-            .unwrap();
-        d.program_page(1, OobData::mapped(2), SimTime::ZERO)
-            .unwrap();
-        let t0 = d.drain_time();
-        let t1 = d.read_page(0, t0).unwrap();
-        assert_eq!(t1 - t0, Duration::from_micros(45));
-        let t2 = d.read_page(1, t0).unwrap();
-        assert_eq!(
-            t2 - t0,
-            Duration::from_micros(85),
-            "cache read: page 0's burst overlaps page 1's NAND time"
-        );
     }
 
     #[test]

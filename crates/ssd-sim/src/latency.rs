@@ -2,23 +2,21 @@
 
 use crate::clock::Duration;
 
-/// Latency of each NAND operation plus the per-page channel transfer cost and
-/// the intra-chip (plane/cache) timing knobs.
+/// Latency of each NAND operation plus the per-page channel transfer cost.
 ///
 /// [`LatencyConfig::femu_default`] is the single source of the defaults; the
 /// `Default` impl delegates to it. The values mirror FEMU's defaults used by
 /// the paper — 40 µs NAND read, 200 µs NAND program, 2 ms block erase — and
-/// the plane/cache knobs mirror FEMU's LUN semantics:
+/// the device applies FEMU's LUN rules to them:
 ///
 /// * a **read** holds its plane (LUN) busy through the channel burst that
-///   moves the page out (`cache_read = false`): the page register is occupied
-///   until the data has left the die,
+///   moves the page out: the page register is occupied until the data has
+///   left the die,
 /// * a **program**'s data burst may cross the channel while the plane is
-///   still busy programming the previous page (`cache_program = true`): FEMU
-///   charges the transfer at channel availability, not LUN availability,
+///   still busy programming the previous page: FEMU charges the transfer at
+///   channel availability, not LUN availability,
 /// * a **multi-plane** read or program executes the NAND phase of every
-///   participating plane in one slot whose duration defaults to the
-///   single-plane latency.
+///   participating plane in one slot that costs the single-plane latency.
 ///
 /// ```
 /// use ssd_sim::LatencyConfig;
@@ -28,41 +26,19 @@ use crate::clock::Duration;
 /// assert_eq!(lat.program.as_micros_f64(), 200.0);
 /// assert_eq!(lat.erase.as_millis_f64(), 2.0);
 /// assert_eq!(lat.channel_transfer.as_micros_f64(), 5.0);
-/// // One multi-plane slot costs the same as one single-plane operation.
-/// assert_eq!(lat.multi_plane_read, lat.read);
-/// assert_eq!(lat.multi_plane_program, lat.program);
-/// // FEMU LUN semantics: reads hold the plane through the burst, program
-/// // bursts overlap the previous program's NAND time.
-/// assert!(!lat.cache_read);
-/// assert!(lat.cache_program);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencyConfig {
-    /// Time to read one page out of the NAND array.
+    /// Time to read one page (or one multi-plane group) out of the NAND
+    /// array.
     pub read: Duration,
-    /// Time to program one page into the NAND array.
+    /// Time to program one page (or one multi-plane group) into the NAND
+    /// array.
     pub program: Duration,
     /// Time to erase one block.
     pub erase: Duration,
     /// Time to move one page across the channel bus.
     pub channel_transfer: Duration,
-    /// NAND time of one multi-plane read slot (covers every participating
-    /// plane). Defaults to `read`.
-    pub multi_plane_read: Duration,
-    /// NAND time of one multi-plane program slot (covers every participating
-    /// plane). Defaults to `program`.
-    pub multi_plane_program: Duration,
-    /// Cache-mode reads: when `true`, a read's NAND phase waits only for the
-    /// plane's previous NAND phase — the channel burst of page N overlaps the
-    /// NAND time of page N+1 (the cache register holds page N). When `false`
-    /// (FEMU default) the plane is held busy until its page has crossed the
-    /// channel.
-    pub cache_read: bool,
-    /// Cache-mode programs: when `true` (FEMU default), the data burst of
-    /// page N+1 may cross the channel while the plane still programs page N.
-    /// When `false` the burst additionally waits for the plane to go idle
-    /// (strict single-register semantics).
-    pub cache_program: bool,
 }
 
 impl Default for LatencyConfig {
@@ -72,48 +48,16 @@ impl Default for LatencyConfig {
 }
 
 impl LatencyConfig {
-    /// A latency configuration with every operation taking zero time. Useful
-    /// for functional tests that do not care about timing.
-    pub fn zero() -> Self {
-        LatencyConfig {
-            read: Duration::ZERO,
-            program: Duration::ZERO,
-            erase: Duration::ZERO,
-            channel_transfer: Duration::ZERO,
-            multi_plane_read: Duration::ZERO,
-            multi_plane_program: Duration::ZERO,
-            ..Self::femu_default()
-        }
-    }
-
     /// The FEMU default NVMe SSD latencies used throughout the paper. This is
     /// the one place the default numbers live; `LatencyConfig::default()`
     /// delegates here.
     pub fn femu_default() -> Self {
-        let read = Duration::from_micros(40);
-        let program = Duration::from_micros(200);
         LatencyConfig {
-            read,
-            program,
+            read: Duration::from_micros(40),
+            program: Duration::from_micros(200),
             erase: Duration::from_millis(2),
             channel_transfer: Duration::from_micros(5),
-            multi_plane_read: read,
-            multi_plane_program: program,
-            cache_read: false,
-            cache_program: true,
         }
-    }
-
-    /// Returns a copy with cache-mode reads enabled or disabled.
-    pub fn with_cache_read(mut self, cache_read: bool) -> Self {
-        self.cache_read = cache_read;
-        self
-    }
-
-    /// Returns a copy with cache-mode programs enabled or disabled.
-    pub fn with_cache_program(mut self, cache_program: bool) -> Self {
-        self.cache_program = cache_program;
-        self
     }
 }
 
@@ -127,33 +71,10 @@ mod tests {
         assert_eq!(l.read, Duration::from_micros(40));
         assert_eq!(l.program, Duration::from_micros(200));
         assert_eq!(l.erase, Duration::from_millis(2));
-        assert_eq!(l.multi_plane_read, l.read);
-        assert_eq!(l.multi_plane_program, l.program);
-        assert!(!l.cache_read);
-        assert!(l.cache_program);
     }
 
     #[test]
     fn default_is_femu_default() {
         assert_eq!(LatencyConfig::default(), LatencyConfig::femu_default());
-    }
-
-    #[test]
-    fn zero_config_is_all_zero() {
-        let l = LatencyConfig::zero();
-        assert_eq!(l.read, Duration::ZERO);
-        assert_eq!(l.program, Duration::ZERO);
-        assert_eq!(l.erase, Duration::ZERO);
-        assert_eq!(l.channel_transfer, Duration::ZERO);
-        assert_eq!(l.multi_plane_read, Duration::ZERO);
-        assert_eq!(l.multi_plane_program, Duration::ZERO);
-    }
-
-    #[test]
-    fn builders_flip_cache_modes() {
-        let l = LatencyConfig::femu_default().with_cache_read(true);
-        assert!(l.cache_read);
-        let l = l.with_cache_program(false);
-        assert!(!l.cache_program);
     }
 }

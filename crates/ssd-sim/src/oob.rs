@@ -3,18 +3,13 @@
 //! Real NAND pages carry a spare area alongside the 4 KiB data area. FTLs use
 //! it to store the reverse mapping (which LPN this physical page holds) so
 //! that garbage collection and power-failure recovery can rebuild mapping
-//! state, and LeaFTL additionally stashes the *error interval* of approximate
-//! learned segments there (paper Section II-C).
+//! state.
 
 /// Metadata stored in the out-of-band area of one physical page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OobData {
     /// The logical page number stored in this physical page, if any.
     pub lpn: Option<u64>,
-    /// LeaFTL-style error interval: the maximum distance (in pages) between
-    /// the predicted and the true position for the learned segment that
-    /// covers this page. `0` means the prediction is exact.
-    pub error_interval: u32,
     /// Marks translation pages (pages holding mapping metadata rather than
     /// host data).
     pub is_translation: bool,
@@ -25,7 +20,6 @@ impl OobData {
     pub fn mapped(lpn: u64) -> Self {
         OobData {
             lpn: Some(lpn),
-            error_interval: 0,
             is_translation: false,
         }
     }
@@ -34,15 +28,8 @@ impl OobData {
     pub fn translation() -> Self {
         OobData {
             lpn: None,
-            error_interval: 0,
             is_translation: true,
         }
-    }
-
-    /// Returns a copy with the LeaFTL error interval attached.
-    pub fn with_error_interval(mut self, interval: u32) -> Self {
-        self.error_interval = interval;
-        self
     }
 }
 
@@ -56,7 +43,6 @@ impl OobData {
 pub(crate) struct OobTable {
     /// [`NO_LPN`] where the page stores none.
     lpn: Vec<u64>,
-    error_interval: Vec<u32>,
     /// One bit per page, 64 pages to a word.
     translation: Vec<u64>,
 }
@@ -68,7 +54,6 @@ impl OobTable {
     pub(crate) fn new(pages: usize) -> Self {
         OobTable {
             lpn: vec![NO_LPN; pages],
-            error_interval: vec![0; pages],
             translation: vec![0; pages.div_ceil(64)],
         }
     }
@@ -77,7 +62,6 @@ impl OobTable {
         let lpn = self.lpn[page];
         OobData {
             lpn: (lpn != NO_LPN).then_some(lpn),
-            error_interval: self.error_interval[page],
             is_translation: self.is_translation(page),
         }
     }
@@ -89,7 +73,6 @@ impl OobTable {
     pub(crate) fn set(&mut self, page: usize, oob: OobData) {
         debug_assert_ne!(oob.lpn, Some(NO_LPN), "LPN reserved for \"none\"");
         self.lpn[page] = oob.lpn.unwrap_or(NO_LPN);
-        self.error_interval[page] = oob.error_interval;
         let bit = 1 << (page % 64);
         if oob.is_translation {
             self.translation[page / 64] |= bit;
@@ -101,7 +84,6 @@ impl OobTable {
     /// Resets `count` pages from `first` to the erased state.
     pub(crate) fn erase(&mut self, first: usize, count: usize) {
         self.lpn[first..first + count].fill(NO_LPN);
-        self.error_interval[first..first + count].fill(0);
         for page in first..first + count {
             self.translation[page / 64] &= !(1 << (page % 64));
         }
@@ -117,7 +99,6 @@ mod tests {
         let d = OobData::mapped(77);
         assert_eq!(d.lpn, Some(77));
         assert!(!d.is_translation);
-        assert_eq!(d.error_interval, 0);
 
         let t = OobData::translation();
         assert_eq!(t.lpn, None);
@@ -128,7 +109,7 @@ mod tests {
     fn table_round_trips_every_field_and_erases_ranges() {
         let mut table = OobTable::new(130);
         assert_eq!(table.get(129), OobData::default());
-        let data = OobData::mapped(9).with_error_interval(3);
+        let data = OobData::mapped(9);
         table.set(63, data);
         table.set(64, OobData::translation());
         table.set(129, OobData::mapped(0));
@@ -142,12 +123,5 @@ mod tests {
         assert_eq!(table.get(63), OobData::default());
         assert_eq!(table.get(64), OobData::default());
         assert_eq!(table.get(129), OobData::mapped(0));
-    }
-
-    #[test]
-    fn error_interval_builder() {
-        let d = OobData::mapped(3).with_error_interval(4);
-        assert_eq!(d.error_interval, 4);
-        assert_eq!(d.lpn, Some(3));
     }
 }

@@ -4,10 +4,10 @@
 //! owns a disjoint, contiguous LPN range and issues its own open-loop Poisson
 //! arrival stream with a configurable read/write mix and a Zipfian hotspot
 //! inside its range. The harness merges the per-tenant streams by arrival
-//! time and (optionally) runs them through the scheduler's weighted
-//! per-tenant arbitration — the `weight` and `starvation_bound` fields here
-//! are carried alongside the traffic shape so one spec describes both the
-//! load a tenant offers and the service share it is promised.
+//! time and (optionally) admits them by weighted per-tenant arbitration —
+//! the `weight` field here is carried alongside the traffic shape so one
+//! spec describes both the load a tenant offers and the service share it is
+//! promised.
 
 use ftl_base::{HostRequest, Lpn};
 use rand::rngs::StdRng;
@@ -22,9 +22,6 @@ pub struct TenantSpec {
     /// Weighted-round-robin share of contended scheduler slots (relative to
     /// the other tenants' weights; must be ≥ 1 for a foreground tenant).
     pub weight: u32,
-    /// How many times in a row a contending command of this tenant may be
-    /// bypassed before it is forced through.
-    pub starvation_bound: u32,
     /// Fraction of the tenant's requests that are reads, in `[0, 1]`.
     pub read_fraction: f64,
     /// Mean gap of the tenant's Poisson arrival process.
@@ -42,7 +39,6 @@ impl TenantSpec {
     pub fn read_mostly(mean_interarrival: Duration, requests: u64) -> Self {
         TenantSpec {
             weight: 1,
-            starvation_bound: u32::MAX,
             read_fraction: 0.95,
             mean_interarrival,
             zipf_theta: 0.9,
@@ -55,7 +51,6 @@ impl TenantSpec {
     pub fn write_heavy(mean_interarrival: Duration, requests: u64) -> Self {
         TenantSpec {
             weight: 1,
-            starvation_bound: u32::MAX,
             read_fraction: 0.05,
             mean_interarrival,
             zipf_theta: 0.9,
@@ -66,12 +61,6 @@ impl TenantSpec {
     /// Sets the tenant's arbitration weight.
     pub fn with_weight(mut self, weight: u32) -> Self {
         self.weight = weight;
-        self
-    }
-
-    /// Sets the tenant's starvation bound.
-    pub fn with_starvation_bound(mut self, bound: u32) -> Self {
-        self.starvation_bound = bound;
         self
     }
 }
@@ -202,7 +191,6 @@ mod tests {
     fn spec(reqs: u64) -> TenantSpec {
         TenantSpec {
             weight: 1,
-            starvation_bound: 8,
             read_fraction: 0.5,
             mean_interarrival: Duration::from_micros(10),
             zipf_theta: 0.9,
