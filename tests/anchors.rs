@@ -15,8 +15,21 @@ use ssd_sim::Duration;
 /// requests × that sum — at one plane per chip and at two alike.
 #[test]
 fn ideal_qd1_random_reads_take_one_read_and_one_burst_each() {
+    ideal_qd1_random_reads(SsdConfig::tiny());
+}
+
+/// The same anchor on `SsdConfig::small`, the standard scale's device; too
+/// slow for tier-1 in a debug build, so CI runs it in release with
+/// `--ignored`.
+#[test]
+#[ignore = "SsdConfig::small; CI runs it in release"]
+fn ideal_qd1_random_reads_take_one_read_and_one_burst_each_small() {
+    ideal_qd1_random_reads(SsdConfig::small());
+}
+
+fn ideal_qd1_random_reads(base: SsdConfig) {
     for planes in [1, 2] {
-        let device = SsdConfig::tiny().with_planes(planes);
+        let device = base.with_planes(planes);
         let lat = device.latency;
         let one_read = lat.read + lat.channel_transfer;
         assert_eq!(one_read, Duration::from_micros(45));
