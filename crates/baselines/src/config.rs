@@ -16,9 +16,9 @@ pub struct BaselineConfig {
     pub gc_watermark: usize,
     /// LeaFTL's write-buffer capacity in pages (paper: 2048).
     pub buffer_pages: usize,
-    /// How garbage collection executes: as the legacy blocking detour, or
-    /// scheduled through the I/O scheduler's GC priority class so it
-    /// contends with host traffic per chip.
+    /// How garbage collection executes: blocking the triggering write (see
+    /// [`GcMode::Blocking`]), or scheduled through the I/O scheduler's GC
+    /// priority class so it contends with host traffic per chip.
     pub gc_mode: GcMode,
 }
 

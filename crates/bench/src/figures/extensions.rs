@@ -258,8 +258,9 @@ fn gc_interference(
 }
 
 /// GC interference: host tail latency under write-heavy open-loop load with
-/// blocking vs scheduled GC, on 1 and 4 shards. Blocking GC is the paper's
-/// serial detour on the triggering host write; scheduled GC
+/// blocking vs scheduled GC, on 1 and 4 shards. Blocking GC stalls the
+/// triggering host write for the whole collection, whose copies run one
+/// chain per source plane (`GcMode::Blocking`); scheduled GC
 /// (`GcMode::Scheduled`) commits a collection up front and replays its
 /// reads, programs and erases as `Priority::Gc` commands that host commands
 /// bypass per chip, up to the starvation bound. The measured phase replays

@@ -71,14 +71,14 @@ figure_goldens! {
     fig03_cmt_sweep => 0x92ea_a57a_d696_203f,
     fig06_leaftl_randread => 0x7f93_0102_8959_aadf,
     fig07_leaftl_filebench => 0xe83b_674d_1b2a_262c,
-    fig14_fio => 0x800a_401d_8d50_594f,
-    fig16_gc_frequency => 0x3010_434e_7fe6_c71b,
+    fig14_fio => 0x3735_17f3_a680_a966,
+    fig16_gc_frequency => 0x1d12_6650_de38_b2e1,
     fig19_rocksdb => 0xb32f_72db_e269_4900,
-    fig20_filebench => 0x0ee1_f111_6030_65fb,
+    fig20_filebench => 0x3b31_b8ef_fad7_1dd0,
     fig21_qd_sweep => 0x657c_e6c3_8203_c53c,
-    fig22_energy => 0x3099_dfb9_8a19_577d,
+    fig22_energy => 0xd31e_68ff_2aba_bb9b,
     fig23_shard_scaling => 0x2336_8cb6_2bcd_bcb4,
-    fig24_gc_interference => 0x89d6_0b3b_6ea9_f076,
+    fig24_gc_interference => 0x8576_91cc_53b9_0421,
     fig26_plane_scaling => 0x907b_3d03_9eca_8ef0,
     fig28_noisy_neighbour => 0x69d7_dca8_af06_a84e,
     table02_traces => 0x30bc_7d75_b490_8ff9,

@@ -33,13 +33,13 @@ pub struct LearnedFtlConfig {
     /// Whether predictions are bypassed and the in-memory mapping is used
     /// directly whenever the bitmap allows it ("ideal LearnedFTL", Fig. 18b).
     pub ideal_prediction: bool,
-    /// How group GC executes: as the legacy blocking detour, or scheduled
-    /// through the I/O scheduler's GC priority class so a collection's flash
-    /// traffic contends with host commands per chip. Note that scheduled
-    /// mode charges only *flash* time through the scheduler; the
-    /// sorting/training compute of `charge_training_time` applies to the
-    /// blocking path only (the wall-clock statistics are recorded either
-    /// way).
+    /// How group GC executes: blocking the triggering write (one copy chain
+    /// per source plane, see [`GcMode::Blocking`]), or scheduled through the
+    /// I/O scheduler's GC priority class so a collection's flash traffic
+    /// contends with host commands per chip. Note that scheduled mode
+    /// charges only *flash* time through the scheduler; the sorting/training
+    /// compute of `charge_training_time` applies to the blocking path only
+    /// (the wall-clock statistics are recorded either way).
     pub gc_mode: GcMode,
 }
 

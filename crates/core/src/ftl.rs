@@ -58,6 +58,8 @@ struct GcScratch {
     pending_rows: Vec<u32>,
     /// The pending rows one pass of `erase_drained_rows` leaves behind.
     kept: Vec<u32>,
+    /// The other groups' GTD entries whose pages the collection moved.
+    foreign_entries: BTreeSet<usize>,
     /// Valid pages left in each block row, indexed by row id (only the
     /// detached rows' counts are ever read).
     remaining: Vec<u64>,
@@ -194,11 +196,12 @@ impl LearnedFtl {
     }
 
     /// Runs one group collection in the configured GC mode: blocking GC
-    /// charges the whole collection to the caller's barrier, while scheduled
-    /// GC commits the collection's outcome inside a staging window and
-    /// replays its flash traffic as a background `Priority::Gc` job — the
-    /// barrier stays put and sibling traffic contends with the collection
-    /// chip by chip.
+    /// charges the collection to the caller's barrier (one copy chain per
+    /// source plane, see [`ftl_base::GcMode::Blocking`]), while scheduled GC
+    /// commits the collection's outcome inside a staging window and replays
+    /// its flash traffic as a background `Priority::Gc` job — the barrier
+    /// stays put and sibling traffic contends with the collection chip by
+    /// chip.
     fn collect_group(&mut self, group: usize, barrier: SimTime) -> SimTime {
         self.core.begin_background_gc();
         let done = self.gc_group(group, barrier);
@@ -208,6 +211,13 @@ impl LearnedFtl {
     /// Collects one GTD entry group: relocates its valid pages in sorted LPN
     /// order to fresh block rows, retrains every model of the group, rewrites
     /// the group's translation pages and erases the old rows (paper § III-E2).
+    ///
+    /// Timing: the translation reads form one chain from `now`; the copies
+    /// then run one chain per source plane from where that chain ended, so a
+    /// block row's planes copy side by side; the translation writes chain
+    /// from the last copy; and the rows' blocks are erased together, each on
+    /// its own plane. A row recycled mid-collection is erased at the latest
+    /// completion so far.
     fn gc_group(&mut self, group: usize, now: SimTime) -> SimTime {
         let mut scratch = std::mem::take(&mut self.gc_scratch);
         let done = self.gc_group_with(group, now, &mut scratch);
@@ -223,6 +233,7 @@ impl LearnedFtl {
             own_points,
             pending_rows,
             kept,
+            foreign_entries,
             remaining,
         } = scratch;
         self.gc_epoch += 1;
@@ -272,14 +283,15 @@ impl LearnedFtl {
         //    end; their models can no longer be trusted for those LPNs.
         own_points.clear();
         moved.clear();
-        let mut foreign_entries: BTreeSet<usize> = BTreeSet::new();
+        foreign_entries.clear();
+        self.core.begin_gc_copies(t);
         for (is_own, &(lpn, old_ppn)) in own_pairs
             .iter()
             .map(|p| (true, p))
             .chain(foreign_pairs.iter().map(|p| (false, p)))
         {
-            let slot = self.gc_destination(group, pending_rows, kept, remaining, t);
-            t = self.core.relocate_data(lpn, old_ppn, slot.ppn, t);
+            let slot = self.gc_destination(group, pending_rows, kept, remaining);
+            self.core.relocate_data(lpn, old_ppn, slot.ppn);
             moved.push((lpn, slot.ppn));
             // The source row just lost a valid page.
             let left = &mut remaining[self.alloc.row_of_ppn(old_ppn) as usize];
@@ -292,6 +304,7 @@ impl LearnedFtl {
                 foreign_entries.insert(entry);
             }
         }
+        t = self.core.gc_latest_completion();
 
         // ③/④ Train every model in the group on the new placements and
         //       rebuild the bitmap filters.
@@ -315,7 +328,7 @@ impl LearnedFtl {
         for e in entry_start..entry_end {
             t = self.core.write_translation(e, t);
         }
-        for &e in &foreign_entries {
+        for &e in foreign_entries.iter() {
             let read_done = self.core.read_translation(e, t);
             t = self.core.write_translation(e, read_done);
         }
@@ -346,20 +359,21 @@ impl LearnedFtl {
     }
 
     /// Picks the next GC destination slot for `group`, draining and recycling
-    /// source rows on the fly if the free-row reserve runs dry.
+    /// source rows on the fly if the free-row reserve runs dry. A recycled
+    /// row is erased at the latest completion of the collection so far.
     fn gc_destination(
         &mut self,
         group: usize,
         pending_rows: &mut Vec<u32>,
         kept: &mut Vec<u32>,
         remaining: &[u64],
-        now: SimTime,
     ) -> GroupSlot {
         if let Some(slot) = self.alloc.allocate_for_gc(group) {
             return slot;
         }
         // No free rows left: erase any already-drained source row to recycle it.
-        let _ = self.erase_drained_rows(pending_rows, kept, remaining, now, false);
+        let now = self.core.gc_latest_completion();
+        self.erase_drained_rows(pending_rows, kept, remaining, now, false);
         if let Some(slot) = self.alloc.allocate_for_gc(group) {
             return slot;
         }
@@ -373,10 +387,11 @@ impl LearnedFtl {
         }
     }
 
-    /// Erases detached rows that hold no more valid pages and returns them to
-    /// the allocator; `kept` is scratch for the rows left pending. When
-    /// `erase_all` is set, every pending row is expected to be drained (end
-    /// of GC).
+    /// Erases detached rows that hold no more valid pages, every block at
+    /// `now` on its own plane, and returns them to the allocator; `kept` is
+    /// scratch for the rows left pending. When `erase_all` is set, every
+    /// pending row is expected to be drained (end of GC). Returns the latest
+    /// erase's completion (`now` if none).
     fn erase_drained_rows(
         &mut self,
         pending_rows: &mut Vec<u32>,
@@ -395,13 +410,7 @@ impl LearnedFtl {
             }
             debug_assert!(drained, "end-of-GC rows must have been drained");
             for block in self.alloc.row_blocks(row) {
-                let erased = self
-                    .core
-                    .dev
-                    .erase_block(block, t)
-                    .expect("drained GC row must be erasable");
-                self.core.stats.blocks_erased += 1;
-                t = erased;
+                t = t.max(self.core.erase_collected(block, now));
             }
             self.alloc.return_rows([row]);
         }

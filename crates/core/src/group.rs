@@ -150,17 +150,15 @@ impl GroupAllocator {
 
     /// The flat block indices making up a row: the block with in-plane index
     /// `row` on every plane of every chip.
-    pub fn row_blocks(&self, row: u32) -> Vec<u64> {
-        let g = &self.geometry;
-        let blocks_per_chip = g.blocks_per_chip();
-        let blocks_per_plane = u64::from(g.blocks_per_plane);
-        (0..g.total_chips())
-            .flat_map(move |chip| {
-                (0..u64::from(g.planes_per_chip)).map(move |plane| {
-                    chip * blocks_per_chip + plane * blocks_per_plane + u64::from(row)
-                })
+    pub fn row_blocks(&self, row: u32) -> impl Iterator<Item = u64> {
+        let blocks_per_chip = self.geometry.blocks_per_chip();
+        let blocks_per_plane = u64::from(self.geometry.blocks_per_plane);
+        let planes_per_chip = u64::from(self.geometry.planes_per_chip);
+        (0..self.geometry.total_chips()).flat_map(move |chip| {
+            (0..planes_per_chip).map(move |plane| {
+                chip * blocks_per_chip + plane * blocks_per_plane + u64::from(row)
             })
-            .collect()
+        })
     }
 
     /// The rows currently owned by a group.

@@ -61,11 +61,16 @@ pub struct FtlCore {
     /// The batch [`FtlCore::load_with_prefetch`] hands to the CMT, reused
     /// across misses.
     prefetch: Vec<(u32, Ppn, bool)>,
+    /// When the collection in progress last finished a copy off each plane,
+    /// by flat plane index (see [`FtlCore::begin_gc_copies`]).
+    gc_chain_ends: Vec<SimTime>,
+    /// The latest completion of the collection's copies and erases so far.
+    gc_latest: SimTime,
 }
 
 impl FtlCore {
     /// Creates the shared engine for a device configuration, with blocking
-    /// (fully serial) garbage collection.
+    /// garbage collection ([`GcMode::Blocking`]).
     pub fn new(config: SsdConfig) -> Self {
         Self::with_gc_mode(config, GcMode::Blocking)
     }
@@ -118,6 +123,8 @@ impl FtlCore {
             host_batch_open: false,
             host_batch: Vec::new(),
             prefetch: Vec::new(),
+            gc_chain_ends: Vec::new(),
+            gc_latest: SimTime::ZERO,
         }
     }
 
@@ -484,13 +491,37 @@ impl FtlCore {
         done
     }
 
-    /// Relocates a valid data page during GC: reads it, programs it at
-    /// `new_ppn`, invalidates the old copy and updates the mapping table.
-    /// Returns the completion time.
-    pub fn relocate_data(&mut self, lpn: Lpn, old_ppn: Ppn, new_ppn: Ppn, now: SimTime) -> SimTime {
+    /// Starts a collection's copy chains at `now`, one per source plane:
+    /// until the next call, each [`FtlCore::relocate_data`] issues its read
+    /// when the previous copy off the same plane has finished, and each
+    /// [`FtlCore::erase_collected`] counts towards
+    /// [`FtlCore::gc_latest_completion`].
+    pub fn begin_gc_copies(&mut self, now: SimTime) {
+        let planes = self.dev.geometry().total_planes() as usize;
+        self.gc_chain_ends.clear();
+        self.gc_chain_ends.resize(planes, now);
+        self.gc_latest = now;
+    }
+
+    /// The latest completion of the current collection's copies and erases
+    /// so far (its start time before any).
+    pub fn gc_latest_completion(&self) -> SimTime {
+        self.gc_latest
+    }
+
+    /// Relocates a valid data page during GC: reads it when the previous copy
+    /// off its plane has finished, programs it at `new_ppn` once read,
+    /// invalidates the old copy and updates the mapping table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this core never started a collection
+    /// ([`FtlCore::begin_gc_copies`]).
+    pub fn relocate_data(&mut self, lpn: Lpn, old_ppn: Ppn, new_ppn: Ppn) {
+        let plane = self.dev.plane_of_ppn(old_ppn);
         let read_done = self
             .dev
-            .read_page(old_ppn, now)
+            .read_page(old_ppn, self.gc_chain_ends[plane])
             .expect("valid page must be readable");
         self.stats.gc_page_reads += 1;
         let done = self
@@ -502,6 +533,23 @@ impl FtlCore {
             .expect("old page must exist");
         self.mapping.update(lpn, new_ppn);
         self.stats.gc_page_writes += 1;
+        self.gc_chain_ends[plane] = done;
+        self.gc_latest = self.gc_latest.max(done);
+    }
+
+    /// Erases a collected block at `issue`, counts it in `blocks_erased` and
+    /// returns the completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block still holds a valid page.
+    pub fn erase_collected(&mut self, block: u64, issue: SimTime) -> SimTime {
+        let done = self
+            .dev
+            .erase_block(block, issue)
+            .expect("a collected block holds no valid page");
+        self.stats.blocks_erased += 1;
+        self.gc_latest = self.gc_latest.max(done);
         done
     }
 }
@@ -561,20 +609,17 @@ pub fn run_greedy_gc(
             new_ppn: old_ppn,
         });
     }
+    // The victim is one block on one plane, so its copies form one chain.
     let mut dirty_entries = BTreeSet::new();
-    let mut t = now;
+    core.begin_gc_copies(now);
     for mv in &mut moves {
         mv.new_ppn = pool
             .allocate(&core.dev)
             .expect("GC must have headroom to relocate valid pages");
-        t = core.relocate_data(mv.lpn, mv.old_ppn, mv.new_ppn, t);
+        core.relocate_data(mv.lpn, mv.old_ppn, mv.new_ppn);
         dirty_entries.insert(core.entry_of_lpn(mv.lpn));
     }
-    let erased = core
-        .dev
-        .erase_block(victim, t)
-        .expect("victim has no valid pages left");
-    core.stats.blocks_erased += 1;
+    let erased = core.erase_collected(victim, core.gc_latest_completion());
     pool.release_block(victim);
     core.stats.gc_flash_time += erased - now;
     Some(GcOutcome {

@@ -1,10 +1,9 @@
-//! Scheduled garbage collection: the engine that turns a blocking GC detour
-//! into `Priority::Gc` flash commands contending with host traffic.
+//! How collections charge their flash time.
 //!
-//! Every FTL in this workspace historically ran GC as a fully serial detour:
-//! the write path called into the collector, which charged every page read,
-//! page program and erase to the simulated timeline before the triggering
-//! host write could proceed. [`GcMode::Scheduled`] splits that detour in two:
+//! Under [`GcMode::Blocking`] the triggering host request waits for the
+//! collection, whose copies run one chain per source plane (the rule is on
+//! the variant). [`GcMode::Scheduled`] takes the collection off the host
+//! request in two steps:
 //!
 //! 1. **Plan** — the existing GC logic runs unchanged with the device in
 //!    *staging* mode ([`ssd_sim::FlashDevice::begin_staging`]): victim
@@ -34,8 +33,18 @@ use crate::stats::FtlStats;
 /// How an FTL executes its garbage-collection flash traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GcMode {
-    /// GC runs as a blocking, fully serial detour on the triggering host
-    /// request (the legacy behaviour, and the default).
+    /// GC runs on the triggering host request, which waits for it (the
+    /// default). Every FTL times a collection by one rule. The collection
+    /// keeps one copy chain per **source plane**: a page copy's read is
+    /// issued when the previous copy off the same plane has finished, and its
+    /// program when the read is done. Copies off different planes overlap
+    /// through the device's plane and channel timelines, as FEMU's per-LUN
+    /// timelines let them (Li et al., FAST'18). The collection's erases are
+    /// issued together, each on its own plane, at the latest completion so
+    /// far; a block recycled mid-collection is erased then too, so later
+    /// programs into it queue behind the erase. Translation-page reads and
+    /// writes keep their order in one chain. A baseline victim is one block
+    /// on one plane, so its copies form one chain.
     #[default]
     Blocking,
     /// GC flash traffic is emitted as `Priority::Gc` commands through an

@@ -131,7 +131,7 @@ pub trait Ftl: Send {
     }
 
     /// The garbage-collection execution mode this FTL runs under. The default
-    /// is the legacy blocking mode; FTLs built over [`FtlCore`] report their
+    /// is [`GcMode::Blocking`]; FTLs built over [`FtlCore`] report their
     /// configured mode.
     fn gc_mode(&self) -> GcMode {
         GcMode::Blocking

@@ -273,6 +273,18 @@ impl AddrCodec {
         }
     }
 
+    /// The flat plane index of `ppn` (`chip · planes_per_chip + plane`):
+    /// `ppn / (pages_per_block · blocks_per_plane)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` is outside the device.
+    pub fn plane_of_ppn(&self, ppn: Ppn) -> u64 {
+        assert!(ppn < self.total_pages, "ppn {ppn} out of range");
+        let (block, _) = self.ppn_fields[0].div_rem(ppn);
+        self.ppn_fields[1].div_rem(block).0
+    }
+
     /// [`vppn_to_ppn`] for this geometry.
     ///
     /// # Panics
@@ -460,6 +472,11 @@ mod tests {
                     "ppn {n} of {g}"
                 );
                 assert_eq!(codec.vppn_to_ppn(n), vppn_to_ppn(n, &g), "vppn {n} of {g}");
+                assert_eq!(
+                    codec.plane_of_ppn(n),
+                    n / g.pages_per_plane(),
+                    "ppn {n} of {g}"
+                );
             }
         }
     }
@@ -496,6 +513,7 @@ mod tests {
             for n in [at % g.total_pages(), g.total_pages() - 1] {
                 prop_assert_eq!(codec.from_ppn(n), PhysAddr::from_ppn(n, &g));
                 prop_assert_eq!(codec.vppn_to_ppn(n), vppn_to_ppn(n, &g));
+                prop_assert_eq!(codec.plane_of_ppn(n), n / g.pages_per_plane());
             }
         }
 

@@ -657,6 +657,16 @@ impl FlashDevice {
         flat_block * u64::from(self.config.geometry.pages_per_block)
     }
 
+    /// The flat plane index of `ppn` (`chip · planes_per_chip + plane`, as in
+    /// [`FlashDevice::busy_until_per_plane`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` is outside the device.
+    pub fn plane_of_ppn(&self, ppn: Ppn) -> usize {
+        self.codec.plane_of_ppn(ppn) as usize
+    }
+
     /// The flat block index that contains `ppn`.
     pub fn flat_block_of_ppn(&self, ppn: Ppn) -> u64 {
         ppn / u64::from(self.config.geometry.pages_per_block)

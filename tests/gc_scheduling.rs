@@ -195,6 +195,54 @@ fn scheduled_gc_matches_blocking_flash_work_on_single_chip_pool_ftls() {
     }
 }
 
+/// Blocking GC's copy rule (`ftl_base::GcMode::Blocking`): a collection keeps
+/// one copy chain per source plane. A copy's read issues when the previous
+/// copy off the same plane has finished and its program when the read is
+/// done, so copies off different planes overlap through the plane and
+/// channel timelines. A LearnedFTL group collection copies block rows that
+/// span every plane, so its flash time stays below one fully chained copy,
+/// `read + program + 2·channel_transfer`, per page moved: the floor of a
+/// single chain for the whole collection, which measured 1.08× it. It cannot
+/// fall below `program + channel_transfer` per page spread over every plane,
+/// because a plane does one thing at a time.
+#[test]
+fn blocking_group_gc_copies_run_one_chain_per_source_plane() {
+    let device = SsdConfig::tiny();
+    let mut ftl = FtlKind::LearnedFtl.build_with(
+        device,
+        baselines::BaselineConfig::default(),
+        learnedftl::LearnedFtlConfig::default().with_charge_training_time(false),
+    );
+    assert_eq!(ftl.gc_mode(), GcMode::Blocking);
+    let mut wl = harness::experiments::fio_write(
+        ftl.as_mut(),
+        workloads::FioPattern::RandWrite,
+        4,
+        1,
+        ExperimentScale::quick(),
+    );
+    let run = harness::Runner::new().run_qd(ftl.as_mut(), &mut wl, 4);
+    let s = &run.stats;
+    assert!(s.gc_count > 0, "the random writes must force collections");
+
+    let lat = device.latency;
+    let pages = s.gc_page_writes;
+    let one_chain =
+        pages * (lat.read + lat.program + lat.channel_transfer + lat.channel_transfer).as_nanos();
+    let planes_busy =
+        pages * (lat.program + lat.channel_transfer).as_nanos() / device.geometry.total_planes();
+    let spent = s.gc_flash_time.as_nanos();
+    assert!(
+        spent < one_chain,
+        "{} collections of {pages} copies took {spent} ns, not under one chain's {one_chain} ns",
+        s.gc_count
+    );
+    assert!(
+        spent >= planes_busy,
+        "{pages} copies took {spent} ns, less than every plane busy ({planes_busy} ns)"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden equivalence of the scheduled-GC replay path, recorded on the commit
 // before the slab-backed event loop (PR 16): a seeded churn on the tiny device

@@ -167,9 +167,9 @@ const GOLDEN: [(&str, u32, bool, u64); 6] = [
     ("TPFTL", 1, false, 0x2ffe_f9c4_be80_9375),
     ("TPFTL", 2, false, 0xf0e7_10c2_0594_1014),
     ("TPFTL", 1, true, 0xeee5_73e4_183b_3653),
-    ("LearnedFTL", 1, false, 0x9045_f72a_aedf_7ff0),
-    ("LearnedFTL", 2, false, 0x910b_3e61_d55d_9031),
-    ("LearnedFTL", 1, true, 0xa654_fd74_e9b1_8a34),
+    ("LearnedFTL", 1, false, 0x36f0_8564_7228_7ce8),
+    ("LearnedFTL", 2, false, 0xa7dc_83f3_9805_7056),
+    ("LearnedFTL", 1, true, 0x95ec_01df_dc13_f815),
 ];
 
 #[test]

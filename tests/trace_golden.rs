@@ -290,7 +290,7 @@ const GOLDEN: [(&str, [u64; 4]); 5] = [
     (
         "learned_qd16",
         [
-            0xed2e_cfc2_307b_ae05,
+            0xeb2b_1fc0_7a2d_0b23,
             0x0cd9_1a91_81f5_e2be,
             0x06e2_5990_aa18_0e48,
             0x935c_be34_863f_d463,
