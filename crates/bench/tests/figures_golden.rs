@@ -4,17 +4,11 @@
 //! change that re-prepares a figure's device re-records its entry, and a
 //! failure prints the new value.
 //!
-//! Four rows are left out because their stdout is not a pure function of the
-//! seeds; they are only checked to run and exit 0:
-//!
-//! * `fig15_train_cost` times the trainer on the host clock and prints it;
-//! * `fig17_gc_breakdown` prints the trainer's host wall-clock time, and
-//!   LearnedFTL bills it to the simulated timeline;
-//! * `fig18_overhead` measures exactly that bill: its write-path gap between
-//!   charging and not charging the trainer's wall clock is about 0.005 %,
-//!   so the printed `0.00%` / `0.01%` depends on how loaded the host is;
-//! * `fig21_tail_latency` replays traces on LearnedFTL with that same
-//!   wall-clock training charge, so its latency percentiles move run to run.
+//! One row is left out because its stdout is not a pure function of the
+//! seeds; it is only checked to run and exit 0: `fig15_train_cost` times
+//! the trainer on the host clock and prints it. (LearnedFTL's training
+//! charge is a fixed cost per model, so fig17, fig18 and fig21_tail_latency
+//! are pinned like every other row.)
 //!
 //! The command-line contract is checked here too: a usage error exits 2 and
 //! lists every row, and an artifact path that cannot be written exits 2
@@ -73,10 +67,13 @@ figure_goldens! {
     fig07_leaftl_filebench => 0xe83b_674d_1b2a_262c,
     fig14_fio => 0x3735_17f3_a680_a966,
     fig16_gc_frequency => 0x1d12_6650_de38_b2e1,
+    fig17_gc_breakdown => 0x9147_a1c8_cc03_97d9,
+    fig18_overhead => 0xc82a_4610_04a3_a22b,
     fig19_rocksdb => 0xb32f_72db_e269_4900,
     fig20_filebench => 0x3b31_b8ef_fad7_1dd0,
     fig21_qd_sweep => 0x657c_e6c3_8203_c53c,
-    fig22_energy => 0xd31e_68ff_2aba_bb9b,
+    fig21_tail_latency => 0x9ad5_6163_7361_36e2,
+    fig22_energy => 0x1830_b989_791f_a1b0,
     fig23_shard_scaling => 0x2336_8cb6_2bcd_bcb4,
     fig24_gc_interference => 0x8576_91cc_53b9_0421,
     fig26_plane_scaling => 0x907b_3d03_9eca_8ef0,
@@ -84,21 +81,10 @@ figure_goldens! {
     table02_traces => 0x30bc_7d75_b490_8ff9,
 }
 
-macro_rules! runs_clean {
-    ($($name:ident,)*) => {$(
-        #[test]
-        fn $name() {
-            quick_stdout_hash(stringify!($name));
-        }
-    )*};
-}
-
-// The unpinned rows: no golden, but each must run and exit 0.
-runs_clean! {
-    fig15_train_cost,
-    fig17_gc_breakdown,
-    fig18_overhead,
-    fig21_tail_latency,
+// The unpinned row: no golden, but it must run and exit 0.
+#[test]
+fn fig15_train_cost() {
+    quick_stdout_hash("fig15_train_cost");
 }
 
 #[test]

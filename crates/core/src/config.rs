@@ -2,6 +2,9 @@
 
 use ftl_base::GcMode;
 
+/// Shortest write run (pages within one GTD entry) sequential init covers.
+pub(crate) const SEQ_INIT_MIN_RUN: usize = 4;
+
 /// Tunables for [`crate::LearnedFtl`].
 ///
 /// Defaults reproduce the paper's setup (Section IV-A): the CMT holds 1.5 %
@@ -24,11 +27,11 @@ pub struct LearnedFtlConfig {
     /// forced on it (opportunistic cross-group allocation threshold),
     /// expressed as a fraction of one block row.
     pub borrow_fraction: f64,
-    /// Minimum length (in pages) of a sequential write run before sequential
-    /// initialisation updates the model in place.
-    pub seq_init_min_run: u32,
-    /// Whether the wall-clock cost of sorting and model training during GC is
-    /// charged to the simulated timeline (Fig. 18a compares both settings).
+    /// Whether sequential write runs (four pages or more within one GTD
+    /// entry) update its model in place; off in the ablation.
+    pub sequential_init: bool,
+    /// Whether blocking GC charges [`crate::TRAINING_CHARGE_PER_MODEL`] per
+    /// trained model to the simulated timeline (Fig. 18a compares both).
     pub charge_training_time: bool,
     /// Whether predictions are bypassed and the in-memory mapping is used
     /// directly whenever the bitmap allows it ("ideal LearnedFTL", Fig. 18b).
@@ -36,10 +39,7 @@ pub struct LearnedFtlConfig {
     /// How group GC executes: blocking the triggering write (one copy chain
     /// per source plane, see [`GcMode::Blocking`]), or scheduled through the
     /// I/O scheduler's GC priority class so a collection's flash traffic
-    /// contends with host commands per chip. Note that scheduled mode
-    /// charges only *flash* time through the scheduler; the sorting/training
-    /// compute of `charge_training_time` applies to the blocking path only
-    /// (the wall-clock statistics are recorded either way).
+    /// contends with host commands per chip.
     pub gc_mode: GcMode,
 }
 
@@ -51,7 +51,7 @@ impl Default for LearnedFtlConfig {
             reserve_rows: 2,
             max_rows_per_group: 3,
             borrow_fraction: 0.5,
-            seq_init_min_run: 4,
+            sequential_init: true,
             charge_training_time: true,
             ideal_prediction: false,
             gc_mode: GcMode::Blocking,
@@ -82,8 +82,8 @@ impl LearnedFtlConfig {
         self
     }
 
-    /// Returns a copy with training/sorting time charged (or not) to the
-    /// simulated timeline.
+    /// Returns a copy with training charged (or not) to the simulated
+    /// timeline, at [`crate::TRAINING_CHARGE_PER_MODEL`] per model.
     pub fn with_charge_training_time(mut self, charge: bool) -> Self {
         self.charge_training_time = charge;
         self

@@ -7,9 +7,18 @@ use learned_index::Point;
 use ssd_sim::wallclock::WallTimer;
 use ssd_sim::{vppn_to_ppn, Duration, FlashDevice, SimTime, SsdConfig};
 
-use crate::config::LearnedFtlConfig;
+use crate::config::{LearnedFtlConfig, SEQ_INIT_MIN_RUN};
 use crate::group::{GcRequest, GroupAllocator, GroupSlot};
 use crate::model::InPlaceModel;
+
+/// Simulated controller time to sort one GTD entry's LPNs and train its model
+/// in group GC: the paper's ~50 µs per entry on an ARM Cortex-A72 (Fig. 15).
+pub const TRAINING_CHARGE_PER_MODEL: Duration = Duration::from_micros(50);
+
+/// What [`LearnedFtlConfig::charge_training_time`] adds for `models` models.
+pub fn training_charge(models: u64) -> Duration {
+    TRAINING_CHARGE_PER_MODEL.saturating_mul(models)
+}
 
 /// LearnedFTL (paper § III): TPFTL's demand-based mapping cache for
 /// locality-heavy accesses, plus one in-place-update learned model per GTD
@@ -177,7 +186,7 @@ impl LearnedFtl {
     /// Applies sequential initialisation over one contiguous run of
     /// `(lpn, vppn)` placements produced by a single write request.
     fn sequential_init(&mut self, run: &[Point]) {
-        if run.len() < self.config.seq_init_min_run as usize {
+        if !self.config.sequential_init || run.len() < SEQ_INIT_MIN_RUN {
             return;
         }
         let mappings_per_page = u64::from(self.core.mappings_per_page());
@@ -188,7 +197,7 @@ impl LearnedFtl {
             while end < run.len() && (run[end].key / mappings_per_page) as usize == entry {
                 end += 1;
             }
-            if end - idx >= self.config.seq_init_min_run as usize {
+            if end - idx >= SEQ_INIT_MIN_RUN {
                 self.models[entry].sequential_init(&run[idx..end]);
             }
             idx = end;
@@ -265,8 +274,7 @@ impl LearnedFtl {
         foreign_pairs.retain(|&(lpn, _)| lpn < lpn_start || lpn >= lpn_end);
         let sort_started = WallTimer::start();
         own_pairs.sort_unstable_by_key(|&(lpn, _)| lpn);
-        let sort_elapsed = sort_started.elapsed();
-        self.core.stats.sort_wall_time += sort_elapsed;
+        self.core.stats.sort_wall_time += sort_started.elapsed();
 
         // Track how many valid pages remain in each detached row so rows can
         // be erased (and reused as GC destinations) as soon as they drain.
@@ -320,8 +328,7 @@ impl LearnedFtl {
             self.models[e].train(&own_points[lo..idx]);
             self.core.stats.models_trained += 1;
         }
-        let train_elapsed = train_started.elapsed();
-        self.core.stats.train_wall_time += train_elapsed;
+        self.core.stats.train_wall_time += train_started.elapsed();
 
         // Persist the group's translation pages (one write per entry) plus the
         // foreign entries whose mappings moved.
@@ -343,17 +350,11 @@ impl LearnedFtl {
         // Erase whatever detached rows are still pending and hand them back.
         t = self.erase_drained_rows(pending_rows, kept, remaining, t, true);
 
-        if self.config.charge_training_time && !self.core.gc_is_scheduled() {
-            // The compute charge only exists on the blocking timeline; a
-            // scheduled collection's cost is its flash charges (the wall
-            // clock is still recorded in sort_wall_time / train_wall_time).
-            let compute = Duration::from_nanos(
-                (sort_elapsed.as_nanos() + train_elapsed.as_nanos()).min(u128::from(u64::MAX))
-                    as u64,
-            );
-            t += compute;
-        }
         self.core.stats.gc_flash_time += t - now;
+        if self.config.charge_training_time && !self.core.gc_is_scheduled() {
+            // A scheduled collection's cost is its flash charges alone.
+            t += training_charge((entry_end - entry_start) as u64);
+        }
         self.core.note_gc_unit_end(t);
         t
     }
@@ -838,6 +839,50 @@ mod tests {
             (1.0..3.0).contains(&wa),
             "unexpected write amplification {wa}"
         );
+    }
+
+    #[test]
+    fn blocking_gc_charges_a_fixed_cost_per_trained_model_outside_flash_time() {
+        let churned = || {
+            let uncharged = LearnedFtlConfig {
+                charge_training_time: false,
+                ..LearnedFtlConfig::default()
+            };
+            // Two planes per chip and 256-page blocks: four models per group.
+            let device = SsdConfig::tiny()
+                .with_geometry(ssd_sim::Geometry::new(2, 2, 2, 16, 256, 4096))
+                .with_op_ratio(0.4);
+            let mut f = LearnedFtl::new(device, uncharged);
+            let span = f.logical_pages();
+            let mut t = f.write(0, span as u32, SimTime::ZERO);
+            let mut l = 7u64;
+            for _ in 0..span / 2 {
+                l = (l * 48271) % span;
+                t = f.write(l, 1, t);
+            }
+            (f, t)
+        };
+        let (mut plain, now) = churned();
+        let (mut charged, charged_now) = churned();
+        assert_eq!(now, charged_now);
+        charged.config.charge_training_time = true;
+        let group = plain.alloc.most_invalid_group(&plain.core.dev).unwrap();
+
+        let collect = |f: &mut LearnedFtl| {
+            let (trained, flash) = (f.stats().models_trained, f.stats().gc_flash_time);
+            let done = f.gc_group(group, now);
+            let s = f.stats();
+            (done, s.models_trained - trained, s.gc_flash_time - flash)
+        };
+        let (plain_done, plain_models, plain_flash) = collect(&mut plain);
+        let (charged_done, charged_models, charged_flash) = collect(&mut charged);
+        assert_eq!(charged_models, 4, "one model per GTD entry of the group");
+        assert_eq!(plain_models, charged_models);
+        assert_eq!(
+            charged_done - plain_done,
+            TRAINING_CHARGE_PER_MODEL.saturating_mul(charged_models)
+        );
+        assert_eq!(plain_flash, charged_flash, "compute is not flash time");
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod group;
 mod model;
 
 pub use config::LearnedFtlConfig;
-pub use ftl::LearnedFtl;
+pub use ftl::{training_charge, LearnedFtl, TRAINING_CHARGE_PER_MODEL};
 pub use group::{GcRequest, GroupAllocator, GroupSlot};
 pub use model::InPlaceModel;
 

@@ -64,11 +64,11 @@ pub struct FtlStats {
     /// Times a scheduled GC command was forced through by the scheduler's
     /// starvation bound (zero under blocking GC).
     pub gc_forced: u64,
-    /// Simulated time spent inside GC (flash operations).
+    /// Simulated time spent inside GC (flash operations only).
     pub gc_flash_time: Duration,
-    /// Wall-clock time spent sorting LPNs during GC/model training.
+    /// Host wall-clock time spent sorting LPNs during GC (not simulated).
     pub sort_wall_time: std::time::Duration,
-    /// Wall-clock time spent fitting learned models.
+    /// Host wall-clock time spent fitting learned models (not simulated).
     pub train_wall_time: std::time::Duration,
     /// Number of model training invocations (per GTD entry).
     pub models_trained: u64,

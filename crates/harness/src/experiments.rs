@@ -281,9 +281,8 @@ fn filled_gc_frontend(
     let baseline = BaselineConfig::default()
         .for_shard(shards)
         .with_gc_mode(gc_mode);
-    // Scheduled GC never bills the trainer's wall clock to simulated time,
-    // so the blocking reference must not either: the modes stay comparable
-    // and the protocol bit-for-bit deterministic.
+    // Scheduled GC charges no compute, so the blocking reference must not
+    // either.
     let learned = LearnedFtlConfig::default()
         .with_gc_mode(gc_mode)
         .with_charge_training_time(false);

@@ -1030,9 +1030,7 @@ mod tests {
             .with_op_ratio(0.4);
         for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
             let baseline = BaselineConfig::default().with_gc_mode(GcMode::Scheduled);
-            let learned = LearnedFtlConfig::default()
-                .with_gc_mode(GcMode::Scheduled)
-                .with_charge_training_time(false);
+            let learned = LearnedFtlConfig::default().with_gc_mode(GcMode::Scheduled);
             let wl = |pages: u64| FioWorkload::new(FioPattern::RandWrite, pages, 1, 4, 1500, 11);
 
             let mut plain_ftl = kind.build_with(device, baseline, learned);

@@ -119,9 +119,8 @@ impl<K: Ord> Slots<K> {
 /// a dense per-shard table.
 ///
 /// Shards are independent devices with independent clocks, and those clocks
-/// can drift apart before tracing starts (LearnedFTL's default config bills
-/// the trainer's host wall clock to the simulated timeline during warm-up
-/// GC). Rebasing every shard onto its own epoch makes the exported artifacts
+/// can drift apart before tracing starts (each shard's warm-up ends when its
+/// own share of the fill and its own collections do). Rebasing every shard onto its own epoch makes the exported artifacts
 /// a pure function of the *relative* event stream — byte-identical across
 /// runs and backends whenever the measured phase is deterministic — and
 /// aligns the shards' measured-phase starts for side-by-side viewing.

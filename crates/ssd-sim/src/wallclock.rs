@@ -12,9 +12,8 @@
 //!
 //! Legitimate wall-clock uses are *measurements about the simulator*, never
 //! inputs to it: self-profiling rates (`RunResult::profile`), fig15's
-//! trainer-cost timings, and LearnedFTL's `charge_training_time` — which
-//! deliberately charges real host compute onto the simulated timeline and is
-//! therefore switched off wherever determinism is asserted.
+//! trainer-cost timings and LearnedFTL's `FtlStats::{sort_wall_time,
+//! train_wall_time}`. Its training charge is a fixed cost per model.
 //!
 //! ```
 //! use ssd_sim::wallclock::WallTimer;

@@ -13,8 +13,6 @@
 //! - the device's translation programs and reads are the FTL's translation
 //!   writes and reads;
 //! - the device's erases are the FTL's `blocks_erased`.
-//!
-//! The training charge is off so the runs are functions of the seeds alone.
 
 use ftl_base::GcMode;
 use harness::experiments::{self, ExperimentScale};
@@ -34,9 +32,7 @@ enum Mix {
 /// protocol at quick scale and runs it at queue depth 4.
 fn run(kind: FtlKind, mode: GcMode, mix: Mix) -> RunResult {
     let baseline = baselines::BaselineConfig::default().with_gc_mode(mode);
-    let learned = LearnedFtlConfig::default()
-        .with_gc_mode(mode)
-        .with_charge_training_time(false);
+    let learned = LearnedFtlConfig::default().with_gc_mode(mode);
     let mut ftl = kind.build_with(SsdConfig::tiny(), baseline, learned);
     let scale = ExperimentScale::quick();
     let runner = Runner::new();

@@ -211,7 +211,7 @@ fn blocking_group_gc_copies_run_one_chain_per_source_plane() {
     let mut ftl = FtlKind::LearnedFtl.build_with(
         device,
         baselines::BaselineConfig::default(),
-        learnedftl::LearnedFtlConfig::default().with_charge_training_time(false),
+        learnedftl::LearnedFtlConfig::default(),
     );
     assert_eq!(ftl.gc_mode(), GcMode::Blocking);
     let mut wl = harness::experiments::fio_write(
@@ -289,9 +289,7 @@ fn scheduled_churn(kind: FtlKind) -> Pinned {
     let mut ftl = kind.build_with(
         SsdConfig::tiny(),
         BaselineConfig::default().with_gc_mode(GcMode::Scheduled),
-        LearnedFtlConfig::default()
-            .with_charge_training_time(false)
-            .with_gc_mode(GcMode::Scheduled),
+        LearnedFtlConfig::default().with_gc_mode(GcMode::Scheduled),
     );
     assert_eq!(ftl.gc_mode(), GcMode::Scheduled);
     let span = ftl.logical_pages();

@@ -72,9 +72,7 @@ fn build(name: &str, planes: u32, trim: bool) -> Box<dyn Ftl> {
             TRIM_CMT_ENTRIES,
         )),
         ("LearnedFTL", _) => {
-            // Training's wall-clock cost stays off the simulated timeline:
-            // the hashes cover completion times.
-            let mut learned = LearnedFtlConfig::default().with_charge_training_time(false);
+            let mut learned = LearnedFtlConfig::default();
             if trim {
                 learned.cmt_ratio = TRIM_CMT_ENTRIES as f64 / cfg.logical_pages() as f64;
                 assert_eq!(learned.cmt_entries(cfg.logical_pages()), TRIM_CMT_ENTRIES);
@@ -167,9 +165,9 @@ const GOLDEN: [(&str, u32, bool, u64); 6] = [
     ("TPFTL", 1, false, 0x2ffe_f9c4_be80_9375),
     ("TPFTL", 2, false, 0xf0e7_10c2_0594_1014),
     ("TPFTL", 1, true, 0xeee5_73e4_183b_3653),
-    ("LearnedFTL", 1, false, 0x36f0_8564_7228_7ce8),
-    ("LearnedFTL", 2, false, 0xa7dc_83f3_9805_7056),
-    ("LearnedFTL", 1, true, 0x95ec_01df_dc13_f815),
+    ("LearnedFTL", 1, false, 0x985a_2f16_33c7_9765),
+    ("LearnedFTL", 2, false, 0x8a7b_26b6_75ff_e6a8),
+    ("LearnedFTL", 1, true, 0xfbb8_014c_3b17_b8a0),
 ];
 
 #[test]

@@ -136,12 +136,9 @@ fn run_dftl() -> u64 {
     h.0
 }
 
-/// LearnedFTL without the trainer's wall clock on the simulated timeline.
+/// LearnedFTL, training charge included.
 fn run_qd_learned(depth: usize) -> u64 {
-    let mut ftl = LearnedFtl::new(
-        device(),
-        LearnedFtlConfig::default().with_charge_training_time(false),
-    );
+    let mut ftl = LearnedFtl::new(device(), LearnedFtlConfig::default());
     warm(&mut ftl);
     let mut wl = reads(&ftl, 4, 150);
     let r = Runner::new().run_qd(&mut ftl, &mut wl, depth);

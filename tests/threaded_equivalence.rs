@@ -48,11 +48,7 @@ fn prepared(kind: FtlKind, mode: GcMode, shards: usize, planes: u32) -> ShardedF
     let baseline = BaselineConfig::default()
         .for_shard(shards)
         .with_gc_mode(mode);
-    let learned = LearnedFtlConfig::default()
-        .with_gc_mode(mode)
-        // Never bill the trainer's host wall clock to the simulated
-        // timeline: the backends deliberately differ in wall clock.
-        .with_charge_training_time(false);
+    let learned = LearnedFtlConfig::default().with_gc_mode(mode);
     let mut ftl = kind.build_sharded_with(device(kind, planes), shards, baseline, learned);
     warmup::sequential_fill(&mut ftl, 32, 1, SimTime::ZERO);
     ftl.drain_gc();

@@ -172,9 +172,8 @@ per_ftl!(threaded_backend_produces_the_identical_trace);
 /// The submission windows themselves must be reproducible: two threaded runs
 /// of the same seed agree on the rebased artifacts *with* the backend's
 /// RingBatch counters left in — batch boundaries are a pure function of
-/// dispatch history, never of worker-thread timing. (Raw `SimTime`s are
-/// compared rebased because LearnedFTL bills trainer wall clock to the
-/// timeline during warm-up; see `metrics::sim_trace`.)
+/// dispatch history, never of worker-thread timing. (The artifacts hold
+/// `SimTime`s rebased onto each shard's epoch; see `metrics::sim_trace`.)
 fn threaded_traces_are_deterministic_including_ring_batches(kind: FtlKind) {
     for shards in [1usize, 4] {
         let a = traced_threaded(kind, shards);

@@ -151,13 +151,10 @@ fn read_scale() -> ExperimentScale {
     }
 }
 
-/// LearnedFTL without the trainer's wall clock on the simulated timeline, so
-/// the raw event times are a pure function of the seeds.
+/// LearnedFTL, training charge included: the raw event times are a pure
+/// function of the seeds.
 fn learned_qd16() -> Vec<TraceEvent> {
-    let mut ftl = LearnedFtl::new(
-        read_device(),
-        LearnedFtlConfig::default().with_charge_training_time(false),
-    );
+    let mut ftl = LearnedFtl::new(read_device(), LearnedFtlConfig::default());
     let mut wl = fio_read(&mut ftl, FioPattern::RandRead, 8, read_scale());
     ftl.set_tracing(true);
     Runner::new().run_qd(&mut ftl, &mut wl, 16).trace
@@ -290,7 +287,7 @@ const GOLDEN: [(&str, [u64; 4]); 5] = [
     (
         "learned_qd16",
         [
-            0xeb2b_1fc0_7a2d_0b23,
+            0xb55e_ed46_56f9_2bd2,
             0x0cd9_1a91_81f5_e2be,
             0x06e2_5990_aa18_0e48,
             0x935c_be34_863f_d463,
