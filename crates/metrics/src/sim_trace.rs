@@ -120,10 +120,11 @@ impl<K: Ord> Slots<K> {
 ///
 /// Shards are independent devices with independent clocks, and those clocks
 /// can drift apart before tracing starts (each shard's warm-up ends when its
-/// own share of the fill and its own collections do). Rebasing every shard onto its own epoch makes the exported artifacts
-/// a pure function of the *relative* event stream — byte-identical across
-/// runs and backends whenever the measured phase is deterministic — and
-/// aligns the shards' measured-phase starts for side-by-side viewing.
+/// own share of the fill and its own collections do). Rebasing every shard
+/// onto its own epoch makes the exported artifacts a pure function of the
+/// *relative* event stream — byte-identical across runs and backends
+/// whenever the measured phase is deterministic — and aligns the shards'
+/// measured-phase starts for side-by-side viewing.
 pub(crate) struct ShardEpochs {
     /// The shard indices the trace contains.
     pub(crate) slots: Slots<u32>,
